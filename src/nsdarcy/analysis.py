@@ -5,6 +5,8 @@ All reports expose ``to_dict()`` returning a flat JSON-serializable dict
 with stable key names.
 """
 
+from dataclasses import dataclass, fields
+
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csc_matrix
@@ -49,19 +51,29 @@ def dual_norm_porous(space, params):
     return _riesz(A, b)[1]
 
 
+def _uniqueness(params, gf, gp):
+    return (gf / params.nu ** 2
+            + gp / (params.nu ** 1.5 * np.sqrt(params.lambda_min)))
+
+
 def uniqueness_number(space, params):
     """Small-data functional nu^-2 ||g_f||_* + nu^-3/2 lambda_min^-1/2 ||g_p||_*.
 
     Values small against one indicate the convective perturbation is
     dominated by the dissipation, the regime with a unique solution.
     """
-    gf = dual_norm_fluid(space, params)
-    gp = dual_norm_porous(space, params)
-    return (gf / params.nu ** 2
-            + gp / (params.nu ** 1.5 * np.sqrt(params.lambda_min)))
+    return _uniqueness(params, dual_norm_fluid(space, params),
+                       dual_norm_porous(space, params))
 
 
-class EnergyReport:
+class _Report:
+    def to_dict(self):
+        """Flat JSON-ready dict; each field cast to its annotated type."""
+        return {f.name: f.type(getattr(self, f.name)) for f in fields(self)}
+
+
+@dataclass
+class EnergyReport(_Report):
     """Every quantity of the a priori theory at one discrete solution.
 
     ``e_*`` are the energies (viscous, Darcy, companion, slip), ``dual_g*``
@@ -71,24 +83,29 @@ class EnergyReport:
     the a priori estimate, flagged against ``c_mult``.
     """
 
-    _fields = ("e_fluid", "e_darcy", "e_aux", "e_bjs", "dual_gf", "dual_gp",
-               "C_sq", "bound_ratio", "uniqueness_number", "pressure_norm",
-               "pressure_dual", "beta", "gamma_term", "compensation_residual",
-               "balance_defect_rel", "bound_ok", "c_mult", "load_work",
-               "h", "nu", "slip_coefficient", "lambda_min", "lambda_max")
-
-    def __init__(self, **kw):
-        for f in self._fields:
-            setattr(self, f, kw.pop(f))
-        if kw:
-            raise TypeError(f"unexpected fields {sorted(kw)}")
-
-    def to_dict(self):
-        out = {}
-        for f in self._fields:
-            v = getattr(self, f)
-            out[f] = bool(v) if f == "bound_ok" else float(v)
-        return out
+    e_fluid: float
+    e_darcy: float
+    e_aux: float
+    e_bjs: float
+    dual_gf: float
+    dual_gp: float
+    C_sq: float
+    bound_ratio: float
+    uniqueness_number: float
+    pressure_norm: float
+    pressure_dual: float
+    beta: float
+    gamma_term: float
+    compensation_residual: float
+    balance_defect_rel: float
+    bound_ok: bool
+    c_mult: float
+    load_work: float
+    h: float
+    nu: float
+    slip_coefficient: float
+    lambda_min: float
+    lambda_max: float
 
 
 def verify_energy_estimate(space, params, state, c_mult=4.0,
@@ -145,9 +162,7 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     return EnergyReport(
         e_fluid=e_fluid, e_darcy=darcy, e_aux=e_aux, e_bjs=bjs,
         dual_gf=gf, dual_gp=gp, C_sq=c_sq, bound_ratio=ratio,
-        uniqueness_number=(gf / params.nu ** 2
-                           + gp / (params.nu ** 1.5
-                                   * np.sqrt(params.lambda_min))),
+        uniqueness_number=_uniqueness(params, gf, gp),
         pressure_norm=p_norm, pressure_dual=p_dual, beta=beta,
         gamma_term=gamma, compensation_residual=comp_res,
         balance_defect_rel=abs(balance) / scale,
@@ -173,20 +188,17 @@ def _pressure_pairing_functional(space, params, state):
     return b - (A @ ue)[iu] - (Cup @ fe)[iu]
 
 
-class CompensationReport:
+@dataclass
+class CompensationReport(_Report):
     """Interface-transport compensation through the porous companion field."""
 
-    _fields = ("t_fluid", "t_porous", "residual", "identity_defect",
-               "sigma", "energy_aux", "wind_flux_defect")
-
-    def __init__(self, **kw):
-        for f in self._fields:
-            setattr(self, f, kw.pop(f))
-        if kw:
-            raise TypeError(f"unexpected fields {sorted(kw)}")
-
-    def to_dict(self):
-        return {f: float(getattr(self, f)) for f in self._fields}
+    t_fluid: float
+    t_porous: float
+    residual: float
+    identity_defect: float
+    sigma: float
+    energy_aux: float
+    wind_flux_defect: float
 
 
 def compensation_residual(space, params, state=None, trace=None, wind=None,
@@ -234,18 +246,15 @@ def aux_flux_agreement(space, aux):
     return abs(via_matrix - via_quadrature) / max(1.0, abs(via_quadrature))
 
 
-class InfSupResult:
-    _fields = ("beta", "lambda_min", "velocity_dim", "pressure_dim", "h")
+@dataclass
+class InfSupResult(_Report):
+    """Discrete inf-sup constant and the dimensions it was computed on."""
 
-    def __init__(self, **kw):
-        for f in self._fields:
-            setattr(self, f, kw.pop(f))
-
-    def to_dict(self):
-        out = {f: float(getattr(self, f)) for f in self._fields}
-        out["velocity_dim"] = int(self.velocity_dim)
-        out["pressure_dim"] = int(self.pressure_dim)
-        return out
+    beta: float
+    lambda_min: float
+    velocity_dim: int
+    pressure_dim: int
+    h: float
 
 
 def compute_inf_sup(space):
@@ -275,25 +284,22 @@ def compute_inf_sup(space):
     return InfSupResult(beta=float(np.sqrt(max(lam_min, 0.0))),
                         lambda_min=lam_min,
                         velocity_dim=space.num_velocity_dofs,
-                        pressure_dim=np_ - 1, h=space.mesh.h)
+                        pressure_dim=space.pressure_space_dim, h=space.mesh.h)
 
 
-class UniquenessReport:
-    _fields = ("uniqueness_number", "c_mult", "threshold", "energy_norm",
-               "energy_distance", "relative_distance", "verdict",
-               "iterations_zero_start", "iterations_random_start")
+@dataclass
+class UniquenessReport(_Report):
+    """Outcome of the two-start uniqueness experiment."""
 
-    def __init__(self, **kw):
-        for f in self._fields:
-            setattr(self, f, kw.pop(f))
-
-    def to_dict(self):
-        out = {}
-        for f in self._fields:
-            v = getattr(self, f)
-            out[f] = v if isinstance(v, str) else (
-                int(v) if f.startswith("iterations") else float(v))
-        return out
+    uniqueness_number: float
+    c_mult: float
+    threshold: float
+    energy_norm: float
+    energy_distance: float
+    relative_distance: float
+    verdict: str
+    iterations_zero_start: int
+    iterations_random_start: int
 
 
 def _energy_norm(space, params, du, dphi):

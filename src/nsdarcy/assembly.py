@@ -17,13 +17,21 @@ Volume operators use a degree-6 triangle rule and interface operators a
 degree-7 edge rule, so every bilinear-form integrand of the discretization
 (polynomial degree at most 5, and at most 6 on edges) is integrated exactly.
 Load functionals use degree-9 volume and degree-11 edge rules.
+
+Data callables (sources, permeability, interface defects, Dirichlet data)
+take coordinate arrays ``(x, y)`` of any shape and return, per point, a
+scalar, a tuple (nested for 2x2 values) or an array with the component
+axes leading, e.g. ``(sin(x) * y, x)`` for a vector field.  Each is called
+once per evaluation site; a callable that only handles scalar coordinates
+is detected and evaluated point by point instead (``fem._evaluate``).
 """
 
 import numpy as np
 from scipy.sparse import coo_matrix
 
 from .mesh import FLUID, POROUS
-from .fem import QuadratureRule, shape_values, shape_ref_grads, edge_shape_values
+from .fem import (QuadratureRule, _evaluate, edge_shape_values, shape_ref_grads,
+                  shape_values)
 
 OPERATOR_DEGREE = 6
 LOAD_DEGREE = 9
@@ -55,6 +63,13 @@ class ModelParams:
         Fluid volume force.
     g_p : callable (x, y) -> float, optional
         Porous source.
+
+    Callables receive coordinate arrays and return values with the
+    component axes leading: a scalar, a tuple such as ``(f0, f1)`` or
+    ``((k00, k01), (k10, k11))`` whose entries broadcast to the shape of
+    ``x``, or an array of shape ``(2,) + x.shape`` / ``(2, 2) + x.shape``.
+    Callables written for scalar coordinates also work; they are detected
+    and called point by point.
     """
 
     def __init__(self, mesh, nu, K=1.0, G=1.0, sigma=None, g_f=None, g_p=None):
@@ -84,7 +99,7 @@ class ModelParams:
         tris = self.mesh.porous_triangles()
         bary = self.mesh.vertices[self.mesh.triangles[tris]].mean(axis=1)
         if callable(K):
-            vals = np.array([np.asarray(K(x, y), dtype=float) for x, y in bary])
+            vals = np.ascontiguousarray(np.moveaxis(_evaluate(K, bary, (2, 2)), -1, 0))
         else:
             K = np.asarray(K, dtype=float)
             if K.ndim == 0:
@@ -174,6 +189,23 @@ def _quad_points(space, region, quad_degree):
     return space._cache[key]
 
 
+def _edge_data(space, quad_degree):
+    """(velocity shape values, head shape values, weights, points) on the
+    interface edges for one edge rule.  Weights (ne, nq) carry the edge
+    lengths; points are (ne, nq, 2).  Edge nodes, normals and tangents are
+    the ``iface_*`` arrays of the space, in the same edge order."""
+    key = ("edge", quad_degree)
+    if key not in space._cache:
+        rule = QuadratureRule.edge(quad_degree)
+        ends = space.mesh.vertices[space.mesh.interface_edges]
+        points = (ends[:, None, 0]
+                  + rule.points[None, :, None] * (ends[:, None, 1] - ends[:, None, 0]))
+        space._cache[key] = (edge_shape_values(space.velocity_degree, rule.points),
+                             edge_shape_values(space.head_degree, rule.points),
+                             space.iface_lengths[:, None] * rule.weights, points)
+    return space._cache[key]
+
+
 def expanded_index(space, kind):
     """Map free dofs of a field to their expanded-numbering positions."""
     key = ("index", kind)
@@ -210,31 +242,25 @@ def restrict(space, A, row_kind, col_kind):
     return A[expanded_index(space, row_kind)][:, expanded_index(space, col_kind)]
 
 
-def _scatter_vv(L, nodes, dim):
-    """Scatter (ne, nl, 2, nl, 2) local blocks; vector rows x vector cols."""
-    ne, nl = nodes.shape
-    comp = np.arange(2)
-    rows = 2 * nodes[:, :, None, None, None] + comp[None, None, :, None, None]
-    cols = 2 * nodes[:, None, None, :, None] + comp[None, None, None, None, :]
+def _vector_dofs(nodes):
+    """Expanded dofs (..., 2) of a vector field at the given nodes."""
+    return 2 * nodes[..., None] + np.arange(2)
+
+
+def _scatter(L, rows, cols, shape):
+    """Sum local blocks ``L`` into a sparse matrix; ``rows`` and ``cols``
+    are index arrays that broadcast to ``L.shape``."""
     rows = np.broadcast_to(rows, L.shape)
     cols = np.broadcast_to(cols, L.shape)
     return coo_matrix((L.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(dim, dim)).tocsr()
+                      shape=shape).tocsr()
 
 
-def _scatter_sv(L, rnodes, cnodes, rdim, cdim):
-    """Scatter (ne, nr, nc, 2) blocks; scalar rows x vector cols."""
-    rows = np.broadcast_to(rnodes[:, :, None, None], L.shape)
-    cols = np.broadcast_to(2 * cnodes[:, None, :, None] + np.arange(2), L.shape)
-    return coo_matrix((L.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(rdim, cdim)).tocsr()
-
-
-def _scatter_ss(L, rnodes, cnodes, rdim, cdim):
-    rows = np.broadcast_to(rnodes[:, :, None], L.shape)
-    cols = np.broadcast_to(cnodes[:, None, :], L.shape)
-    return coo_matrix((L.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(rdim, cdim)).tocsr()
+def _scatter_vv(L, nodes, dim):
+    """Scatter (ne, nl, 2, nl, 2) local blocks; vector rows x vector cols."""
+    dofs = _vector_dofs(nodes)
+    return _scatter(L, dofs[:, :, :, None, None], dofs[:, None, None],
+                    (dim, dim))
 
 
 def _vector_kind(region):
@@ -268,8 +294,8 @@ def darcy_matrix(space, params, expanded=False):
                                       OPERATOR_DEGREE)
     Kg = np.einsum('eij,eqmj->eqmi', params.K_elems, g)
     L = np.einsum('eqli,eqmi,eq->elm', g, Kg, W)
-    A = _scatter_ss(L, nodes, nodes, space.num_nodes(space.head_degree),
-                    space.num_nodes(space.head_degree))
+    n = space.num_nodes(space.head_degree)
+    A = _scatter(L, nodes[:, :, None], nodes[:, None, :], (n, n))
     return A if expanded else restrict(space, A, "head", "head")
 
 
@@ -280,8 +306,9 @@ def divergence_matrix(space, region=FLUID, expanded=False):
     vals1 = shape_values(1, _rule(OPERATOR_DEGREE).points)
     rnodes = space.mesh.triangles[tris]
     L = np.einsum('qr,eqmd,eq->ermd', vals1, g, W)
-    B = _scatter_sv(L, rnodes, nodes, space.mesh.num_vertices,
-                    2 * space.num_nodes(space.velocity_degree))
+    B = _scatter(L, rnodes[:, :, None, None], _vector_dofs(nodes)[:, None],
+                 (space.mesh.num_vertices,
+                  2 * space.num_nodes(space.velocity_degree)))
     if expanded:
         return B
     if region == FLUID:
@@ -330,24 +357,11 @@ def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
 
 def bjs_matrix(space, coefficient=1.0, expanded=False):
     """coefficient * (u . tau, v . tau) over the interface."""
-    vd = space.velocity_degree
-    rule = QuadratureRule.edge(EDGE_OPERATOR_DEGREE)
-    sv = edge_shape_values(vd, rule.points)
-    dim = 2 * space.num_nodes(vd)
-    rows, cols, data = [], [], []
-    for i in range(len(space.iface_edge_nodes)):
-        nodes = space.iface_edge_nodes[i]
-        tau = space.iface_tangents[i]
-        base = space.iface_lengths[i] * np.einsum('q,qa,qb->ab', rule.weights, sv, sv)
-        block = coefficient * np.einsum('ab,c,d->acbd', base, tau, tau)
-        r = (2 * nodes[:, None, None, None] + np.arange(2)[None, :, None, None])
-        c = (2 * nodes[None, None, :, None] + np.arange(2)[None, None, None, :])
-        rows.append(np.broadcast_to(r, block.shape).ravel())
-        cols.append(np.broadcast_to(c, block.shape).ravel())
-        data.append(block.ravel())
-    A = coo_matrix((np.concatenate(data),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(dim, dim)).tocsr()
+    sv, _, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    tau = space.iface_tangents
+    L = coefficient * np.einsum('eq,qa,qb,ec,ed->eacbd', W, sv, sv, tau, tau)
+    A = _scatter_vv(L, space.iface_edge_nodes,
+                    2 * space.num_nodes(space.velocity_degree))
     return A if expanded else restrict(space, A, "velocity", "velocity")
 
 
@@ -358,27 +372,12 @@ def interface_coupling_matrix(space, expanded=False):
     exact transpose with a minus sign, which keeps the pairing
     algebraically skew-symmetric.
     """
-    vd, hd = space.velocity_degree, space.head_degree
-    rule = QuadratureRule.edge(EDGE_OPERATOR_DEGREE)
-    sv = edge_shape_values(vd, rule.points)
-    sh = edge_shape_values(hd, rule.points)
-    rdim = 2 * space.num_nodes(vd)
-    cdim = space.num_nodes(hd)
-    rows, cols, data = [], [], []
-    for i in range(len(space.iface_edge_nodes)):
-        vnodes = space.iface_edge_nodes[i]
-        hnodes = space.iface_edge_head_nodes[i]
-        n = space.iface_normals[i]
-        base = space.iface_lengths[i] * np.einsum('q,qa,qb->ab', rule.weights, sv, sh)
-        block = np.einsum('ab,c->acb', base, n)
-        r = 2 * vnodes[:, None, None] + np.arange(2)[None, :, None]
-        c = np.broadcast_to(hnodes[None, None, :], block.shape)
-        rows.append(np.broadcast_to(r, block.shape).ravel())
-        cols.append(c.ravel())
-        data.append(block.ravel())
-    A = coo_matrix((np.concatenate(data),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(rdim, cdim)).tocsr()
+    sv, sh, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    L = np.einsum('eq,qa,qb,ec->eacb', W, sv, sh, space.iface_normals)
+    A = _scatter(L, _vector_dofs(space.iface_edge_nodes)[..., None],
+                 space.iface_edge_head_nodes[:, None, None, :],
+                 (2 * space.num_nodes(space.velocity_degree),
+                  space.num_nodes(space.head_degree)))
     return A if expanded else restrict(space, A, "velocity", "head")
 
 
@@ -389,8 +388,8 @@ def pressure_mass_matrix(space, expanded=False):
     vals1 = shape_values(1, _rule(OPERATOR_DEGREE).points)
     rnodes = space.mesh.triangles[tris]
     L = np.einsum('ql,qm,eq->elm', vals1, vals1, W)
-    M = _scatter_ss(L, rnodes, rnodes, space.mesh.num_vertices,
-                    space.mesh.num_vertices)
+    nv = space.mesh.num_vertices
+    M = _scatter(L, rnodes[:, :, None], rnodes[:, None, :], (nv, nv))
     return M if expanded else restrict(space, M, "pressure", "pressure")
 
 
@@ -409,43 +408,41 @@ def pressure_mean_vector(space):
 # load vectors
 # ---------------------------------------------------------------------------
 
-def _eval_at(points, func, width):
-    flat = points.reshape(-1, 2)
-    out = np.empty((len(flat), width) if width > 1 else len(flat))
-    for k, (x, y) in enumerate(flat):
-        out[k] = func(x, y)
-    return out.reshape(points.shape[:2] + ((width,) if width > 1 else ()))
+def _coupled_vector(space, fu, fh):
+    """Coupled free-dof vector from expanded velocity rows (num_nodes, 2)
+    and head rows; pressure rows are zero."""
+    b = np.zeros(space.num_total_dofs)
+    b[:space.offset_p] = fu.ravel()[expanded_index(space, "velocity")]
+    b[space.offset_phi:] = fh[expanded_index(space, "head")]
+    return b
+
+
+def _expanded_loads(space, params):
+    """(g_f, v) per velocity node, (num_nodes, 2), and (g_p, psi) per head
+    node, over every node whether free or not."""
+    vd, hd = space.velocity_degree, space.head_degree
+    fu = np.zeros((space.num_nodes(vd), 2))
+    fh = np.zeros(space.num_nodes(hd))
+    if params.g_f is not None:
+        _, nodes, vals, _, W = _element_data(space, FLUID, vd, LOAD_DEGREE)
+        F = _evaluate(params.g_f, _quad_points(space, FLUID, LOAD_DEGREE), (2,))
+        np.add.at(fu, nodes, np.einsum('eq,ceq,ql->elc', W, F, vals))
+    if params.g_p is not None:
+        _, nodes, vals, _, W = _element_data(space, POROUS, hd, LOAD_DEGREE)
+        F = _evaluate(params.g_p, _quad_points(space, POROUS, LOAD_DEGREE))
+        np.add.at(fh, nodes, np.einsum('eq,eq,ql->el', W, F, vals))
+    return fu, fh
 
 
 def load_vector(space, params):
     """Coupled right-hand side from the volume sources (g_f, g_p)."""
-    b = np.zeros(space.num_total_dofs)
-    if params.g_f is not None:
-        _, nodes, _, _, _ = _element_data(space, FLUID, space.velocity_degree,
-                                          LOAD_DEGREE)
-        rule = _rule(LOAD_DEGREE)
-        vals = shape_values(space.velocity_degree, rule.points)
-        tris, pts, det, _ = _geometry(space, FLUID)
-        W = rule.weights[None, :] * det[:, None]
-        F = _eval_at(_quad_points(space, FLUID, LOAD_DEGREE), params.g_f, 2)
-        loc = np.einsum('eq,eqc,ql->elc', W, F, vals)
-        f = np.zeros(2 * space.num_nodes(space.velocity_degree))
-        np.add.at(f, 2 * nodes, loc[:, :, 0])
-        np.add.at(f, 2 * nodes + 1, loc[:, :, 1])
-        b[space.offset_u:space.offset_p] = f[expanded_index(space, "velocity")]
-    if params.g_p is not None:
-        _, nodes, _, _, _ = _element_data(space, POROUS, space.head_degree,
-                                          LOAD_DEGREE)
-        rule = _rule(LOAD_DEGREE)
-        vals = shape_values(space.head_degree, rule.points)
-        _, _, det, _ = _geometry(space, POROUS)
-        W = rule.weights[None, :] * det[:, None]
-        F = _eval_at(_quad_points(space, POROUS, LOAD_DEGREE), params.g_p, 1)
-        loc = np.einsum('eq,eq,ql->el', W, F, vals)
-        f = np.zeros(space.num_nodes(space.head_degree))
-        np.add.at(f, nodes, loc)
-        b[space.offset_phi:] = f[expanded_index(space, "head")]
-    return b
+    return _coupled_vector(space, *_expanded_loads(space, params))
+
+
+def load_value(space, params, u_raw, phi_raw):
+    """(g_f, u) over the fluid region plus (g_p, phi) over the porous one."""
+    fu, fh = _expanded_loads(space, params)
+    return float(fu.ravel() @ np.ravel(u_raw) + fh @ np.asarray(phi_raw))
 
 
 def interface_residual_loads(space, r_mass=None, r_normal=None, r_tangential=None):
@@ -460,37 +457,19 @@ def interface_residual_loads(space, r_mass=None, r_normal=None, r_tangential=Non
     ``-(r_normal, v.n) - (r_tangential, v.tau)`` on the momentum rows and
     ``-(r_mass, psi)`` on the head rows.
     """
-    b = np.zeros(space.num_total_dofs)
-    rule = QuadratureRule.edge(EDGE_LOAD_DEGREE)
-    sv = edge_shape_values(space.velocity_degree, rule.points)
-    sh = edge_shape_values(space.head_degree, rule.points)
-    fu = np.zeros(2 * space.num_nodes(space.velocity_degree))
+    sv, sh, W, X = _edge_data(space, EDGE_LOAD_DEGREE)
+    vec = np.zeros(X.shape)
+    if r_normal is not None:
+        vec -= _evaluate(r_normal, X)[..., None] * space.iface_normals[:, None]
+    if r_tangential is not None:
+        vec -= _evaluate(r_tangential, X)[..., None] * space.iface_tangents[:, None]
+    fu = np.zeros((space.num_nodes(space.velocity_degree), 2))
+    np.add.at(fu, space.iface_edge_nodes, np.einsum('eq,eqc,qa->eac', W, vec, sv))
     fh = np.zeros(space.num_nodes(space.head_degree))
-    verts = space.mesh.vertices
-    for i, (a, bb) in enumerate(space.mesh.interface_edges):
-        pa, pb = verts[a], verts[bb]
-        xq = pa[None, :] + rule.points[:, None] * (pb - pa)[None, :]
-        n, tau = space.iface_normals[i], space.iface_tangents[i]
-        wlen = rule.weights * space.iface_lengths[i]
-        if r_normal is not None or r_tangential is not None:
-            vecq = np.zeros((len(xq), 2))
-            if r_normal is not None:
-                rn = np.array([r_normal(x, y) for x, y in xq])
-                vecq -= rn[:, None] * n
-            if r_tangential is not None:
-                rt = np.array([r_tangential(x, y) for x, y in xq])
-                vecq -= rt[:, None] * tau
-            loc = np.einsum('q,qc,qa->ca', wlen, vecq, sv)
-            nodes = space.iface_edge_nodes[i]
-            np.add.at(fu, 2 * nodes, loc[0])
-            np.add.at(fu, 2 * nodes + 1, loc[1])
-        if r_mass is not None:
-            rm = np.array([r_mass(x, y) for x, y in xq])
-            loc = -np.einsum('q,q,qa->a', wlen, rm, sh)
-            np.add.at(fh, space.iface_edge_head_nodes[i], loc)
-    b[space.offset_u:space.offset_p] = fu[expanded_index(space, "velocity")]
-    b[space.offset_phi:] = fh[expanded_index(space, "head")]
-    return b
+    if r_mass is not None:
+        np.add.at(fh, space.iface_edge_head_nodes,
+                  -np.einsum('eq,eq,qa->ea', W, _evaluate(r_mass, X), sh))
+    return _coupled_vector(space, fu, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +529,17 @@ def divdot_value(space, w_raw, u_raw, v_raw, region=POROUS):
     return float(np.einsum('eq,eqc,eqc,eq->', divw, uq, vq, W))
 
 
-def _edge_values(space, raw, i, sv):
-    return np.einsum('qa,ac->qc', sv, np.asarray(raw)[space.iface_edge_nodes[i]])
+def _interface_values(space, raw, sv):
+    """Velocity values (ne, nq, 2) at the interface quadrature points."""
+    return np.einsum('qa,eac->eqc', sv, np.asarray(raw)[space.iface_edge_nodes])
 
 
 def interface_uv_flux(space, u_raw, v_raw, w_raw):
     """Integral over the interface of (u . v) (w . n_f)."""
-    rule = QuadratureRule.edge(EDGE_OPERATOR_DEGREE)
-    sv = edge_shape_values(space.velocity_degree, rule.points)
-    out = 0.0
-    for i in range(len(space.iface_edge_nodes)):
-        uq = _edge_values(space, u_raw, i, sv)
-        vq = _edge_values(space, v_raw, i, sv)
-        wq = _edge_values(space, w_raw, i, sv)
-        wn = wq @ space.iface_normals[i]
-        out += space.iface_lengths[i] * np.einsum(
-            'q,q,q->', rule.weights, np.einsum('qc,qc->q', uq, vq), wn)
-    return float(out)
+    sv, _, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    uq, vq, wq = (_interface_values(space, f, sv) for f in (u_raw, v_raw, w_raw))
+    wn = np.einsum('eqc,ec->eq', wq, space.iface_normals)
+    return float(np.einsum('eq,eqc,eqc,eq->', W, uq, vq, wn))
 
 
 def gamma_term(space, u_raw):
@@ -576,54 +549,16 @@ def gamma_term(space, u_raw):
 
 def bjs_energy(space, u_raw, coefficient=1.0):
     """coefficient * integral over the interface of (u . tau)^2."""
-    rule = QuadratureRule.edge(EDGE_OPERATOR_DEGREE)
-    sv = edge_shape_values(space.velocity_degree, rule.points)
-    out = 0.0
-    for i in range(len(space.iface_edge_nodes)):
-        ut = _edge_values(space, u_raw, i, sv) @ space.iface_tangents[i]
-        out += space.iface_lengths[i] * np.einsum('q,q,q->', rule.weights, ut, ut)
-    return coefficient * float(out)
+    sv, _, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    ut = np.einsum('eqc,ec->eq', _interface_values(space, u_raw, sv),
+                   space.iface_tangents)
+    return coefficient * float(np.einsum('eq,eq,eq->', W, ut, ut))
 
 
 def interface_head_flux(space, u_raw, phi_raw):
     """Integral over the interface of phi (u . n_f)."""
-    rule = QuadratureRule.edge(EDGE_OPERATOR_DEGREE)
-    sv = edge_shape_values(space.velocity_degree, rule.points)
-    sh = edge_shape_values(space.head_degree, rule.points)
-    out = 0.0
-    for i in range(len(space.iface_edge_nodes)):
-        un = _edge_values(space, u_raw, i, sv) @ space.iface_normals[i]
-        pq = sh @ np.asarray(phi_raw)[space.iface_edge_head_nodes[i]]
-        out += space.iface_lengths[i] * np.einsum('q,q,q->', rule.weights, pq, un)
-    return float(out)
-
-
-def load_value(space, params, u_raw, phi_raw):
-    """(g_f, u) over the fluid region plus (g_p, phi) over the porous one."""
-    out = 0.0
-    rule = _rule(LOAD_DEGREE)
-    if params.g_f is not None:
-        _, nodes, _, _, _ = _element_data(space, FLUID, space.velocity_degree,
-                                          LOAD_DEGREE)
-        vals = shape_values(space.velocity_degree, rule.points)
-        _, _, det, _ = _geometry(space, FLUID)
-        W = rule.weights[None, :] * det[:, None]
-        F = _eval_at(_quad_points(space, FLUID, LOAD_DEGREE), params.g_f, 2)
-        uq = np.einsum('ql,elc->eqc', vals, np.asarray(u_raw)[nodes])
-        out += np.einsum('eqc,eqc,eq->', F, uq, W)
-    if params.g_p is not None:
-        _, nodes, _, _, _ = _element_data(space, POROUS, space.head_degree,
-                                          LOAD_DEGREE)
-        vals = shape_values(space.head_degree, rule.points)
-        _, _, det, _ = _geometry(space, POROUS)
-        W = rule.weights[None, :] * det[:, None]
-        F = _eval_at(_quad_points(space, POROUS, LOAD_DEGREE), params.g_p, 1)
-        pq = np.einsum('ql,el->eq', vals, np.asarray(phi_raw)[nodes])
-        out += np.einsum('eq,eq,eq->', F, pq, W)
-    return float(out)
-
-
-def export_matrix_market(A, path, comment=""):
-    """Write a sparse matrix in Matrix Market format."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), coo_matrix(A), comment=comment)
+    sv, sh, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    un = np.einsum('eqc,ec->eq', _interface_values(space, u_raw, sv),
+                   space.iface_normals)
+    pq = np.einsum('qa,ea->eq', sh, np.asarray(phi_raw)[space.iface_edge_head_nodes])
+    return float(np.einsum('eq,eq,eq->', W, pq, un))

@@ -151,6 +151,50 @@ def edge_shape_values(degree, t):
 
 
 # ---------------------------------------------------------------------------
+# data callables
+# ---------------------------------------------------------------------------
+
+def _stack(value, point_shape):
+    if isinstance(value, tuple):
+        return np.stack([_stack(v, point_shape) for v in value])
+    return np.broadcast_to(np.asarray(value, dtype=float), point_shape)
+
+
+def _evaluate(func, points, shape=()):
+    """A data callable ``func(x, y)`` at ``points`` (..., 2), as one float
+    array of shape ``shape + points.shape[:-1]`` (components leading).
+
+    ``func`` is called once with coordinate arrays.  It may return a scalar,
+    a tuple (nested for 2x2 values) whose entries broadcast to the point
+    shape, or an array of exactly the output shape.  Any other result, or an
+    exception, falls back to one call per point, so callables written for
+    scalar coordinates work unchanged.
+    """
+    points = np.asarray(points, dtype=float)
+    point_shape = points.shape[:-1]
+    out_shape = shape + point_shape
+    try:
+        value = func(points[..., 0], points[..., 1])
+        if isinstance(value, tuple):
+            value = _stack(value, point_shape)
+        else:
+            value = np.asarray(value, dtype=float)
+            if value.ndim == 0:
+                value = np.full(out_shape, value)
+        if value.shape == out_shape:
+            return value
+    except Exception:
+        # scalar-only callables reject arrays in many ways; the pointwise
+        # retry below raises again if the callable itself is at fault
+        pass
+    flat = points.reshape(-1, 2)
+    vals = np.reshape([np.broadcast_to(np.asarray(func(x, y), dtype=float), shape)
+                       for x, y in flat], point_shape + shape)
+    return np.moveaxis(vals, tuple(range(len(point_shape), vals.ndim)),
+                       tuple(range(len(shape))))
+
+
+# ---------------------------------------------------------------------------
 # coupled space
 # ---------------------------------------------------------------------------
 
@@ -333,9 +377,8 @@ class CoupledSpace:
         if dirichlet is not None:
             fluid_nodes = np.unique(self.tri_nodes(self.velocity_degree)[self.fluid_tris])
             fixed = fluid_nodes[self.u_node_dof[fluid_nodes] < 0]
-            coords = self.node_coords(self.velocity_degree)
-            for n in fixed:
-                vals[n] = dirichlet(coords[n, 0], coords[n, 1])
+            coords = self.node_coords(self.velocity_degree)[fixed]
+            vals[fixed] = _evaluate(dirichlet, coords, (2,)).T
         return vals
 
     def aux_node_values(self, coeffs):
@@ -353,9 +396,7 @@ class CoupledSpace:
         if dirichlet is not None:
             porous_nodes = np.unique(self.tri_nodes(self.head_degree)[self.porous_tris])
             fixed = porous_nodes[self.phi_node_dof[porous_nodes] < 0]
-            coords = self.node_coords(self.head_degree)
-            for n in fixed:
-                vals[n] = dirichlet(coords[n, 0], coords[n, 1])
+            vals[fixed] = _evaluate(dirichlet, self.node_coords(self.head_degree)[fixed])
         return vals
 
     def pressure_node_values(self, coeffs):
@@ -390,7 +431,7 @@ def scott_zhang_interpolate(space, values, tol=1e-10):
     vd = space.velocity_degree
     coords = space.node_coords(vd)
     if callable(values):
-        vals = np.array([values(x, y) for x, y in coords], dtype=float)
+        vals = _evaluate(values, coords, (2,)).T
     else:
         vals = np.asarray(values, dtype=float)
         if vals.shape != (space.num_nodes(vd), 2):
@@ -442,7 +483,7 @@ def trace_node_array(space, trace):
     """Normalize interface data to an array aligned with space.interface_nodes."""
     if callable(trace):
         coords = space.node_coords(space.velocity_degree)[space.interface_nodes]
-        return np.array([trace(x, y) for x, y in coords], dtype=float)
+        return _evaluate(trace, coords, (2,)).T
     arr = np.asarray(trace, dtype=float)
     if arr.shape != (len(space.interface_nodes), 2):
         raise InterpolationError(f"expected interface values of shape "

@@ -18,7 +18,7 @@ exactly.
 import numpy as np
 
 from . import assembly
-from .fem import QuadratureRule, shape_ref_grads, shape_values
+from .fem import QuadratureRule, _evaluate, shape_values
 from .mesh import FLUID, POROUS, build_rectangle_mesh, refine_uniform
 from .solver import solve_coupled
 
@@ -30,13 +30,21 @@ _N_F = np.array([0.0, -1.0])
 _TAU = np.array([1.0, 0.0])
 
 
+def _at(field, x, y, shape=()):
+    """A field callable at coordinates (x, y), components leading."""
+    return _evaluate(field, np.stack(np.broadcast_arrays(x, y), axis=-1), shape)
+
+
 class ManufacturedCase:
     """Closed-form fields plus everything needed to reproduce them discretely.
 
     The field callables take (x, y): ``u -> (2,)``, ``grad_u -> (2, 2)`` with
     entry [i, j] = du_i/dx_j, ``lap_u -> (2,)``, ``p/phi -> float``,
-    ``grad_p/grad_phi -> (2,)``, ``hess_phi -> (2, 2)``.  ``dirichlet`` is
-    the velocity trace on gamma_f, or None when the field vanishes there.
+    ``grad_p/grad_phi -> (2,)``, ``hess_phi -> (2, 2)``, following the data
+    callable contract of ``assembly.ModelParams`` (component axes leading
+    for coordinate arrays).  The derived sources and defects below follow
+    it too.  ``dirichlet`` is the velocity trace on gamma_f, or None when
+    the field vanishes there.
     """
 
     def __init__(self, name, nu, K, G, u, grad_u, lap_u, p, grad_p,
@@ -59,35 +67,34 @@ class ManufacturedCase:
 
     def source_fluid(self, x, y):
         """g_f = -nu lap(u) + grad(p) + (u . grad) u."""
-        gu = np.asarray(self.grad_u(x, y))
-        return (-self.nu * np.asarray(self.lap_u(x, y))
-                + np.asarray(self.grad_p(x, y))
-                + gu @ np.asarray(self.u(x, y)))
+        return (-self.nu * _at(self.lap_u, x, y, (2,)) + _at(self.grad_p, x, y, (2,))
+                + np.einsum('ij...,j...->i...', _at(self.grad_u, x, y, (2, 2)),
+                            _at(self.u, x, y, (2,))))
 
     def source_porous(self, x, y):
         """g_p = -div(K grad(phi)) for constant K."""
-        return -float(np.tensordot(self.K, np.asarray(self.hess_phi(x, y))))
+        return -np.einsum('ij,ij...->...', self.K, _at(self.hess_phi, x, y, (2, 2)))
 
     def _strain(self, x, y):
-        gu = np.asarray(self.grad_u(x, y))
-        return 0.5 * (gu + gu.T)
+        gu = _at(self.grad_u, x, y, (2, 2))
+        return 0.5 * (gu + gu.swapaxes(0, 1))
 
     def r_normal(self, x, y):
         """Normal-stress defect p - 2 nu n.D(u)n - phi on the interface."""
-        D = self._strain(x, y)
-        return (self.p(x, y) - 2 * self.nu * (_N_F @ D @ _N_F)
-                - self.phi(x, y))
+        nDn = np.einsum('i,ij...,j->...', _N_F, self._strain(x, y), _N_F)
+        return _at(self.p, x, y) - 2 * self.nu * nDn - _at(self.phi, x, y)
 
     def r_tangential(self, x, y):
         """Slip defect -2 nu tau.D(u)n - G u.tau on the interface."""
-        D = self._strain(x, y)
-        return (-2 * self.nu * (_TAU @ D @ _N_F)
-                - self.G * (np.asarray(self.u(x, y)) @ _TAU))
+        tDn = np.einsum('i,ij...,j->...', _TAU, self._strain(x, y), _N_F)
+        ut = np.einsum('i...,i->...', _at(self.u, x, y, (2,)), _TAU)
+        return -2 * self.nu * tDn - self.G * ut
 
     def r_mass(self, x, y):
         """Mass defect u.n_f + (K grad phi).n_f on the interface."""
-        return (np.asarray(self.u(x, y)) @ _N_F
-                + (self.K @ np.asarray(self.grad_phi(x, y))) @ _N_F)
+        return (np.einsum('i...,i->...', _at(self.u, x, y, (2,)), _N_F)
+                + np.einsum('i,ij,j...->...', _N_F, self.K,
+                            _at(self.grad_phi, x, y, (2,))))
 
     # -- discrete problem ----------------------------------------------------
 
@@ -237,49 +244,29 @@ def solution_errors(space, case, state):
     velocity and pressure over the fluid region, the head gradient over the
     porous region), all by degree-9 quadrature.
     """
-    rule = QuadratureRule.triangle(_ERROR_DEGREE)
-    out = {}
-
     vd = space.velocity_degree
     _, nodes, vals, grads, W = assembly._element_data(space, FLUID, vd,
                                                       _ERROR_DEGREE)
     X = assembly._quad_points(space, FLUID, _ERROR_DEGREE)
-    u_raw = state.u_raw(space)
-    uh = np.einsum('ql,elc->eqc', vals, u_raw[nodes])
-    guh = np.einsum('elc,eqlj->eqcj', u_raw[nodes], grads)
-    ue = np.empty_like(uh)
-    gue = np.empty_like(guh)
-    for e in range(X.shape[0]):
-        for q in range(X.shape[1]):
-            ue[e, q] = case.u(*X[e, q])
-            gue[e, q] = case.grad_u(*X[e, q])
-    du, dg = uh - ue, guh - gue
-    out["err_u_l2"] = float(np.sqrt(np.einsum('eqc,eqc,eq->', du, du, W)))
-    out["err_u_h1"] = float(np.sqrt(np.einsum('eqcj,eqcj,eq->', dg, dg, W)))
+    un = state.u_raw(space)[nodes]
+    du = np.einsum('ql,elc->ceq', vals, un) - _evaluate(case.u, X, (2,))
+    dg = (np.einsum('elc,eqlj->cjeq', un, grads)
+          - _evaluate(case.grad_u, X, (2, 2)))
+    vals1 = shape_values(1, QuadratureRule.triangle(_ERROR_DEGREE).points)
+    pn = state.p_raw(space)[space.mesh.triangles[space.fluid_tris]]
+    dp = np.einsum('ql,el->eq', vals1, pn) - _evaluate(case.p, X)
 
-    tris = space.fluid_tris
-    vals1 = shape_values(1, rule.points)
-    p_raw = state.p_raw(space)
-    ph = np.einsum('ql,el->eq', vals1, p_raw[space.mesh.triangles[tris]])
-    pe = np.empty_like(ph)
-    for e in range(X.shape[0]):
-        for q in range(X.shape[1]):
-            pe[e, q] = case.p(*X[e, q])
-    out["err_p_l2"] = float(np.sqrt(np.einsum('eq,eq,eq->', ph - pe, ph - pe, W)))
-
-    hd = space.head_degree
-    _, nodes_h, _, grads_h, Wp = assembly._element_data(space, POROUS, hd,
-                                                        _ERROR_DEGREE)
+    _, nodes_h, _, grads_h, Wp = assembly._element_data(
+        space, POROUS, space.head_degree, _ERROR_DEGREE)
     Xp = assembly._quad_points(space, POROUS, _ERROR_DEGREE)
-    phi_raw = state.phi_raw(space)
-    gph = np.einsum('el,eqlj->eqj', phi_raw[nodes_h], grads_h)
-    gpe = np.empty_like(gph)
-    for e in range(Xp.shape[0]):
-        for q in range(Xp.shape[1]):
-            gpe[e, q] = case.grad_phi(*Xp[e, q])
-    dphi = gph - gpe
-    out["err_phi_h1"] = float(np.sqrt(np.einsum('eqj,eqj,eq->', dphi, dphi, Wp)))
-    return out
+    dphi = (np.einsum('el,eqlj->jeq', state.phi_raw(space)[nodes_h], grads_h)
+            - _evaluate(case.grad_phi, Xp, (2,)))
+    return {
+        "err_u_l2": float(np.sqrt(np.einsum('ceq,ceq,eq->', du, du, W))),
+        "err_u_h1": float(np.sqrt(np.einsum('cjeq,cjeq,eq->', dg, dg, W))),
+        "err_p_l2": float(np.sqrt(np.einsum('eq,eq,eq->', dp, dp, W))),
+        "err_phi_h1": float(np.sqrt(np.einsum('jeq,jeq,eq->', dphi, dphi, Wp))),
+    }
 
 
 def consistency_residual(space, case):
@@ -302,32 +289,22 @@ def consistency_residual(space, case):
     _, nodes, vals, grads, W = assembly._element_data(space, FLUID, vd,
                                                       _ERROR_DEGREE)
     X = assembly._quad_points(space, FLUID, _ERROR_DEGREE)
-    ne, nq = W.shape
-    U = np.empty((ne, nq, 2))
-    GU = np.empty((ne, nq, 2, 2))
-    P = np.empty((ne, nq))
-    for e in range(ne):
-        for q in range(nq):
-            x, y = X[e, q]
-            U[e, q] = case.u(x, y)
-            GU[e, q] = case.grad_u(x, y)
-            P[e, q] = case.p(x, y)
-    D = 0.5 * (GU + GU.transpose(0, 1, 3, 2))
-    conv = np.einsum('eqcj,eqj->eqc', GU, U)
-    loc = (-2 * case.nu * np.einsum('eq,eqcj,eqlj->elc', W, D, grads)
-           - np.einsum('eq,eqc,ql->elc', W, conv, vals)
+    U = _evaluate(case.u, X, (2,))
+    GU = _evaluate(case.grad_u, X, (2, 2))
+    P = _evaluate(case.p, X)
+    D = 0.5 * (GU + GU.swapaxes(0, 1))
+    conv = np.einsum('cjeq,jeq->ceq', GU, U)
+    loc = (-2 * case.nu * np.einsum('eq,cjeq,eqlj->elc', W, D, grads)
+           - np.einsum('eq,ceq,ql->elc', W, conv, vals)
            + np.einsum('eq,eq,eqlc->elc', W, P, grads))
-    fu = np.zeros(2 * space.num_nodes(vd))
-    np.add.at(fu, 2 * nodes, loc[:, :, 0])
-    np.add.at(fu, 2 * nodes + 1, loc[:, :, 1])
-    R[:space.offset_p] += fu[assembly.expanded_index(space, "velocity")]
+    fu = np.zeros((space.num_nodes(vd), 2))
+    np.add.at(fu, nodes, loc)
+    R[:space.offset_p] += fu.ravel()[assembly.expanded_index(space, "velocity")]
 
-    divu = GU[..., 0, 0] + GU[..., 1, 1]
     vals1 = shape_values(1, QuadratureRule.triangle(_ERROR_DEGREE).points)
-    tris = space.fluid_tris
-    locp = -np.einsum('eq,eq,qr->er', W, divu, vals1)
+    locp = -np.einsum('eq,eq,qr->er', W, GU[0, 0] + GU[1, 1], vals1)
     fp = np.zeros(space.mesh.num_vertices)
-    np.add.at(fp, space.mesh.triangles[tris], locp)
+    np.add.at(fp, space.mesh.triangles[space.fluid_tris], locp)
     R[space.offset_p:space.offset_phi] += fp[
         assembly.expanded_index(space, "pressure")]
 
@@ -335,11 +312,7 @@ def consistency_residual(space, case):
     _, nodes_h, _, grads_h, Wp = assembly._element_data(space, POROUS, hd,
                                                         _ERROR_DEGREE)
     Xp = assembly._quad_points(space, POROUS, _ERROR_DEGREE)
-    GPHI = np.empty(Xp.shape)
-    for e in range(Xp.shape[0]):
-        for q in range(Xp.shape[1]):
-            GPHI[e, q] = case.grad_phi(*Xp[e, q])
-    KG = GPHI @ case.K.T
+    KG = np.einsum('ij,jeq->eqi', case.K, _evaluate(case.grad_phi, Xp, (2,)))
     loch = -np.einsum('eq,eqj,eqlj->el', Wp, KG, grads_h)
     fh = np.zeros(space.num_nodes(hd))
     np.add.at(fh, nodes_h, loch)
@@ -350,9 +323,10 @@ def consistency_residual(space, case):
     # momentum rows and +(u.n_f, psi) on the head rows
     R += assembly.interface_residual_loads(
         space,
-        r_mass=lambda x, y: -(np.asarray(case.u(x, y)) @ _N_F),
+        r_mass=lambda x, y: -np.einsum('i...,i->...', _at(case.u, x, y, (2,)), _N_F),
         r_normal=case.phi,
-        r_tangential=lambda x, y: case.G * (np.asarray(case.u(x, y)) @ _TAU))
+        r_tangential=lambda x, y: case.G * np.einsum(
+            'i...,i->...', _at(case.u, x, y, (2,)), _TAU))
 
     return float(np.linalg.norm(R) / max(np.linalg.norm(b), 1e-30))
 

@@ -20,7 +20,8 @@ from scipy.sparse import bmat, csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from . import assembly
-from .fem import SingularLinearSystem, discrete_lifting, trace_node_array
+from .fem import (SingularLinearSystem, _evaluate, discrete_lifting,
+                  trace_node_array)
 from .mesh import FLUID, POROUS
 
 __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
@@ -400,8 +401,7 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
         lifting = discrete_lifting(space, trace_vals)
         wind_raw = space.aux_node_values(lifting.coeffs)
     elif callable(wind):
-        coords = space.node_coords(space.velocity_degree)
-        wind_raw = np.array([wind(x, y) for x, y in coords], dtype=float)
+        wind_raw = _evaluate(wind, space.node_coords(space.velocity_degree), (2,)).T
     else:
         wind_raw = np.asarray(wind, dtype=float)
 

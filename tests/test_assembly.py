@@ -46,6 +46,16 @@ class TestModelParams:
         assert np.allclose(p.K_elems[:, 0, 0], 1.0 + bary[:, 1])
         assert p.lambda_max <= 2.0
 
+    def test_matrix_valued_callable_on_two_porous_triangles(self):
+        # the array result of this callable has the right size for the wrong
+        # shape on exactly two points; each triangle needs its own value
+        mesh = build_rectangle_mesh(1, 2, 1.0)
+        K = lambda x, y: (1.0 + y) * np.eye(2)
+        p = asm.ModelParams(mesh, nu=1.0, K=K)
+        bary = mesh.vertices[mesh.triangles[mesh.porous_triangles()]].mean(axis=1)
+        assert len(bary) == 2
+        assert np.array_equal(p.K_elems, [K(x, y) for x, y in bary])
+
     def test_invalid_parameters(self, space):
         mesh = space.mesh
         with pytest.raises(asm.ParameterError):
@@ -184,14 +194,15 @@ class TestConvection:
                    - asm.divdot_value(space, w, u, v, FLUID))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-11)
 
-    def test_skew_form_antisymmetry_identity(self, space):
+    def test_skew_form_antisymmetry_identity(self, space, wavy_space):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            w, u, v = (random_velocity(space, rng) for _ in range(3))
-            lhs = (asm.convection_value(space, w, u, v, FLUID)
-                   + asm.convection_value(space, w, v, u, FLUID))
-            assert lhs == pytest.approx(asm.interface_uv_flux(space, u, v, w),
-                                        rel=1e-12, abs=1e-11)
+        for sp in (space, wavy_space):
+            for _ in range(5):
+                w, u, v = (random_velocity(sp, rng) for _ in range(3))
+                lhs = (asm.convection_value(sp, w, u, v, FLUID)
+                       + asm.convection_value(sp, w, v, u, FLUID))
+                assert lhs == pytest.approx(asm.interface_uv_flux(sp, u, v, w),
+                                            rel=1e-12, abs=1e-11)
 
     def test_wind_linearity(self, space):
         rng = np.random.default_rng(6)
@@ -226,6 +237,18 @@ class TestConvection:
 
 
 class TestInterface:
+    def test_wavy_interface_normals_all_differ(self, wavy_space):
+        n = wavy_space.iface_normals
+        assert len(np.unique(n.round(12), axis=0)) == len(n) == 6
+
+    def test_bjs_matrix_matches_energy(self, space, wavy_space):
+        rng = np.random.default_rng(12)
+        for sp in (space, wavy_space):
+            u = random_velocity(sp, rng)
+            M = asm.bjs_matrix(sp, coefficient=1.5, expanded=True)
+            assert u.ravel() @ (M @ u.ravel()) == pytest.approx(
+                asm.bjs_energy(sp, u, coefficient=1.5), rel=1e-12, abs=1e-13)
+
     def test_bjs_oracle(self, space):
         coords = space.node_coords(2)
         u = np.tile([1.0, 0.0], (len(coords), 1))  # u.tau = 1 on the interface
@@ -251,13 +274,14 @@ class TestInterface:
         Cup = asm.interface_coupling_matrix(space, expanded=True)
         assert u.ravel() @ (Cup @ phi) == pytest.approx(-1.0, abs=1e-13)
 
-    def test_coupling_matches_evaluator(self, space):
+    def test_coupling_matches_evaluator(self, space, wavy_space):
         rng = np.random.default_rng(9)
-        u = random_velocity(space, rng)
-        phi = space.head_node_values(rng.standard_normal(space.num_head_dofs))
-        Cup = asm.interface_coupling_matrix(space, expanded=True)
-        assert u.ravel() @ (Cup @ phi) == pytest.approx(
-            asm.interface_head_flux(space, u, phi), rel=1e-12, abs=1e-13)
+        for sp in (space, wavy_space):
+            u = random_velocity(sp, rng)
+            phi = sp.head_node_values(rng.standard_normal(sp.num_head_dofs))
+            Cup = asm.interface_coupling_matrix(sp, expanded=True)
+            assert u.ravel() @ (Cup @ phi) == pytest.approx(
+                asm.interface_head_flux(sp, u, phi), rel=1e-12, abs=1e-13)
 
     def test_uv_flux_oracle(self, space):
         coords = space.node_coords(2)
@@ -291,31 +315,32 @@ class TestLoads:
         assert b @ x == pytest.approx(val, rel=1e-12)
         assert np.all(load[space.offset_p:space.offset_phi] == 0.0)
 
-    def test_interface_residual_loads(self, space):
-        b = asm.interface_residual_loads(space,
-                                         r_mass=lambda x, y: 1.0 + x,
-                                         r_normal=lambda x, y: x,
-                                         r_tangential=lambda x, y: 2.0)
+    def test_interface_residual_loads(self, space, wavy_space):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal(space.num_total_dofs)
-        u, _, phi = space.split_state(x)
-        u_raw = space.velocity_node_values(u)
-        phi_raw = space.head_node_values(phi)
-        # independent edge quadrature of the defining integrals
-        rule = QuadratureRule.edge(11)
-        sv = edge_shape_values(space.velocity_degree, rule.points)
-        sh = edge_shape_values(space.head_degree, rule.points)
-        expect = 0.0
-        for i, (a, bb) in enumerate(space.mesh.interface_edges):
-            pa, pb = space.mesh.vertices[a], space.mesh.vertices[bb]
-            xq = pa + rule.points[:, None] * (pb - pa)
-            w = rule.weights * space.iface_lengths[i]
-            uq = sv @ u_raw[space.iface_edge_nodes[i]]
-            pq = sh @ phi_raw[space.iface_edge_head_nodes[i]]
-            un = uq @ space.iface_normals[i]
-            ut = uq @ space.iface_tangents[i]
-            expect -= w @ (xq[:, 0] * un + 2.0 * ut + (1.0 + xq[:, 0]) * pq)
-        assert b @ x == pytest.approx(expect, rel=1e-12, abs=1e-13)
+        for sp in (space, wavy_space):
+            b = asm.interface_residual_loads(sp,
+                                             r_mass=lambda x, y: 1.0 + x,
+                                             r_normal=lambda x, y: x,
+                                             r_tangential=lambda x, y: 2.0)
+            x = rng.standard_normal(sp.num_total_dofs)
+            u, _, phi = sp.split_state(x)
+            u_raw = sp.velocity_node_values(u)
+            phi_raw = sp.head_node_values(phi)
+            # independent edge quadrature of the defining integrals
+            rule = QuadratureRule.edge(11)
+            sv = edge_shape_values(sp.velocity_degree, rule.points)
+            sh = edge_shape_values(sp.head_degree, rule.points)
+            expect = 0.0
+            for i, (a, bb) in enumerate(sp.mesh.interface_edges):
+                pa, pb = sp.mesh.vertices[a], sp.mesh.vertices[bb]
+                xq = pa + rule.points[:, None] * (pb - pa)
+                w = rule.weights * sp.iface_lengths[i]
+                uq = sv @ u_raw[sp.iface_edge_nodes[i]]
+                pq = sh @ phi_raw[sp.iface_edge_head_nodes[i]]
+                un = uq @ sp.iface_normals[i]
+                ut = uq @ sp.iface_tangents[i]
+                expect -= w @ (xq[:, 0] * un + 2.0 * ut + (1.0 + xq[:, 0]) * pq)
+            assert b @ x == pytest.approx(expect, rel=1e-12, abs=1e-13)
 
     def test_pressure_rows_untouched(self, space):
         b = asm.interface_residual_loads(space, r_normal=lambda x, y: 1.0)
@@ -336,12 +361,3 @@ class TestPressureHelpers:
         qf = q[asm.expanded_index(space, "pressure")]
         assert m @ qf == pytest.approx(0.5, abs=1e-12)  # int of x over the strip
 
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, space, tmp_path):
-        from scipy.io import mmread
-        A = asm.strain_matrix(space, FLUID)
-        path = tmp_path / "strain.mtx"
-        asm.export_matrix_market(A, path, comment="strain")
-        B = mmread(path)
-        assert abs(A - B.tocsr()).max() < 1e-15

@@ -1,16 +1,20 @@
 """Command-line interface: exit codes, output files, determinism, and the
 override rules between config files and flags."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from nsdarcy import cli
 from nsdarcy.analysis import EnergyReport
+from nsdarcy.assembly import ModelParams, load_vector
 from nsdarcy.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFICATION,
                          main)
-from nsdarcy.mesh import load_mesh
+from nsdarcy.fem import CoupledSpace
+from nsdarcy.mesh import build_rectangle_mesh, load_mesh
 
 
 def run(*argv):
@@ -40,7 +44,8 @@ class TestSolve:
         out = tmp_path / "run"
         run("solve", "--out", str(out))
         payload = json.loads((out / "report.json").read_text())
-        assert set(payload["energy"]) == set(EnergyReport._fields)
+        assert set(payload["energy"]) == {
+            f.name for f in dataclasses.fields(EnergyReport)}
 
     def test_case_run_reports_errors_and_nan_becomes_null(self, tmp_path):
         # the representable case carries inhomogeneous boundary data, so the
@@ -99,6 +104,17 @@ class TestVerify:
         assert by_name["inf_sup"]["passed"] is False
         assert by_name["inf_sup"]["details"]["velocity_degree"] == 1
         assert "inf_sup" in capsys.readouterr().err
+
+    def test_pressure_bound_lists_levels_above_the_inf_sup_cap(
+            self, tmp_path, monkeypatch):
+        # 9 pressure dofs on 2x4, 25 after one refinement
+        monkeypatch.setattr(cli, "_INF_SUP_DOF_CAP", 10)
+        out = tmp_path / "run"
+        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+            "--out", str(out))
+        bundle = json.loads((out / "verification.json").read_text())
+        by_name = {c["name"]: c for c in bundle["checks"]}
+        assert by_name["pressure_bound"]["details"]["skipped_levels"] == [1]
 
     def test_single_level_marks_compensation_insufficient(self, tmp_path):
         out = tmp_path / "run"
@@ -177,6 +193,14 @@ class TestMeshInfo:
         assert summary["num_vertices"] == 15
 
 
+@pytest.mark.parametrize("name", ["driven", "small", "head-driven"])
+def test_forcings_take_one_call_per_load(name, counted):
+    space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))
+    g_f, g_p = (counted(g) if g else None for g in cli.FORCINGS[name])
+    load_vector(space, ModelParams(space.mesh, nu=1.0, g_f=g_f, g_p=g_p))
+    assert all(g.calls == 1 for g in (g_f, g_p) if g is not None)
+
+
 class TestConfigHandling:
     def test_flags_override_config_file(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", mesh="builtin:2x4")
@@ -211,8 +235,14 @@ class TestConfigHandling:
         assert "malformed config file" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_parameter_leaves_no_outputs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", nu=-3.0)
+    @pytest.mark.parametrize("values", [
+        {"nu": -3.0}, {"c_mult": "x"}, {"nu": "abc"}, {"tol": "x"},
+        {"sigma": "x"}, {"nu": None}],
+        ids=["negative-nu", "string-c_mult", "string-nu", "string-tol",
+             "string-sigma", "null-nu"])
+    def test_invalid_parameter_leaves_no_outputs(self, tmp_path, capsys,
+                                                 values):
+        cfg = write_config(tmp_path / "cfg.json", **values)
         out = tmp_path / "never"
         assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

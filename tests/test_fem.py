@@ -1,5 +1,6 @@
 """Quadrature, shape functions, dof bookkeeping, interpolation, lifting."""
 
+import math
 from math import factorial
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from nsdarcy import assembly
 from nsdarcy.fem import (CoupledSpace, InterpolationError, LiftingResult,
                          QuadratureRule, SingularLinearSystem, SpaceError,
-                         discrete_lifting, edge_shape_values,
+                         _evaluate, discrete_lifting, edge_shape_values,
                          scott_zhang_interpolate, shape_ref_grads, shape_values)
 from nsdarcy.mesh import FLUID, build_rectangle_mesh, refine_uniform
 
@@ -92,6 +93,42 @@ class TestShapeFunctions:
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
             shape_values(3, [[1, 0, 0]])
+
+
+class TestDataCallables:
+    POINTS = np.random.default_rng(0).uniform(0.0, 1.0, size=(5, 7, 2))
+
+    def pointwise(self, func, shape=()):
+        vals = np.array([[np.broadcast_to(np.asarray(func(x, y), dtype=float), shape)
+                          for x, y in row] for row in self.POINTS])
+        return np.moveaxis(vals, (2, 3)[:len(shape)], tuple(range(len(shape))))
+
+    def test_scalar_only_callables_match_pointwise(self):
+        cases = [(lambda x, y: math.sin(x) * y, ()),
+                 (lambda x, y: (1.0, y) if x < 0.5 else (x, 0.0), (2,))]
+        for func, shape in cases:
+            got = _evaluate(func, self.POINTS, shape)
+            assert got.shape == shape + self.POINTS.shape[:-1]
+            assert np.array_equal(got, self.pointwise(func, shape))
+
+    def test_array_results_match_pointwise(self):
+        cases = [(lambda x, y: 2.0, (2,)),
+                 (lambda x, y: (np.sin(x), 0.5), (2,)),
+                 (lambda x, y: ((x, 0.0), (0.0, y)), (2, 2)),
+                 (lambda x, y: np.stack([x * y, x + y]), (2,))]
+        for func, shape in cases:
+            assert np.allclose(_evaluate(func, self.POINTS, shape),
+                               self.pointwise(func, shape), rtol=1e-15, atol=0)
+
+    def test_result_of_the_wrong_shape_falls_back_to_points(self, counted):
+        # (1 + y) * eye(2) broadcasts over two points to a (2, 2) array that
+        # is not the (2, 2, 2) result; it must be evaluated point by point
+        K = counted(lambda x, y: (1.0 + y) * np.eye(2))
+        pts = np.array([[0.2, 0.3], [0.7, 0.6]])
+        got = _evaluate(K, pts, (2, 2))
+        assert np.array_equal(np.moveaxis(got, -1, 0),
+                              [(1.0 + y) * np.eye(2) for _, y in pts])
+        assert K.calls == 1 + len(pts)
 
 
 class TestCoupledSpace:

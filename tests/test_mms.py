@@ -10,7 +10,7 @@ import pytest
 
 from nsdarcy import mms
 from nsdarcy import solver as slv
-from nsdarcy.assembly import ModelParams
+from nsdarcy.assembly import ModelParams, load_vector
 from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
 
@@ -119,6 +119,30 @@ class TestConsistency:
             mesh = refine_uniform(mesh)
         assert values[0] <= 1e-8
         assert values[1] < values[0]
+
+
+class TestArrayEvaluation:
+    FIELDS = ("u", "grad_u", "lap_u", "p", "grad_p", "phi", "grad_phi",
+              "hess_phi")
+
+    def test_fields_called_once_per_evaluation_site(self, case, counted):
+        space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))
+        state = case.solve(space)
+        fresh = mms.get_case(case.name)
+        for name in self.FIELDS:
+            setattr(fresh, name, counted(getattr(fresh, name)))
+        params = fresh.params(space.mesh)
+        params.g_f, params.g_p = counted(params.g_f), counted(params.g_p)
+        load_vector(space, params)
+        assert params.g_f.calls == params.g_p.calls == 1
+        fresh.interface_loads(space)
+        mms.solution_errors(space, fresh, state)
+        # one call per use: u by g_f, r_tangential, r_mass and the error;
+        # grad_u by g_f, the strains of r_normal and r_tangential and the
+        # error; p by r_normal and the error; grad_phi by r_mass and the error
+        calls = {name: getattr(fresh, name).calls for name in self.FIELDS}
+        assert calls == {"u": 4, "grad_u": 4, "lap_u": 1, "p": 2,
+                         "grad_p": 1, "phi": 1, "grad_phi": 2, "hess_phi": 1}
 
 
 class TestRepresentableReproduction:
