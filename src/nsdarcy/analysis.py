@@ -23,32 +23,44 @@ __all__ = ["EnergyReport", "CompensationReport", "InfSupResult",
            "check_uniqueness"]
 
 
-def _riesz(A, b):
-    """Solve A z = b and return (z, sqrt(b . z)); A must be SPD."""
-    if not len(b):
-        return b, 0.0
-    z = splu(csc_matrix(A)).solve(b)
-    val = float(b @ z)
-    return z, float(np.sqrt(max(val, 0.0)))
+def _riesz(lu, b):
+    """Solve A z = b with ``lu``, the factor of an SPD A, and return
+    (z, sqrt(b . z))."""
+    z = lu.solve(b)
+    return z, float(np.sqrt(max(float(b @ z), 0.0)))
+
+
+@assembly._per_space
+def _strain_lu(space):
+    """Factor of the fluid strain matrix, computed once per space and shared
+    by the fluid dual norm, the pressure dual and the inf-sup eigensolve."""
+    return splu(csc_matrix(assembly.strain_matrix(space, FLUID)))
+
+
+def _fluid_dual(space, params, b):
+    """||g_f||_* from the coupled load vector ``b``."""
+    if params.g_f is None:
+        return 0.0
+    return _riesz(_strain_lu(space), b[:space.offset_p])[1]
+
+
+def _porous_dual(space, params, b):
+    """||g_p||_* from the coupled load vector ``b``."""
+    if params.g_p is None:
+        return 0.0
+    A = assembly.darcy_matrix(space, params)
+    return _riesz(splu(csc_matrix(A)), b[space.offset_phi:])[1]
 
 
 def dual_norm_fluid(space, params):
     """Dual norm of the fluid load: sup (g_f, v) / ||D(v)|| over the
     discrete fluid velocity space, via a Riesz solve."""
-    if params.g_f is None:
-        return 0.0
-    b = assembly.load_vector(space, params)[:space.offset_p]
-    A = assembly.strain_matrix(space, FLUID)
-    return _riesz(A, b)[1]
+    return _fluid_dual(space, params, assembly.load_vector(space, params))
 
 
 def dual_norm_porous(space, params):
     """Dual norm of the porous source: sup (g_p, psi) / ||K^1/2 grad(psi)||."""
-    if params.g_p is None:
-        return 0.0
-    b = assembly.load_vector(space, params)[space.offset_phi:]
-    A = assembly.darcy_matrix(space, params)
-    return _riesz(A, b)[1]
+    return _porous_dual(space, params, assembly.load_vector(space, params))
 
 
 def _uniqueness(params, gf, gp):
@@ -62,8 +74,9 @@ def uniqueness_number(space, params):
     Values small against one indicate the convective perturbation is
     dominated by the dissipation, the regime with a unique solution.
     """
-    return _uniqueness(params, dual_norm_fluid(space, params),
-                       dual_norm_porous(space, params))
+    b = assembly.load_vector(space, params)
+    return _uniqueness(params, _fluid_dual(space, params, b),
+                       _porous_dual(space, params, b))
 
 
 class _Report:
@@ -133,24 +146,35 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     darcy = assembly.darcy_energy(space, phi_raw, params)
     bjs = assembly.bjs_energy(space, u_raw, coefficient=params.G)
     gamma = assembly.gamma_term(space, u_raw)
-    work = assembly.load_value(space, params, u_raw, phi_raw)
+    # one load evaluation feeds the work, both dual norms and the pairing
+    fu, fh = assembly._expanded_loads(space, params)
+    b = assembly._coupled_vector(space, fu, fh)
+    work = float(fu.ravel() @ u_raw.ravel() + fh @ phi_raw)
 
     balance = 2 * params.nu * strain + darcy + bjs + gamma - work
     scale = max(abs(work), 2 * params.nu * strain + darcy + bjs, 1e-30)
 
-    gf = dual_norm_fluid(space, params)
-    gp = dual_norm_porous(space, params)
+    gf = _fluid_dual(space, params, b)
+    gp = _porous_dual(space, params, b)
     c_sq = gf ** 2 / params.nu + gp ** 2 / params.lambda_min
     e_fluid = params.nu * strain
     lhs = e_fluid + darcy
     ratio = lhs / c_sq if c_sq > 0 else (0.0 if lhs == 0 else np.inf)
 
     # pressure stability: ||p|| <= beta^-1 * sup_v (p, div v)/||D(v)||, the
-    # supremum evaluated from the discrete momentum residual
+    # supremum evaluated from the momentum rows, exact at the discrete
+    # solution: (p, div v) = (g_f, v) - 2 nu (D(u), D(v)) - N(u)[u, v]
+    # - G (u.t, v.t) - (phi, v.n)
     Mp = assembly.pressure_mass_matrix(space)
     p_norm = float(np.sqrt(max(state.p @ (Mp @ state.p), 0.0)))
-    ell = _pressure_pairing_functional(space, params, state)
-    _, p_dual = _riesz(assembly.strain_matrix(space, FLUID), ell)
+    A = (assembly.strain_matrix(space, FLUID, expanded=True,
+                                coefficient=2 * params.nu)
+         + assembly.bjs_matrix(space, coefficient=params.G, expanded=True)
+         + assembly.convection_matrix(space, u_raw, expanded=True))
+    Cup = assembly.interface_coupling_matrix(space, expanded=True)
+    iu = assembly.expanded_index(space, "velocity")
+    ell = b[:space.offset_p] - (A @ u_raw.ravel())[iu] - (Cup @ phi_raw)[iu]
+    _, p_dual = _riesz(_strain_lu(space), ell)
 
     beta = compute_inf_sup(space).beta if with_inf_sup else np.nan
     if with_companion:
@@ -169,23 +193,6 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
         bound_ok=bool(ratio <= c_mult), c_mult=c_mult, load_work=work,
         h=space.mesh.h, nu=params.nu, slip_coefficient=params.G,
         lambda_min=params.lambda_min, lambda_max=params.lambda_max)
-
-
-def _pressure_pairing_functional(space, params, state):
-    """Free-velocity vector of (p, div v) recovered from the momentum rows:
-    (p, div v) = (g_f, v) - 2 nu (D(u), D(v)) - N(u)[u, v] - G (u.t, v.t)
-                 - (phi, v.n); exact at the discrete solution."""
-    u_raw = state.u_raw(space)
-    ue = u_raw.ravel()
-    iu = assembly.expanded_index(space, "velocity")
-    b = assembly.load_vector(space, params)[:space.offset_p]
-    A = (assembly.strain_matrix(space, FLUID, expanded=True,
-                                coefficient=2 * params.nu)
-         + assembly.bjs_matrix(space, coefficient=params.G, expanded=True)
-         + assembly.convection_matrix(space, u_raw, expanded=True))
-    Cup = assembly.interface_coupling_matrix(space, expanded=True)
-    fe = space.head_node_values(state.phi)
-    return b - (A @ ue)[iu] - (Cup @ fe)[iu]
 
 
 @dataclass
@@ -257,15 +264,17 @@ class InfSupResult(_Report):
     h: float
 
 
+@assembly._per_space
 def compute_inf_sup(space):
     """Discrete inf-sup constant of the velocity/pressure pairing.
 
     beta^2 is the smallest eigenvalue of the Schur pencil
     B A^-1 B^T q = lambda M q restricted to mean-free pressures, with A the
     velocity strain matrix, B the divergence pairing, and M the pressure
-    mass matrix.  Dense eigensolve: intended for modest meshes.
+    mass matrix.  Dense eigensolve: intended for modest meshes.  Computed
+    once per space (repeat calls return the same object), with the strain
+    factorization that the dual norms share.
     """
-    A = assembly.strain_matrix(space, FLUID)
     B = assembly.divergence_matrix(space)
     M = assembly.pressure_mass_matrix(space)
     m = assembly.pressure_mean_vector(space)
@@ -274,9 +283,7 @@ def compute_inf_sup(space):
     E = np.zeros((np_, np_ - 1))
     E[1:, :] = np.eye(np_ - 1)
     E[0, :] = -m[1:] / m[0]
-    lu = splu(csc_matrix(A))
-    Bt = B.toarray().T
-    S = B @ lu.solve(Bt)
+    S = B @ _strain_lu(space).solve(B.toarray().T)
     SE = E.T @ S @ E
     ME = E.T @ (M @ E)
     lams = eigh(SE, ME, eigvals_only=True)

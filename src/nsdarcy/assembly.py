@@ -26,6 +26,8 @@ once per evaluation site; a callable that only handles scalar coordinates
 is detected and evaluated point by point instead (``fem._evaluate``).
 """
 
+import functools
+
 import numpy as np
 from scipy.sparse import coo_matrix
 
@@ -138,101 +140,85 @@ def _region_tris(space, region):
     raise ValueError(f"unknown region tag {region}")
 
 
+def _per_space(fn):
+    """Memoize ``fn(space, *args)``, a result that belongs to the space, in
+    ``space._cache`` under the function name and the (hashable) arguments."""
+    @functools.wraps(fn)
+    def cached(space, *args):
+        key = (fn.__name__,) + args
+        if key not in space._cache:
+            space._cache[key] = fn(space, *args)
+        return space._cache[key]
+    return cached
+
+
+@_per_space
 def _geometry(space, region):
-    key = ("geom", region)
-    if key not in space._cache:
-        tris = _region_tris(space, region)
-        pts = space.mesh.vertices[space.mesh.triangles[tris]]
-        J = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]], axis=2)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invJT = np.empty_like(J)
-        invJT[:, 0, 0] = J[:, 1, 1] / det
-        invJT[:, 0, 1] = -J[:, 1, 0] / det
-        invJT[:, 1, 0] = -J[:, 0, 1] / det
-        invJT[:, 1, 1] = J[:, 0, 0] / det
-        space._cache[key] = (tris, pts, det, invJT)
-    return space._cache[key]
+    tris = _region_tris(space, region)
+    pts = space.mesh.vertices[space.mesh.triangles[tris]]
+    J = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]], axis=2)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    invJT = np.empty_like(J)
+    invJT[:, 0, 0] = J[:, 1, 1] / det
+    invJT[:, 0, 1] = -J[:, 1, 0] / det
+    invJT[:, 1, 0] = -J[:, 0, 1] / det
+    invJT[:, 1, 1] = J[:, 0, 0] / det
+    return tris, pts, det, invJT
 
 
-def _rule(degree):
-    return QuadratureRule.triangle(degree)
-
-
+@_per_space
 def _basis(space, degree, quad_degree):
-    key = ("basis", degree, quad_degree)
-    if key not in space._cache:
-        rule = _rule(quad_degree)
-        space._cache[key] = (rule, shape_values(degree, rule.points),
-                             shape_ref_grads(degree, rule.points))
-    return space._cache[key]
+    rule = QuadratureRule.triangle(quad_degree)
+    return rule, shape_values(degree, rule.points), shape_ref_grads(degree, rule.points)
 
 
+@_per_space
 def _element_data(space, region, degree, quad_degree):
     """(tris, nodes, values, phys_grads, weights) for one region/space/rule."""
-    key = ("elem", region, degree, quad_degree)
-    if key not in space._cache:
-        tris, pts, det, invJT = _geometry(space, region)
-        rule, vals, ref_grads = _basis(space, degree, quad_degree)
-        grads = np.einsum('eij,qlj->eqli', invJT, ref_grads)
-        weights = rule.weights[None, :] * det[:, None]
-        nodes = space.tri_nodes(degree)[tris]
-        space._cache[key] = (tris, nodes, vals, grads, weights)
-    return space._cache[key]
+    tris, pts, det, invJT = _geometry(space, region)
+    rule, vals, ref_grads = _basis(space, degree, quad_degree)
+    grads = np.einsum('eij,qlj->eqli', invJT, ref_grads)
+    weights = rule.weights[None, :] * det[:, None]
+    nodes = space.tri_nodes(degree)[tris]
+    return tris, nodes, vals, grads, weights
 
 
+@_per_space
 def _quad_points(space, region, quad_degree):
-    key = ("qpts", region, quad_degree)
-    if key not in space._cache:
-        _, pts, _, _ = _geometry(space, region)
-        rule = _rule(quad_degree)
-        space._cache[key] = np.einsum('qk,ekd->eqd', rule.points, pts)
-    return space._cache[key]
+    _, pts, _, _ = _geometry(space, region)
+    return np.einsum('qk,ekd->eqd', QuadratureRule.triangle(quad_degree).points, pts)
 
 
+@_per_space
 def _edge_data(space, quad_degree):
     """(velocity shape values, head shape values, weights, points) on the
     interface edges for one edge rule.  Weights (ne, nq) carry the edge
     lengths; points are (ne, nq, 2).  Edge nodes, normals and tangents are
     the ``iface_*`` arrays of the space, in the same edge order."""
-    key = ("edge", quad_degree)
-    if key not in space._cache:
-        rule = QuadratureRule.edge(quad_degree)
-        ends = space.mesh.vertices[space.mesh.interface_edges]
-        points = (ends[:, None, 0]
-                  + rule.points[None, :, None] * (ends[:, None, 1] - ends[:, None, 0]))
-        space._cache[key] = (edge_shape_values(space.velocity_degree, rule.points),
-                             edge_shape_values(space.head_degree, rule.points),
-                             space.iface_lengths[:, None] * rule.weights, points)
-    return space._cache[key]
+    rule = QuadratureRule.edge(quad_degree)
+    ends = space.mesh.vertices[space.mesh.interface_edges]
+    points = (ends[:, None, 0]
+              + rule.points[None, :, None] * (ends[:, None, 1] - ends[:, None, 0]))
+    return (edge_shape_values(space.velocity_degree, rule.points),
+            edge_shape_values(space.head_degree, rule.points),
+            space.iface_lengths[:, None] * rule.weights, points)
 
 
+@_per_space
 def expanded_index(space, kind):
     """Map free dofs of a field to their expanded-numbering positions."""
-    key = ("index", kind)
-    if key in space._cache:
-        return space._cache[key]
-    if kind in ("velocity", "aux"):
-        node_dof = space.u_node_dof if kind == "velocity" else space.aux_node_dof
-        n = space.num_velocity_dofs if kind == "velocity" else space.num_aux_dofs
-        idx = np.empty(n, dtype=np.int64)
-        nodes = np.flatnonzero(node_dof >= 0)
-        idx[node_dof[nodes]] = 2 * nodes
-        idx[node_dof[nodes] + 1] = 2 * nodes + 1
-    elif kind == "pressure":
-        nodes = np.flatnonzero(space.p_vertex_dof >= 0)
-        idx = np.empty(space.num_pressure_dofs, dtype=np.int64)
-        idx[space.p_vertex_dof[nodes]] = nodes
-    elif kind == "head":
-        nodes = np.flatnonzero(space.phi_node_dof >= 0)
-        idx = np.empty(space.num_head_dofs, dtype=np.int64)
-        idx[space.phi_node_dof[nodes]] = nodes
-    elif kind == "porous_vertex":
-        nodes = np.flatnonzero(space.porous_vertex_row >= 0)
-        idx = np.empty(space.num_porous_vertices, dtype=np.int64)
-        idx[space.porous_vertex_row[nodes]] = nodes
-    else:
+    node_dofs = {"velocity": (space.u_node_dof, 2),
+                 "aux": (space.aux_node_dof, 2),
+                 "pressure": (space.p_vertex_dof, 1),
+                 "head": (space.phi_node_dof, 1),
+                 "porous_vertex": (space.porous_vertex_row, 1)}
+    if kind not in node_dofs:
         raise ValueError(f"unknown field kind {kind!r}")
-    space._cache[key] = idx
+    node_dof, width = node_dofs[kind]
+    nodes = np.flatnonzero(node_dof >= 0)
+    idx = np.empty(width * len(nodes), dtype=np.int64)
+    for c in range(width):
+        idx[node_dof[nodes] + c] = width * nodes + c
     return idx
 
 
@@ -301,10 +287,9 @@ def darcy_matrix(space, params, expanded=False):
 
 def divergence_matrix(space, region=FLUID, expanded=False):
     """(q, div u): P1 scalar rows against vector columns over one region."""
-    tris, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
-                                         OPERATOR_DEGREE)
-    vals1 = shape_values(1, _rule(OPERATOR_DEGREE).points)
-    rnodes = space.mesh.triangles[tris]
+    _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
+                                      OPERATOR_DEGREE)
+    _, rnodes, vals1, _, _ = _element_data(space, region, 1, OPERATOR_DEGREE)
     L = np.einsum('qr,eqmd,eq->ermd', vals1, g, W)
     B = _scatter(L, rnodes[:, :, None, None], _vector_dofs(nodes)[:, None],
                  (space.mesh.num_vertices,
@@ -383,10 +368,7 @@ def interface_coupling_matrix(space, expanded=False):
 
 def pressure_mass_matrix(space, expanded=False):
     """(p, q) over the fluid region, P1 x P1."""
-    tris, _, _, _, W = _element_data(space, FLUID, space.velocity_degree,
-                                     OPERATOR_DEGREE)
-    vals1 = shape_values(1, _rule(OPERATOR_DEGREE).points)
-    rnodes = space.mesh.triangles[tris]
+    _, rnodes, vals1, _, W = _element_data(space, FLUID, 1, OPERATOR_DEGREE)
     L = np.einsum('ql,qm,eq->elm', vals1, vals1, W)
     nv = space.mesh.num_vertices
     M = _scatter(L, rnodes[:, :, None], rnodes[:, None, :], (nv, nv))
@@ -395,12 +377,10 @@ def pressure_mass_matrix(space, expanded=False):
 
 def pressure_mean_vector(space):
     """Integrals of the pressure basis functions over the fluid region."""
-    tris, _, _, _, W = _element_data(space, FLUID, space.velocity_degree,
-                                     OPERATOR_DEGREE)
-    vals1 = shape_values(1, _rule(OPERATOR_DEGREE).points)
+    _, rnodes, vals1, _, W = _element_data(space, FLUID, 1, OPERATOR_DEGREE)
     loc = np.einsum('ql,eq->el', vals1, W)
     m = np.zeros(space.mesh.num_vertices)
-    np.add.at(m, space.mesh.triangles[tris], loc)
+    np.add.at(m, rnodes, loc)
     return m[expanded_index(space, "pressure")]
 
 
@@ -495,10 +475,10 @@ def darcy_energy(space, phi_raw, params):
 
 def divergence_value(space, q_raw, u_raw, region=FLUID):
     """Integral of q * div(u), q piecewise linear on vertices."""
-    tris, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
-                                         OPERATOR_DEGREE)
-    vals1 = shape_values(1, _rule(OPERATOR_DEGREE).points)
-    qq = np.einsum('ql,el->eq', vals1, np.asarray(q_raw)[space.mesh.triangles[tris]])
+    _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
+                                      OPERATOR_DEGREE)
+    _, rnodes, vals1, _, _ = _element_data(space, region, 1, OPERATOR_DEGREE)
+    qq = np.einsum('ql,el->eq', vals1, np.asarray(q_raw)[rnodes])
     divu = np.einsum('elc,eqlc->eq', np.asarray(u_raw)[nodes], g)
     return float(np.einsum('eq,eq,eq->', qq, divu, W))
 

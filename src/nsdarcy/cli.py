@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, assembly, mms, solver
 from .fem import CoupledSpace, InterpolationError, SingularLinearSystem, SpaceError
 from .mesh import (MeshError, build_rectangle_mesh, dump_mesh, load_gmsh_subset,
-                   load_mesh, refine_uniform, FLUID, POROUS)
+                   load_mesh, refinement_chain, FLUID, POROUS)
 from .vtk import write_legacy_vtk
 
 EXIT_OK = 0
@@ -276,77 +276,82 @@ def cmd_solve(cfg):
     return EXIT_OK
 
 
-def _energy_suite(cfg):
-    return [
-        {"name": "driven", "nu": 1.0, "K": 1.0, "forcing": "driven"},
-        {"name": "viscous", "nu": 0.5, "K": 2.0, "forcing": "driven"},
-        {"name": "head-driven", "nu": 1.0, "K": 1.0, "forcing": "head-driven"},
-    ]
+# energy-suite datasets: (name, nu, K, forcing)
+_ENERGY_SUITE = (("driven", 1.0, 1.0, "driven"),
+                 ("viscous", 0.5, 2.0, "driven"),
+                 ("head-driven", 1.0, 1.0, "head-driven"))
 
 
 def cmd_verify(cfg):
+    """Run the verification bundle in one pass over one mesh hierarchy:
+    the base mesh is refined ``levels - 1`` times, and each level's space,
+    strain factorization and inf-sup constant are computed once and shared
+    by every check.  Energy reports are memoized per (level, nu, K,
+    forcing), so the compensation sweep reuses a suite dataset's solve."""
     levels = cfg["levels"] if cfg["levels"] is not None else 3
     c_mult = cfg["c_mult"]
-    base_mesh = resolve_mesh(cfg["mesh"])
+    meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)
+    spaces = [CoupledSpace(mesh) for mesh in meshes]
     config = _solver_config(cfg)
-    checks = []
+    reports = {}
 
-    # a priori energy bound, balance equality, and pressure bound per dataset
-    balance_max = 0.0
-    pressure_max = 0.0
-    ratio_rows = []
-    skipped_levels = set()
-    bound_ok = balance_ok = pressure_ok = True
-    for spec in _energy_suite(cfg):
-        g_f, g_p = FORCINGS[spec["forcing"]]
-        mesh = base_mesh
-        ratios = []
-        for level in range(levels):
-            space = CoupledSpace(mesh)
-            params = assembly.ModelParams(mesh, nu=spec["nu"], K=spec["K"],
+    def report(level, nu, K, forcing):
+        key = (level, nu, repr(K), forcing)
+        if key not in reports:
+            space = spaces[level]
+            g_f, g_p = FORCINGS[forcing]
+            params = assembly.ModelParams(space.mesh, nu=nu, K=K,
                                           sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
             state = solver.solve_coupled(space, params, config)
-            rep = analysis.verify_energy_estimate(
+            reports[key] = analysis.verify_energy_estimate(
                 space, params, state, c_mult=c_mult,
-                with_inf_sup=space.num_pressure_dofs <= _INF_SUP_DOF_CAP,
-                with_companion=True)
-            ratios.append(rep.bound_ratio)
-            balance_max = max(balance_max, rep.balance_defect_rel)
-            bound_ok &= rep.bound_ok
-            balance_ok &= rep.balance_defect_rel <= 1e-9
-            if np.isfinite(rep.beta):
-                p_ratio = (rep.beta * rep.pressure_norm
-                           / max(rep.pressure_dual, 1e-30))
-                pressure_max = max(pressure_max, p_ratio)
-                pressure_ok &= p_ratio <= c_mult
-            else:
-                skipped_levels.add(level)
-            mesh = refine_uniform(mesh)
+                with_inf_sup=space.num_pressure_dofs <= _INF_SUP_DOF_CAP)
+        return reports[key]
+
+    # a priori energy bound, balance equality, and pressure bound per dataset
+    suite = {name: [report(level, nu, K, forcing) for level in range(levels)]
+             for name, nu, K, forcing in _ENERGY_SUITE}
+    every = [rep for reps in suite.values() for rep in reps]
+    ratio_rows = []
+    for name, reps in suite.items():
+        ratios = [rep.bound_ratio for rep in reps]
         spread = ((max(ratios) - min(ratios)) / min(ratios)
                   if min(ratios) > 0 else 0.0)
-        bound_ok &= spread < 0.10
-        ratio_rows.append({"dataset": spec["name"], "bound_ratios": ratios,
+        ratio_rows.append({"dataset": name, "bound_ratios": ratios,
                            "spread": spread})
-    checks.append({"name": "energy_balance", "passed": bool(balance_ok),
-                   "details": {"max_balance_defect_rel": balance_max,
-                               "tolerance": 1e-9}})
-    checks.append({"name": "energy_bound", "passed": bool(bound_ok),
-                   "details": {"c_mult": c_mult, "datasets": ratio_rows}})
-    # levels above the dense inf-sup cap have no beta, so no pressure check
-    pressure_details = {"max_ratio": pressure_max, "c_mult": c_mult}
-    if skipped_levels:
-        pressure_details["skipped_levels"] = sorted(skipped_levels)
-    checks.append({"name": "pressure_bound", "passed": bool(pressure_ok),
-                   "details": pressure_details})
+    defects = [rep.balance_defect_rel for rep in every]
+    checks = [
+        {"name": "energy_balance", "passed": all(d <= 1e-9 for d in defects),
+         "details": {"max_balance_defect_rel": max([0.0] + defects),
+                     "tolerance": 1e-9}},
+        {"name": "energy_bound",
+         "passed": (all(rep.bound_ok for rep in every)
+                    and all(row["spread"] < 0.10 for row in ratio_rows)),
+         "details": {"c_mult": c_mult, "datasets": ratio_rows}}]
+    # levels above the dense inf-sup cap have no beta, so no pressure check;
+    # a check that ran on no level is skipped, not passed
+    p_ratios = [rep.beta * rep.pressure_norm / max(rep.pressure_dual, 1e-30)
+                for rep in every if np.isfinite(rep.beta)]
+    skipped = sorted({level for reps in suite.values()
+                      for level, rep in enumerate(reps)
+                      if not np.isfinite(rep.beta)})
+    pressure = {"max_ratio": max([0.0] + p_ratios) if p_ratios else None,
+                "c_mult": c_mult}
+    if skipped:
+        pressure["skipped_levels"] = skipped
+    if not p_ratios:
+        pressure.update(status="skipped", reason=f"more than {_INF_SUP_DOF_CAP}"
+                        " pressure dofs on every level, so no inf-sup constant")
+    passed = all(r <= c_mult for r in p_ratios) if p_ratios else None
+    checks.append({"name": "pressure_bound", "passed": passed,
+                   "details": pressure})
 
-    # inf-sup sweep (the dense eigensolve caps the level count)
+    # inf-sup sweep over the first three levels (dense eigensolves); the
+    # stable pair reads the beta memoized on each level's space
     vdeg = 1 if cfg["unstable_pair"] else 2
-    betas = []
-    mesh = base_mesh
-    for level in range(min(levels, 3)):
-        space = CoupledSpace(mesh, velocity_degree=vdeg)
-        betas.append(analysis.compute_inf_sup(space).beta)
-        mesh = refine_uniform(mesh)
+    sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
+             if cfg["unstable_pair"] else spaces[:3])
+    betas = [analysis.compute_inf_sup(space).beta for space in sweep]
     spread = ((max(betas) - min(betas)) / min(betas)
               if min(betas) > 0 else np.inf)
     infsup_ok = all(b > 0.2 for b in betas) and (len(betas) < 2
@@ -355,18 +360,9 @@ def cmd_verify(cfg):
                    "details": {"velocity_degree": vdeg, "betas": betas,
                                "spread": None if np.isinf(spread) else spread}})
 
-    # compensation refinement sweep
-    g_f, g_p = FORCINGS["driven"]
-    mesh = base_mesh
-    residuals = []
-    for level in range(levels):
-        space = CoupledSpace(mesh)
-        params = assembly.ModelParams(mesh, nu=cfg["nu"], K=cfg["K"],
-                                      sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
-        state = solver.solve_coupled(space, params, config)
-        residuals.append(
-            analysis.compensation_residual(space, params, state=state).residual)
-        mesh = refine_uniform(mesh)
+    # compensation refinement sweep on the driven forcing
+    residuals = [report(level, cfg["nu"], cfg["K"], "driven")
+                 .compensation_residual for level in range(levels)]
     if levels < 2:
         checks.append({"name": "compensation", "passed": True,
                        "details": {"status": "insufficient levels",
@@ -379,24 +375,27 @@ def cmd_verify(cfg):
 
     # two-start uniqueness on small data
     g_f, g_p = FORCINGS["small"]
-    space = CoupledSpace(base_mesh)
-    params = assembly.ModelParams(base_mesh, nu=cfg["nu"], K=cfg["K"],
+    params = assembly.ModelParams(meshes[0], nu=cfg["nu"], K=cfg["K"],
                                   sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
-    unique = analysis.check_uniqueness(space, params, c_mult=c_mult,
+    unique = analysis.check_uniqueness(spaces[0], params, c_mult=c_mult,
                                        seed=cfg["seed"], config=config)
     checks.append({"name": "uniqueness", "passed": unique.verdict == "unique",
                    "details": unique.to_dict()})
 
-    bundle = {"command": "verify", "passed": all(c["passed"] for c in checks),
+    # a skipped check (passed None) neither passes nor fails the bundle
+    bundle = {"command": "verify",
+              "passed": all(c["passed"] for c in checks
+                            if c["passed"] is not None),
               "levels": levels, "checks": checks}
     out = _outdir(cfg)
     path = os.path.join(out, "verification.json")
     _write_json(path, bundle)
     print(f"wrote {path}")
     for check in checks:
-        print(f"{check['name']}: {'pass' if check['passed'] else 'FAIL'}")
+        verdict = {True: "pass", False: "FAIL", None: "skipped"}[check["passed"]]
+        print(f"{check['name']}: {verdict}")
     if not bundle["passed"]:
-        failing = [c["name"] for c in checks if not c["passed"]]
+        failing = [c["name"] for c in checks if c["passed"] is False]
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -434,15 +433,17 @@ def cmd_mms(cfg):
         bands["rate_phi_h1"] = ((1.0, 0.2) if cfg["head_degree"] == 1
                                 else (2.0, 0.3))
         for key, (target, tol) in sorted(bands.items()):
-            if abs(rates[key] - target) > tol:
-                failures.append(f"{key}={rates[key]:.3f} outside "
-                                f"{target}+-{tol}")
+            rate = rates[key]
+            if rate is None or abs(rate - target) > tol:
+                shown = "none" if rate is None else f"{rate:.3f}"
+                failures.append(f"{key}={shown} outside {target}+-{tol}")
     if case_name == "representable" and not cfg["no_assert"]:
         for row in study.rows:
             for key in ("err_u_h1", "err_u_l2", "err_p_l2", "err_phi_h1"):
-                if row[key] > 1e-9:
+                if row[key] > mms.REPRODUCTION_TOL:
                     failures.append(f"level {row['level']}: {key}="
-                                    f"{row[key]:.3e} above 1e-9")
+                                    f"{row[key]:.3e} above "
+                                    f"{mms.REPRODUCTION_TOL}")
 
     out = _outdir(cfg)
     csv_path = os.path.join(out, "rates.csv")
@@ -536,16 +537,12 @@ def main(argv=None):
     try:
         cfg = load_config(args)
         return args.func(cfg)
-    except ConfigError as exc:
+    except (ConfigError, assembly.ParameterError, SpaceError,
+            ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (assembly.ParameterError, SpaceError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except solver.NonConvergence as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (SingularLinearSystem, InterpolationError) as exc:
+    except (solver.NonConvergence, SingularLinearSystem,
+            InterpolationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -343,7 +343,6 @@ class CoupledSpace:
             [-self.iface_normals[:, 1], self.iface_normals[:, 0]])
 
         self.interface_nodes = np.unique(self.iface_edge_nodes)
-        self._iface_row = {int(n): i for i, n in enumerate(self.interface_nodes)}
 
         # alignment: every interface node must exist on both sides, and a node
         # constrained on one side must be constrained on the other
@@ -370,10 +369,7 @@ class CoupledSpace:
         coordinates) when given, otherwise zero.  Nodes outside the fluid
         subdomain are zero.
         """
-        vals = np.zeros((self.num_nodes(self.velocity_degree), 2))
-        free = self.u_node_dof >= 0
-        vals[free, 0] = coeffs[self.u_node_dof[free]]
-        vals[free, 1] = coeffs[self.u_node_dof[free] + 1]
+        vals = self._vector_values(self.u_node_dof, coeffs)
         if dirichlet is not None:
             fluid_nodes = np.unique(self.tri_nodes(self.velocity_degree)[self.fluid_tris])
             fixed = fluid_nodes[self.u_node_dof[fluid_nodes] < 0]
@@ -383,11 +379,28 @@ class CoupledSpace:
 
     def aux_node_values(self, coeffs):
         """Expand companion-velocity coefficients to per-node values, (nn, 2)."""
-        vals = np.zeros((self.num_nodes(self.velocity_degree), 2))
-        free = self.aux_node_dof >= 0
-        vals[free, 0] = coeffs[self.aux_node_dof[free]]
-        vals[free, 1] = coeffs[self.aux_node_dof[free] + 1]
+        return self._vector_values(self.aux_node_dof, coeffs)
+
+    @staticmethod
+    def _vector_values(node_dof, coeffs):
+        """Per-node values (nn, 2) of the vector field numbered by ``node_dof``
+        (x at ``node_dof``, y right after; zero at constrained nodes)."""
+        vals = np.zeros((len(node_dof), 2))
+        free = node_dof >= 0
+        vals[free] = coeffs[node_dof[free, None] + np.arange(2)]
         return vals
+
+    def aux_interface_values(self, trace_vals):
+        """Companion coefficients holding ``trace_vals`` (aligned with
+        ``interface_nodes``) on the free interface dofs and zero elsewhere,
+        plus the mask of those dofs."""
+        dof = self.aux_node_dof[self.interface_nodes]
+        idx = dof[dof >= 0, None] + np.arange(2)
+        coeffs = np.zeros(self.num_aux_dofs)
+        coeffs[idx] = trace_vals[dof >= 0]
+        mask = np.zeros(self.num_aux_dofs, dtype=bool)
+        mask[idx] = True
+        return coeffs, mask
 
     def head_node_values(self, coeffs, dirichlet=None):
         vals = np.zeros(self.num_nodes(self.head_degree))
@@ -520,14 +533,7 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
     A = assembly.strain_matrix(space, region=POROUS, kind="aux")
     D = assembly.aux_divergence_matrix(space)
 
-    naux = space.num_aux_dofs
-    g = np.zeros(naux)
-    on_iface = np.zeros(naux, dtype=bool)
-    for row, n in enumerate(space.interface_nodes):
-        dof = space.aux_node_dof[n]
-        if dof >= 0:
-            g[dof:dof + 2] = vals[row]
-            on_iface[dof:dof + 2] = True
+    g, on_iface = space.aux_interface_values(vals)
     interior = ~on_iface
 
     # drop the lowest porous vertex from the multiplier space

@@ -337,6 +337,15 @@ def refine_uniform(mesh):
                      np.array(bedges), np.array(btags))
 
 
+def refinement_chain(mesh, levels):
+    """The first ``levels`` meshes of the sequence ``mesh``, its uniform
+    refinement, the refinement of that, ..., each refined only once."""
+    chain = [mesh]
+    for _ in range(levels - 1):
+        chain.append(refine_uniform(chain[-1]))
+    return chain[:levels]
+
+
 # -- canonical text dump -------------------------------------------------
 
 

@@ -18,8 +18,8 @@ exactly.
 import numpy as np
 
 from . import assembly
-from .fem import QuadratureRule, _evaluate, shape_values
-from .mesh import FLUID, POROUS, build_rectangle_mesh, refine_uniform
+from .fem import _evaluate
+from .mesh import FLUID, POROUS, build_rectangle_mesh, refinement_chain
 from .solver import solve_coupled
 
 __all__ = ["ManufacturedCase", "smooth_case", "representable_case",
@@ -252,8 +252,9 @@ def solution_errors(space, case, state):
     du = np.einsum('ql,elc->ceq', vals, un) - _evaluate(case.u, X, (2,))
     dg = (np.einsum('elc,eqlj->cjeq', un, grads)
           - _evaluate(case.grad_u, X, (2, 2)))
-    vals1 = shape_values(1, QuadratureRule.triangle(_ERROR_DEGREE).points)
-    pn = state.p_raw(space)[space.mesh.triangles[space.fluid_tris]]
+    _, pnodes, vals1, _, _ = assembly._element_data(space, FLUID, 1,
+                                                    _ERROR_DEGREE)
+    pn = state.p_raw(space)[pnodes]
     dp = np.einsum('ql,el->eq', vals1, pn) - _evaluate(case.p, X)
 
     _, nodes_h, _, grads_h, Wp = assembly._element_data(
@@ -301,10 +302,11 @@ def consistency_residual(space, case):
     np.add.at(fu, nodes, loc)
     R[:space.offset_p] += fu.ravel()[assembly.expanded_index(space, "velocity")]
 
-    vals1 = shape_values(1, QuadratureRule.triangle(_ERROR_DEGREE).points)
+    _, pnodes, vals1, _, _ = assembly._element_data(space, FLUID, 1,
+                                                    _ERROR_DEGREE)
     locp = -np.einsum('eq,eq,qr->er', W, GU[0, 0] + GU[1, 1], vals1)
     fp = np.zeros(space.mesh.num_vertices)
-    np.add.at(fp, space.mesh.triangles[space.fluid_tris], locp)
+    np.add.at(fp, pnodes, locp)
     R[space.offset_p:space.offset_phi] += fp[
         assembly.expanded_index(space, "pressure")]
 
@@ -333,6 +335,9 @@ def consistency_residual(space, case):
 
 _ERROR_KEYS = ("err_u_h1", "err_u_l2", "err_p_l2", "err_phi_h1")
 
+# errors at or below this are exact reproduction up to rounding
+REPRODUCTION_TOL = 1e-9
+
 
 class StudyResult:
     """Rows of a refinement study plus observed convergence rates."""
@@ -342,12 +347,14 @@ class StudyResult:
         self.rows = rows
 
     def rates(self):
-        """Observed orders between consecutive levels (h halves each time)."""
+        """Observed orders between consecutive levels (h halves each time);
+        None where an error is at or below ``REPRODUCTION_TOL`` (noise)."""
         out = {}
         for key in _ERROR_KEYS:
             vals = [r[key] for r in self.rows]
             out["rate_" + key[4:]] = [
-                float(np.log2(a / b)) for a, b in zip(vals[:-1], vals[1:])]
+                float(np.log2(a / b)) if min(a, b) > REPRODUCTION_TOL else None
+                for a, b in zip(vals[:-1], vals[1:])]
         return out
 
     def final_rates(self):
@@ -360,8 +367,8 @@ class StudyResult:
         for i, row in enumerate(self.rows):
             cells = [str(row["level"]), repr(row["h"])]
             cells += [repr(row[k]) for k in _ERROR_KEYS]
-            cells += ["" if i == 0 else repr(rates[k][i - 1])
-                      for k in sorted(rates)]
+            cells += ["" if i == 0 or rates[k][i - 1] is None
+                      else repr(rates[k][i - 1]) for k in sorted(rates)]
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:
@@ -371,17 +378,16 @@ class StudyResult:
 
 def convergence_study(case, num_levels=4, base=(4, 8), config=None,
                       velocity_degree=2, head_degree=1):
-    """Solve the case on a refinement sequence and collect the error norms."""
+    """Solve the case on a refinement chain and collect the error norms."""
     from .fem import CoupledSpace
-    mesh = build_rectangle_mesh(base[0], base[1], 1.0)
+    chain = refinement_chain(build_rectangle_mesh(base[0], base[1], 1.0),
+                             num_levels)
     rows = []
-    for level in range(num_levels):
+    for level, mesh in enumerate(chain):
         space = CoupledSpace(mesh, velocity_degree=velocity_degree,
                              head_degree=head_degree)
         state = case.solve(space, config)
         errs = solution_errors(space, case, state)
         rows.append({"level": level, "h": mesh.h,
                      "iterations": state.iterations, **errs})
-        if level + 1 < num_levels:
-            mesh = refine_uniform(mesh)
     return StudyResult(case.name, rows)

@@ -411,14 +411,7 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
          + assembly.convection_matrix(space, wind_raw, region=POROUS,
                                       skew=False))
 
-    naux = space.num_aux_dofs
-    g = np.zeros(naux)
-    iface_mask = np.zeros(naux, dtype=bool)
-    for row, node in enumerate(space.interface_nodes):
-        dof = space.aux_node_dof[node]
-        if dof >= 0:
-            g[dof:dof + 2] = trace_vals[row]
-            iface_mask[dof:dof + 2] = True
+    g, iface_mask = space.aux_interface_values(trace_vals)
     interior = ~iface_mask
 
     Aii = A[interior][:, interior]

@@ -5,16 +5,19 @@ import dataclasses
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from nsdarcy import cli
+from nsdarcy import analysis, cli, solver
+from nsdarcy import mesh as mesh_module
 from nsdarcy.analysis import EnergyReport
 from nsdarcy.assembly import ModelParams, load_vector
 from nsdarcy.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFICATION,
                          main)
 from nsdarcy.fem import CoupledSpace
-from nsdarcy.mesh import build_rectangle_mesh, load_mesh
+from nsdarcy.mesh import build_rectangle_mesh, load_mesh, refine_uniform
+from nsdarcy.solver import SolverConfig
 
 
 def run(*argv):
@@ -116,6 +119,66 @@ class TestVerify:
         by_name = {c["name"]: c for c in bundle["checks"]}
         assert by_name["pressure_bound"]["details"]["skipped_levels"] == [1]
 
+    def test_pressure_bound_on_no_level_is_skipped_not_passed(
+            self, tmp_path, monkeypatch, capsys):
+        # 9 pressure dofs on 2x4: above a cap of 5, so no level has a beta
+        monkeypatch.setattr(cli, "_INF_SUP_DOF_CAP", 5)
+        out = tmp_path / "run"
+        assert run("verify", "--mesh", "builtin:2x4", "--levels", "1",
+                   "--out", str(out)) == EXIT_OK
+        bundle = json.loads((out / "verification.json").read_text())
+        by_name = {c["name"]: c for c in bundle["checks"]}
+        pressure = by_name["pressure_bound"]
+        assert pressure["passed"] is None
+        assert pressure["details"]["status"] == "skipped"
+        assert pressure["details"]["skipped_levels"] == [0]
+        assert pressure["details"]["max_ratio"] is None
+        assert "5" in pressure["details"]["reason"]
+        assert bundle["passed"] is True  # every check that ran passed
+        assert "pressure_bound: skipped" in capsys.readouterr().out
+
+    def test_one_pass_over_one_chain(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(mesh_module, "refine_uniform", "refine")
+        count(CoupledSpace, "__init__", "space")
+        count(solver, "solve_coupled", "solve")
+        count(analysis, "solve_coupled", "solve")
+        count(analysis, "eigh", "eigh")
+        assert run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+                   "--out", str(tmp_path / "run")) in (EXIT_OK,
+                                                       EXIT_VERIFICATION)
+        # 3 datasets x 2 levels, the compensation sweep reusing the driven
+        # solves, plus the two uniqueness starts; one inf-sup per level
+        assert calls == {"refine": 1, "space": 2, "solve": 8, "eigh": 2}
+
+    def test_compensation_sweep_solves_the_configured_dataset(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", nu=0.5, K=2.0)
+        out = tmp_path / "run"
+        run("verify", "--config", cfg, "--mesh", "builtin:2x4", "--levels",
+            "2", "--out", str(out))
+        bundle = json.loads((out / "verification.json").read_text())
+        by_name = {c["name"]: c for c in bundle["checks"]}
+        mesh = build_rectangle_mesh(2, 4, 1.0)
+        expected = []
+        for fresh in (mesh, refine_uniform(mesh)):
+            space = CoupledSpace(fresh)
+            params = ModelParams(fresh, nu=0.5, K=2.0,
+                                 g_f=cli.FORCINGS["driven"][0],
+                                 g_p=cli.FORCINGS["driven"][1])
+            state = solver.solve_coupled(space, params, SolverConfig())
+            expected.append(analysis.compensation_residual(
+                space, params, state=state).residual)
+        assert by_name["compensation"]["details"]["residuals"] == expected
+
     def test_single_level_marks_compensation_insufficient(self, tmp_path):
         out = tmp_path / "run"
         assert run("verify", "--mesh", "builtin:2x4", "--levels", "1",
@@ -137,6 +200,15 @@ class TestMms:
         assert payload["passed"] is True
         assert payload["failures"] == []
         assert len(payload["rows"]) == 2
+
+    def test_representable_case_reports_no_rates(self, tmp_path):
+        # its errors are rounding noise, whose ratios carry no order
+        out = tmp_path / "run"
+        assert run("mms", "--case", "representable",
+                   "--out", str(out)) == EXIT_OK
+        payload = json.loads((out / "mms.json").read_text())
+        assert payload["final_rates"]
+        assert all(v is None for v in payload["final_rates"].values())
 
     def test_rates_csv_layout(self, tmp_path):
         out = tmp_path / "run"

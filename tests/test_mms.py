@@ -229,6 +229,20 @@ class TestStudyResult:
         assert parsed[1][6:] == [""] * 4  # no rates on the first level
         assert float(parsed[2][parsed[0].index("rate_u_l2")]) == pytest.approx(3.0)
 
+    def test_rounding_level_errors_give_no_rate(self, tmp_path):
+        rows = [{"level": i, "h": 0.5 ** i, "err_u_h1": 4.0 ** -i,
+                 "err_u_l2": 8.0 ** -i, "err_p_l2": 1e-9 * 4.0 ** -i,
+                 "err_phi_h1": [1.0, 1e-9, 1e-12][i]} for i in range(3)]
+        study = mms.StudyResult("synthetic", rows)
+        rates = study.rates()
+        assert rates["rate_u_h1"] == [pytest.approx(2.0)] * 2
+        assert rates["rate_p_l2"] == [None, None]
+        assert rates["rate_phi_h1"] == [None, None]
+        parsed = list(csv.reader(io.StringIO(
+            study.to_csv(tmp_path / "rates.csv"))))
+        col = parsed[0].index("rate_p_l2")
+        assert [row[col] for row in parsed[1:]] == ["", "", ""]
+
     def test_study_records_iterations(self):
         study = mms.convergence_study(mms.representable_case(), num_levels=2)
         assert all(row["iterations"] >= 1 for row in study.rows)
