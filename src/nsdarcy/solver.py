@@ -7,8 +7,15 @@ options are Picard (wind frozen), Newton, or Picard handing over to Newton
 once the residual is small.
 
 The pressure is determined only up to a constant.  The default gauge
-appends a zero-mean constraint row/column (a Lagrange multiplier), which
-reproduces the Galerkin solution in the mean-free pressure space exactly.
+imposes zero mean through a Lagrange multiplier, which reproduces the
+Galerkin solution in the mean-free pressure space exactly.  The multiplier
+is eliminated instead of being appended as a dense row and column (which
+would wreck the fill-reducing ordering of the factorization): the
+unbordered operator A is factored once and solved for the right-hand side
+and for the mean vector m, giving y and z, and the solution is
+y - lam z with lam = (m . y) / (m . z).  A is invertible because mesh
+validation requires gamma_pd to have positive length, which fixes the
+head; m . z is nonzero exactly when the bordered system is nonsingular.
 Pinning a single pressure value is available as an alternative gauge, but
 with an open outflow boundary through the interface it perturbs the
 velocity at O(h) and degrades convergence orders; it exists for comparison
@@ -16,7 +23,7 @@ experiments.
 """
 
 import numpy as np
-from scipy.sparse import bmat, csc_matrix, csr_matrix
+from scipy.sparse import bmat, csc_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from . import assembly
@@ -132,10 +139,13 @@ def project_zero_mean(space, p):
     return p - (m @ p) / m.sum()
 
 
-def _check_solution(A, x, rhs, context):
+def _check_solution(x, residual, rhs, context):
+    """Reject a non-finite solution, or one whose residual exceeds 1e-7
+    relative to its right-hand side (column by column for a 2-D rhs)."""
     if not np.all(np.isfinite(x)):
         raise SingularLinearSystem(f"{context}: non-finite solution")
-    res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1.0)
+    res = np.max(np.linalg.norm(residual, axis=0)
+                 / np.maximum(np.linalg.norm(rhs, axis=0), 1.0))
     if res > 1e-7:
         raise SingularLinearSystem(
             f"{context}: linear residual {res:.3e} indicates a singular or "
@@ -143,6 +153,8 @@ def _check_solution(A, x, rhs, context):
 
 
 def _linear_solve(A, rhs, config, context):
+    """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
+    with one factorization (or one preconditioner) of A."""
     A = csc_matrix(A)
     # SuperLU can crash outright on rank-deficient inputs (e.g. unstable
     # velocity/pressure pairings), so reject those before factorizing
@@ -162,30 +174,46 @@ def _linear_solve(A, rhs, config, context):
         except RuntimeError as exc:
             raise SingularLinearSystem(f"{context}: {exc}") from exc
         M = LinearOperator(A.shape, ilu.solve)
-        x, info = gmres(A, rhs, M=M, rtol=1e-12, atol=0.0, restart=300,
-                        maxiter=3000)
-        if info != 0:
-            raise SingularLinearSystem(
-                f"{context}: GMRES stalled (info={info})")
-    _check_solution(A, x, rhs, context)
+
+        def krylov(b):
+            x, info = gmres(A, b, M=M, rtol=1e-12, atol=0.0, restart=300,
+                            maxiter=3000)
+            if info != 0:
+                raise SingularLinearSystem(
+                    f"{context}: GMRES stalled (info={info})")
+            return x
+        x = np.apply_along_axis(krylov, 0, rhs)
+    _check_solution(x, A @ x - rhs, rhs, context)
     return x
 
 
+@assembly._per_space
+def _space_blocks(space):
+    """Expanded blocks of the coupled operator that depend on the space
+    alone: the unit-coefficient fluid strain, the divergence and the
+    interface coupling."""
+    return (assembly.strain_matrix(space, FLUID, expanded=True),
+            assembly.divergence_matrix(space, FLUID, expanded=True),
+            assembly.interface_coupling_matrix(space, expanded=True))
+
+
 class _System:
-    """Expanded blocks of the coupled operator on one space."""
+    """Expanded blocks of the coupled operator on one space, and the
+    free-dof blocks that stay fixed over the iteration."""
 
     def __init__(self, space, params, config, dirichlet, extra_loads):
         self.space = space
         self.params = params
         self.config = config
         self.dirichlet = dirichlet
-        self.V = (assembly.strain_matrix(space, FLUID, expanded=True,
-                                         coefficient=2 * params.nu)
+        S, self.B, self.Cup = _space_blocks(space)
+        self.V = (2 * params.nu * S
                   + assembly.bjs_matrix(space, coefficient=params.G,
                                         expanded=True))
-        self.B = assembly.divergence_matrix(space, FLUID, expanded=True)
-        self.Cup = assembly.interface_coupling_matrix(space, expanded=True)
         self.Adar = assembly.darcy_matrix(space, params, expanded=True)
+        self.Bf = assembly.restrict(space, self.B, "pressure", "velocity")
+        self.Cf = assembly.restrict(space, self.Cup, "velocity", "head")
+        self.Df = assembly.restrict(space, self.Adar, "head", "head")
         self.iu = assembly.expanded_index(space, "velocity")
         self.ip = assembly.expanded_index(space, "pressure")
         self.iphi = assembly.expanded_index(space, "head")
@@ -245,7 +273,7 @@ class _System:
         return scale
 
     def matrix_and_rhs(self, x, newton):
-        """Bordered linear system for one iteration.
+        """Free-dof linear system for one iteration, without the gauge.
 
         Picard (newton=False): operator with frozen wind, right-hand side
         the loads plus Dirichlet corrections; the solution is the next
@@ -260,13 +288,10 @@ class _System:
             if newton:
                 Auu = Auu + assembly.newton_convection_matrix(space, wind,
                                                               expanded=True)
-        Auu_f = Auu.tocsr()[self.iu][:, self.iu]
-        Bf = self.B.tocsr()[self.ip][:, self.iu]
-        Cf = self.Cup.tocsr()[self.iu][:, self.iphi]
-        Df = self.Adar.tocsr()[self.iphi][:, self.iphi]
-        A = bmat([[Auu_f, -Bf.T, Cf],
-                  [Bf, None, None],
-                  [-Cf.T, None, Df]], format="csr")
+        Auu_f = assembly.restrict(space, Auu, "velocity", "velocity")
+        A = bmat([[Auu_f, -self.Bf.T, self.Cf],
+                  [self.Bf, None, None],
+                  [-self.Cf.T, None, self.Df]], format="csr")
         if newton:
             rhs = -self.residual(x)
         else:
@@ -278,15 +303,23 @@ class _System:
         return A, rhs
 
     def gauge_and_solve(self, A, rhs, context):
+        """Solve the gauged system: with the mean gauge, the bordered system
+        [[A, m], [m^T, 0]] [x, lam] = [rhs, 0] by eliminating lam."""
         cfg, space = self.config, self.space
-        n = A.shape[0]
         if cfg.pressure_gauge == "mean":
-            col = np.zeros(n)
-            col[space.offset_p:space.offset_phi] = self.mean_vec
-            col = csc_matrix(col[:, None])
-            Ab = bmat([[A, col], [col.T, None]], format="csc")
-            sol = _linear_solve(Ab, np.append(rhs, 0.0), cfg, context)
-            return sol[:n]
+            m = np.zeros(A.shape[0])
+            m[space.offset_p:space.offset_phi] = self.mean_vec
+            y, z = _linear_solve(A, np.column_stack([rhs, m]), cfg, context).T
+            my, mz = m @ y, m @ z
+            if mz == 0 or not np.isfinite(my / mz):
+                raise SingularLinearSystem(
+                    f"{context}: singular mean-pressure constraint "
+                    f"(m . A^-1 m = {mz:.3e})")
+            lam = my / mz
+            x = y - lam * z
+            _check_solution(x, np.append(A @ x + lam * m - rhs, m @ x), rhs,
+                            context)
+            return x
         # pin: replace the continuity row of the first pressure dof
         A = A.tolil()
         pin = space.offset_p
@@ -420,7 +453,7 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
         xi = splu(csc_matrix(Aii)).solve(rhs)
     except RuntimeError as exc:
         raise SingularLinearSystem(f"companion solve: {exc}") from exc
-    _check_solution(Aii, xi, rhs, "companion solve")
+    _check_solution(xi, Aii @ xi - rhs, rhs, "companion solve")
     coeffs = g.copy()
     coeffs[interior] = xi
     return AuxResult(coeffs, float(sigma), wind_raw, lifting, trace_vals,

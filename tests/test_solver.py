@@ -3,6 +3,8 @@ agreement, failure modes, and the porous companion solve."""
 
 import numpy as np
 import pytest
+from scipy.sparse import bmat, csc_matrix
+from scipy.sparse.linalg import splu
 
 from nsdarcy import assembly as asm
 from nsdarcy import solver as slv
@@ -171,6 +173,69 @@ class TestNonlinearIteration:
             slv.SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             slv.SolverConfig(max_iter=0)
+
+
+def _bordered_reference(sys, A, rhs):
+    """Mean-gauge solution from the explicitly bordered system
+    [[A, m], [m^T, 0]] [x, lam] = [rhs, 0]."""
+    n = A.shape[0]
+    m = np.zeros(n)
+    m[sys.space.offset_p:sys.space.offset_phi] = sys.mean_vec
+    col = csc_matrix(m[:, None])
+    bordered = bmat([[A, col], [col.T, None]], format="csc")
+    return splu(bordered).solve(np.append(rhs, 0.0))[:n]
+
+
+class TestMeanGauge:
+    @pytest.mark.parametrize("mesh", ["space", "wavy_space"])
+    @pytest.mark.parametrize("linear_solver", ["lu", "gmres"])
+    @pytest.mark.parametrize("newton", [False, True], ids=["picard", "newton"])
+    def test_elimination_matches_bordered_solve(self, request, mesh,
+                                                linear_solver, newton):
+        space = request.getfixturevalue(mesh)
+        params = asm.ModelParams(space.mesh, nu=1.0, g_f=forcing_f,
+                                 g_p=forcing_p)
+        config = slv.SolverConfig(linear_solver=linear_solver)
+        sys = slv._System(space, params, config, None, None)
+        rng = np.random.default_rng(3)
+        x0 = 0.1 * rng.standard_normal(space.num_total_dofs)
+        A, rhs = sys.matrix_and_rhs(x0, newton)
+        x = sys.gauge_and_solve(A, rhs, "equivalence")
+        ref = _bordered_reference(sys, A, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        _, p, _ = space.split_state(x)
+        assert abs(sys.mean_vec @ p) <= 1e-13
+
+    def test_factors_the_unbordered_operator_once_per_iteration(
+            self, space, params, monkeypatch):
+        shapes = []
+
+        def recording_splu(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(slv, "splu", recording_splu)
+        state = slv.solve_coupled(space, params)
+        n = space.num_total_dofs
+        assert shapes == [(n, n)] * state.iterations
+
+    def test_zero_mean_vector_is_a_singular_constraint(self, space, params):
+        sys = slv._System(space, params, slv.SolverConfig(), None, None)
+        A, rhs = sys.matrix_and_rhs(np.zeros(space.num_total_dofs), False)
+        sys.mean_vec = np.zeros_like(sys.mean_vec)
+        with pytest.raises(SingularLinearSystem, match="mean-pressure"):
+            sys.gauge_and_solve(A, rhs, "zero mean")
+
+    def test_space_blocks_are_shared_and_bit_equal(self, space, params):
+        config = slv.SolverConfig()
+        first = slv._System(space, params, config, None, None)
+        other = asm.ModelParams(space.mesh, nu=0.3, G=2.0)
+        second = slv._System(space, other, config, None, None)
+        assert second.B is first.B and second.Cup is first.Cup
+        direct = (asm.strain_matrix(space, expanded=True,
+                                     coefficient=2 * other.nu)
+                  + asm.bjs_matrix(space, coefficient=2.0, expanded=True))
+        assert (second.V != direct).nnz == 0
 
 
 @pytest.fixture(scope="module")
