@@ -8,13 +8,14 @@ with stable key names.
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from . import assembly
 from .mesh import FLUID, POROUS
-from .solver import SolverConfig, solve_auxiliary, solve_coupled
+from .solver import (NonConvergence, SolverConfig, _space_blocks,
+                     project_zero_mean, solve_auxiliary, solve_coupled)
 
 __all__ = ["EnergyReport", "CompensationReport", "InfSupResult",
            "UniquenessReport", "dual_norm_fluid", "dual_norm_porous",
@@ -34,7 +35,8 @@ def _riesz(lu, b):
 def _strain_lu(space):
     """Factor of the fluid strain matrix, computed once per space and shared
     by the fluid dual norm, the pressure dual and the inf-sup eigensolve."""
-    return splu(csc_matrix(assembly.strain_matrix(space, FLUID)))
+    return splu(csc_matrix(assembly.restrict(
+        space, _space_blocks(space)[0], "velocity", "velocity")))
 
 
 def _fluid_dual(space, params, b):
@@ -135,10 +137,9 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     priori estimate is checked as e_fluid + e_darcy <= c_mult * C_sq with
     the dual norms computed by discrete Riesz solves.
 
-    ``with_inf_sup`` and ``with_companion`` skip the eigensolve (dense, for
-    modest meshes) and the companion solve (needs the solution trace to
-    vanish at the interface endpoints); the corresponding report fields
-    become nan.
+    ``with_inf_sup`` and ``with_companion`` skip the inf-sup eigensolve and
+    the companion solve (needs the solution trace to vanish at the
+    interface endpoints); the corresponding report fields become nan.
     """
     u_raw = state.u_raw(space)
     phi_raw = state.phi_raw(space)
@@ -167,11 +168,10 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     # - G (u.t, v.t) - (phi, v.n)
     Mp = assembly.pressure_mass_matrix(space)
     p_norm = float(np.sqrt(max(state.p @ (Mp @ state.p), 0.0)))
-    A = (assembly.strain_matrix(space, FLUID, expanded=True,
-                                coefficient=2 * params.nu)
+    S, _, Cup = _space_blocks(space)
+    A = (2 * params.nu * S
          + assembly.bjs_matrix(space, coefficient=params.G, expanded=True)
          + assembly.convection_matrix(space, u_raw, expanded=True))
-    Cup = assembly.interface_coupling_matrix(space, expanded=True)
     iu = assembly.expanded_index(space, "velocity")
     ell = b[:space.offset_p] - (A @ u_raw.ravel())[iu] - (Cup @ phi_raw)[iu]
     _, p_dual = _riesz(_strain_lu(space), ell)
@@ -269,24 +269,32 @@ def compute_inf_sup(space):
     """Discrete inf-sup constant of the velocity/pressure pairing.
 
     beta^2 is the smallest eigenvalue of the Schur pencil
-    B A^-1 B^T q = lambda M q restricted to mean-free pressures, with A the
-    velocity strain matrix, B the divergence pairing, and M the pressure
-    mass matrix.  Dense eigensolve: intended for modest meshes.  Computed
-    once per space (repeat calls return the same object), with the strain
-    factorization that the dual norms share.
+    S q = B A^-1 B^T q = lambda M q over mean-free pressures (m . q = 0),
+    with A the velocity strain matrix, B the divergence pairing, M the
+    pressure mass matrix and m = M 1, found by Lanczos iteration (ARPACK)
+    with one strain solve per step.  The pencil (P^T S P + c m m^T, M), with
+    P = I - 1 m^T / (m . 1), keeps the mean-free eigenpairs exactly and
+    moves the constant to 2, the top of the spectrum since
+    (div v)^2 <= 2 |D(v)|^2.  A fixed mean-free start vector and machine
+    tolerance make beta reproducible to the bit.  Computed once per space
+    (repeat calls return the same object).
     """
     B = assembly.divergence_matrix(space)
-    M = assembly.pressure_mass_matrix(space)
     m = assembly.pressure_mean_vector(space)
-    np_ = space.num_pressure_dofs
-    # basis of the mean-free subspace: q_i - (m_i / m_0) q_0
-    E = np.zeros((np_, np_ - 1))
-    E[1:, :] = np.eye(np_ - 1)
-    E[0, :] = -m[1:] / m[0]
-    S = B @ _strain_lu(space).solve(B.toarray().T)
-    SE = E.T @ S @ E
-    ME = E.T @ (M @ E)
-    lams = eigh(SE, ME, eigvals_only=True)
+    lu, n, mass = _strain_lu(space), space.num_pressure_dofs, m.sum()
+
+    def schur(q):  # P^T S P q + (2 / mass) m (m . q)
+        y = B @ lu.solve(B.T @ (q - (m @ q) / mass))
+        return y + m * ((2 * (m @ q) - y.sum()) / mass)
+
+    v0 = project_zero_mean(space, np.random.default_rng(0).standard_normal(n))
+    try:
+        lams = eigsh(LinearOperator((n, n), schur, dtype=float), k=1,
+                     M=assembly.pressure_mass_matrix(space), which="SA",
+                     v0=v0, tol=0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NonConvergence(f"inf-sup eigensolve on {n} pressure dofs "
+                             f"did not converge: {exc}") from exc
     lam_min = float(lams[0])
     return InfSupResult(beta=float(np.sqrt(max(lam_min, 0.0))),
                         lambda_min=lam_min,

@@ -249,29 +249,36 @@ def _scatter_vv(L, nodes, dim):
                     (dim, dim))
 
 
-def _vector_kind(region):
-    return "velocity" if region == FLUID else "aux"
+def _vector_matrix(space, L, nodes, region, expanded):
+    """Scatter (ne, nl, 2, nl, 2) local blocks into the expanded matrix, or
+    into its restriction to the region's vector field (fluid velocity /
+    porous companion velocity)."""
+    A = _scatter_vv(L, nodes, 2 * space.num_nodes(space.velocity_degree))
+    kind = "velocity" if region == FLUID else "aux"
+    return A if expanded else restrict(space, A, kind, kind)
 
 
 # ---------------------------------------------------------------------------
 # matrix builders
 # ---------------------------------------------------------------------------
 
-def strain_matrix(space, region=FLUID, kind=None, coefficient=1.0, expanded=False):
-    """(D(u), D(v)) over one region, times a constant coefficient.
-
-    ``kind`` selects the restriction map and defaults to the natural vector
-    field of the region (fluid velocity / porous companion velocity).
-    """
-    kind = kind or _vector_kind(region)
+def strain_matrix(space, region=FLUID, coefficient=1.0, expanded=False):
+    """(D(u), D(v)) over one region, times a constant coefficient, on the
+    natural vector field of the region (fluid / porous companion velocity)."""
     _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
                                       OPERATOR_DEGREE)
     base = np.einsum('eqli,eqmi,eq->elm', g, g, W)
     cross = np.einsum('eqld,eqmc,eq->elmcd', g, g, W)
     L = 0.5 * (np.einsum('elm,cd->elcmd', base, np.eye(2))
                + cross.transpose(0, 1, 3, 2, 4))
-    A = coefficient * _scatter_vv(L, nodes, 2 * space.num_nodes(space.velocity_degree))
-    return A if expanded else restrict(space, A, kind, kind)
+    return coefficient * _vector_matrix(space, L, nodes, region, expanded)
+
+
+@_per_space
+def _companion_strain(space):
+    """Unit porous strain matrix on the companion dofs, shared by the
+    lifting and (times 2 sigma) the companion solve."""
+    return strain_matrix(space, POROUS)
 
 
 def darcy_matrix(space, params, expanded=False):
@@ -321,9 +328,7 @@ def convection_matrix(space, wind, region=FLUID, skew=True, expanded=False):
         divw = np.einsum('elc,eqlc->eq', wn, g)
         P = P + 0.5 * np.einsum('eq,ql,qm->elm', divw * W, vals, vals)
     L = np.einsum('elm,cd->elcmd', P, np.eye(2))
-    A = _scatter_vv(L, nodes, 2 * space.num_nodes(space.velocity_degree))
-    kind = _vector_kind(region)
-    return A if expanded else restrict(space, A, kind, kind)
+    return _vector_matrix(space, L, nodes, region, expanded)
 
 
 def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
@@ -335,9 +340,7 @@ def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
     gw = np.einsum('elc,eqlj->eqcj', wn, g)
     L = (np.einsum('ql,qm,eqcd,eq->elcmd', vals, vals, gw, W)
          + 0.5 * np.einsum('ql,eqmd,eqc,eq->elcmd', vals, g, wq, W))
-    A = _scatter_vv(L, nodes, 2 * space.num_nodes(space.velocity_degree))
-    kind = _vector_kind(region)
-    return A if expanded else restrict(space, A, kind, kind)
+    return _vector_matrix(space, L, nodes, region, expanded)
 
 
 def bjs_matrix(space, coefficient=1.0, expanded=False):

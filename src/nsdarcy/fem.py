@@ -14,7 +14,7 @@ penalized; constrained nodes simply have no degree of freedom.
 
 import numpy as np
 
-from .mesh import (FLUID, POROUS, GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges)
+from .mesh import GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges
 
 
 class SpaceError(Exception):
@@ -321,20 +321,13 @@ class CoupledSpace:
     def _build_interface_data(self):
         mesh = self.mesh
         vd = self.velocity_degree
-        nv = mesh.num_vertices
-        nodes_per_edge = []
-        for a, b in mesh.interface_edges:
-            row = [a, b]
-            if vd == 2:
-                row.append(nv + self._edge_index[tuple(sorted((a, b)))])
-            nodes_per_edge.append(row)
-        self.iface_edge_nodes = np.array(nodes_per_edge, dtype=np.int64)
-        if self.head_degree == 2:
-            self.iface_edge_head_nodes = np.array(
-                [[a, b, nv + self._edge_index[tuple(sorted((a, b)))]]
-                 for a, b in mesh.interface_edges], dtype=np.int64)
-        else:
-            self.iface_edge_head_nodes = mesh.interface_edges
+        ends = mesh.interface_edges
+        mids = mesh.num_vertices + np.array(
+            [self._edge_index[tuple(sorted(e))] for e in ends.tolist()],
+            dtype=np.int64)
+        with_mids = np.column_stack([ends, mids])
+        self.iface_edge_nodes = with_mids if vd == 2 else ends
+        self.iface_edge_head_nodes = with_mids if self.head_degree == 2 else ends
         self.iface_lengths = np.linalg.norm(
             mesh.vertices[mesh.interface_edges[:, 1]]
             - mesh.vertices[mesh.interface_edges[:, 0]], axis=1)
@@ -460,8 +453,7 @@ def scott_zhang_interpolate(space, values, tol=1e-10):
             "the constrained space cannot represent it")
     coeffs = np.zeros(space.num_velocity_dofs)
     free = fluid_nodes[space.u_node_dof[fluid_nodes] >= 0]
-    coeffs[space.u_node_dof[free]] = vals[free, 0]
-    coeffs[space.u_node_dof[free] + 1] = vals[free, 1]
+    coeffs[space.u_node_dof[free, None] + np.arange(2)] = vals[free]
     return coeffs
 
 
@@ -517,7 +509,7 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
     result, not an error: the constraint then holds against mean-free test
     functions only.
     """
-    from scipy.sparse import bmat, csr_matrix
+    from scipy.sparse import bmat
     from scipy.sparse.linalg import splu
     from . import assembly
 
@@ -530,26 +522,15 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
             f"interface data must vanish at interface endpoints "
             f"(max |v| = {worst:.3e})")
 
-    A = assembly.strain_matrix(space, region=POROUS, kind="aux")
+    A = assembly._companion_strain(space)
     D = assembly.aux_divergence_matrix(space)
 
     g, on_iface = space.aux_interface_values(vals)
     interior = ~on_iface
-
-    # drop the lowest porous vertex from the multiplier space
-    keep = np.ones(space.num_porous_vertices, dtype=bool)
-    keep[0] = False
-    Dt = D[keep]
-
-    Aii = A[interior][:, interior]
-    Aig = A[interior][:, on_iface]
-    Di = Dt[:, interior]
-    Dg = Dt[:, on_iface]
-    gv = g[on_iface]
-
-    nm = Dt.shape[0]
-    K = bmat([[Aii, Di.T], [Di, csr_matrix((nm, nm))]], format="csc")
-    rhs = np.concatenate([-Aig @ gv, -Dg @ gv])
+    Dt = D[1:]  # the lowest porous vertex leaves the multiplier space
+    Ai, Di, gv = A[interior], Dt[:, interior], g[on_iface]
+    K = bmat([[Ai[:, interior], Di.T], [Di, None]], format="csc")
+    rhs = -np.concatenate([Ai[:, on_iface] @ gv, Dt[:, on_iface] @ gv])
     try:
         lu = splu(K)
     except RuntimeError as exc:

@@ -37,8 +37,8 @@ __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
 
 
 class NonConvergence(Exception):
-    """Nonlinear iteration failed to reach the tolerance; carries the
-    transcript and the last iterate."""
+    """An iteration missed its tolerance: the nonlinear solve (carries the
+    transcript and the last iterate) or the inf-sup eigensolve."""
 
     def __init__(self, message, transcript=None, state=None):
         super().__init__(message)
@@ -440,7 +440,7 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
 
     if sigma is None:
         sigma = params.effective_sigma()
-    A = (assembly.strain_matrix(space, POROUS, coefficient=2 * sigma)
+    A = (2 * sigma * assembly._companion_strain(space)
          + assembly.convection_matrix(space, wind_raw, region=POROUS,
                                       skew=False))
 

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -301,6 +302,34 @@ class TestInfSup:
         space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0),
                              velocity_degree=1)
         assert ana.compute_inf_sup(space).beta < 1e-6
+
+    @staticmethod
+    def dense_lambda_min(space):
+        """The dense reference: the full Schur complement restricted to the
+        basis q_i - (m_i / m_0) q_0 of the mean-free pressures, and eigh."""
+        B = asm.divergence_matrix(space)
+        M = asm.pressure_mass_matrix(space)
+        m = asm.pressure_mean_vector(space)
+        n = space.num_pressure_dofs
+        E = np.zeros((n, n - 1))
+        E[1:, :] = np.eye(n - 1)
+        E[0, :] = -m[1:] / m[0]
+        lu = splu(csc_matrix(asm.strain_matrix(space, FLUID)))
+        S = B @ lu.solve(B.toarray().T)
+        return eigh(E.T @ S @ E, E.T @ (M @ E), eigvals_only=True)[0]
+
+    def test_sparse_eigensolve_matches_the_dense_reference(self, wavy_space):
+        for space in (CoupledSpace(build_rectangle_mesh(4, 8, 1.0)),
+                      wavy_space,
+                      CoupledSpace(build_rectangle_mesh(16, 32, 1.0))):
+            assert ana.compute_inf_sup(space).lambda_min == pytest.approx(
+                self.dense_lambda_min(space), rel=1e-10)
+
+    def test_runs_on_four_pressure_dofs(self):
+        space = CoupledSpace(build_rectangle_mesh(1, 2, 1.0))
+        assert space.num_pressure_dofs == 4
+        assert ana.compute_inf_sup(space).lambda_min == pytest.approx(
+            self.dense_lambda_min(space), rel=1e-10)
 
     def test_serialization(self, space):
         d = ana.compute_inf_sup(space).to_dict()

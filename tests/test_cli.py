@@ -7,16 +7,19 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from nsdarcy import analysis, cli, solver
+from nsdarcy import analysis, assembly, cli, solver
 from nsdarcy import mesh as mesh_module
 from nsdarcy.analysis import EnergyReport
 from nsdarcy.assembly import ModelParams, load_vector
 from nsdarcy.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFICATION,
                          main)
 from nsdarcy.fem import CoupledSpace
-from nsdarcy.mesh import build_rectangle_mesh, load_mesh, refine_uniform
+from nsdarcy.mesh import (FLUID, POROUS, build_rectangle_mesh, load_mesh,
+                          refine_uniform)
 from nsdarcy.solver import SolverConfig
 
 
@@ -152,13 +155,29 @@ class TestVerify:
         count(CoupledSpace, "__init__", "space")
         count(solver, "solve_coupled", "solve")
         count(analysis, "solve_coupled", "solve")
-        count(analysis, "eigh", "eigh")
+        count(analysis, "eigsh", "eigsh")
         assert run("verify", "--mesh", "builtin:2x4", "--levels", "2",
                    "--out", str(tmp_path / "run")) in (EXIT_OK,
                                                        EXIT_VERIFICATION)
         # 3 datasets x 2 levels, the compensation sweep reusing the driven
         # solves, plus the two uniqueness starts; one inf-sup per level
-        assert calls == {"refine": 1, "space": 2, "solve": 8, "eigh": 2}
+        assert calls == {"refine": 1, "space": 2, "solve": 8, "eigsh": 2}
+
+    def test_strain_matrices_are_assembled_once_per_space(self, tmp_path,
+                                                          monkeypatch):
+        calls = Counter()
+        original = assembly.strain_matrix
+
+        def counted(space, region, *args, **kwargs):
+            calls[region] += 1
+            return original(space, region, *args, **kwargs)
+        monkeypatch.setattr(assembly, "strain_matrix", counted)
+        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+            "--out", str(tmp_path / "run"))
+        # per level: the fluid strain shared by the coupled solves, the
+        # reports and the strain factorization; the porous strain shared by
+        # the liftings and the companion solves
+        assert calls == {FLUID: 2, POROUS: 2}
 
     def test_compensation_sweep_solves_the_configured_dataset(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", nu=0.5, K=2.0)
@@ -354,6 +373,19 @@ class TestSolverFailures:
         assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_SOLVER
         assert "solver failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_inf_sup_eigensolve_failure(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+        monkeypatch.setattr(analysis, "eigsh", fail)
+        out = tmp_path / "never"
+        assert run("verify", "--mesh", "builtin:2x4", "--levels", "1",
+                   "--out", str(out)) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "9 pressure dofs" in err
+        assert "Traceback" not in err
+        assert not (out / "verification.json").exists()
 
     def test_iteration_budget_exhaustion(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", max_iter=1)
