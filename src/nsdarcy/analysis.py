@@ -8,11 +8,10 @@ with stable key names.
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                 splu)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import assembly
+from .fem import _factor
 from .mesh import FLUID, POROUS
 from .solver import (NonConvergence, SolverConfig, _space_blocks,
                      project_zero_mean, solve_auxiliary, solve_coupled)
@@ -35,8 +34,8 @@ def _riesz(lu, b):
 def _strain_lu(space):
     """Factor of the fluid strain matrix, computed once per space and shared
     by the fluid dual norm, the pressure dual and the inf-sup eigensolve."""
-    return splu(csc_matrix(assembly.restrict(
-        space, _space_blocks(space)[0], "velocity", "velocity")))
+    return _factor(assembly.restrict(space, _space_blocks(space)[0],
+                                     "velocity", "velocity"), "fluid strain")
 
 
 def _fluid_dual(space, params, b):
@@ -51,7 +50,7 @@ def _porous_dual(space, params, b):
     if params.g_p is None:
         return 0.0
     A = assembly.darcy_matrix(space, params)
-    return _riesz(splu(csc_matrix(A)), b[space.offset_phi:])[1]
+    return _riesz(_factor(A, "Darcy matrix"), b[space.offset_phi:])[1]
 
 
 def dual_norm_fluid(space, params):

@@ -87,7 +87,6 @@ class ModelParams:
         self.sigma = None if sigma is None else float(sigma)
         self.g_f = g_f
         self.g_p = g_p
-        self._K_input = K
         self.K_elems = self._sample_permeability(K)
         eigs = np.linalg.eigvalsh(self.K_elems)
         self.lambda_min = float(eigs.min())
@@ -121,11 +120,6 @@ class ModelParams:
     def effective_sigma(self):
         """Companion viscosity: the explicit value, or nu * h."""
         return self.sigma if self.sigma is not None else self.nu * self.mesh.h
-
-    def rebind(self, mesh):
-        """Same physical data sampled on another mesh."""
-        return ModelParams(mesh, self.nu, self._K_input, self.G, self.sigma,
-                           self.g_f, self.g_p)
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,6 @@ DEFAULTS = {
     "tol": 1e-10,
     "max_iter": 25,
     "scheme": "picard_then_newton",
-    "linear_solver": "lu",
-    "pressure_gauge": "mean",
     "unstable_pair": False,
     "no_assert": False,
     "dump": False,
@@ -108,7 +106,8 @@ _TRUE_FLAGS = ("no_convection", "vtk", "unstable_pair", "no_assert", "dump")
 _NUMBER_KEYS = {"nu": float, "G": float, "sigma": float, "c_mult": float,
                 "tol": float, "max_iter": int, "seed": int, "levels": int,
                 "velocity_degree": int, "head_degree": int}
-_NULLABLE_KEYS = ("sigma", "levels")
+_STRING_KEYS = ("mesh", "out", "forcing", "scheme", "case")
+_NULLABLE_KEYS = ("sigma", "levels", "case")
 
 
 def load_config(args):
@@ -145,6 +144,15 @@ def load_config(args):
             raise ConfigError(f"{key} must be a number of type "
                               f"{kind.__name__}, got {value!r}")
         cfg[key] = kind(value)
+    # so is a name that is not a string, or a switch that is not a boolean
+    # (the string "false" would otherwise read as true)
+    for keys, kind, wanted in ((_STRING_KEYS, str, "a string"),
+                               (_TRUE_FLAGS, bool, "true or false")):
+        for key in keys:
+            value = cfg[key]
+            if not (isinstance(value, kind)
+                    or (value is None and key in _NULLABLE_KEYS)):
+                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
     if cfg["levels"] is not None and cfg["levels"] < 1:
         raise ConfigError("levels must be at least 1")
     if cfg["case"] is not None and cfg["case"] not in mms.CASE_NAMES:
@@ -176,9 +184,7 @@ def resolve_mesh(spec):
 def _solver_config(cfg):
     return solver.SolverConfig(
         tol=cfg["tol"], max_iter=cfg["max_iter"], scheme=cfg["scheme"],
-        include_convection=not cfg["no_convection"],
-        linear_solver=cfg["linear_solver"],
-        pressure_gauge=cfg["pressure_gauge"])
+        include_convection=not cfg["no_convection"])
 
 
 def _sanitize(obj):
@@ -259,7 +265,7 @@ def cmd_solve(cfg):
             "residual": state.residual,
             "include_convection": not cfg["no_convection"],
             "scheme": cfg["scheme"],
-            "pressure_gauge": cfg["pressure_gauge"],
+            "pressure_gauge": "mean",
         },
         "transcript": state.transcript,
         "energy": report.to_dict(),

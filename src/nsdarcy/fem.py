@@ -13,6 +13,8 @@ penalized; constrained nodes simply have no degree of freedom.
 """
 
 import numpy as np
+from scipy.sparse import bmat, csc_matrix
+from scipy.sparse.linalg import splu
 
 from .mesh import GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges
 
@@ -28,6 +30,23 @@ class InterpolationError(Exception):
 
 class SingularLinearSystem(Exception):
     """A linear system that cannot be solved reliably; carries defect info."""
+
+
+def _factor(A, context):
+    """Sparse LU factor of ``A``; a singular ``A`` raises
+    SingularLinearSystem with ``context`` leading the message."""
+    A = csc_matrix(A)
+    # SuperLU can crash outright on rank-deficient inputs (e.g. unstable
+    # velocity/pressure pairings), so reject those before factorizing
+    from scipy.sparse.csgraph import structural_rank
+    if structural_rank(A) < A.shape[0]:
+        raise SingularLinearSystem(
+            f"{context}: structurally singular system "
+            "(rank-deficient discretization, e.g. an unstable element pair)")
+    try:
+        return splu(A)
+    except RuntimeError as exc:
+        raise SingularLinearSystem(f"{context}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -422,42 +441,6 @@ class CoupledSpace:
 
 
 # ---------------------------------------------------------------------------
-# interpolation onto the fluid velocity space
-# ---------------------------------------------------------------------------
-
-def scott_zhang_interpolate(space, values, tol=1e-10):
-    """Nodal interpolation onto the fluid velocity space.
-
-    ``values`` is a callable ``(x, y) -> (2,)`` or a per-node array of shape
-    (num_nodes, 2).  The realization is pointwise-nodal (boundary-averaged
-    variants coincide with it on continuous data); it reproduces discrete
-    fields exactly.  Data that does not vanish on gamma_f cannot be
-    represented and raises InterpolationError.
-    """
-    vd = space.velocity_degree
-    coords = space.node_coords(vd)
-    if callable(values):
-        vals = _evaluate(values, coords, (2,)).T
-    else:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (space.num_nodes(vd), 2):
-            raise InterpolationError(f"expected node values of shape "
-                                     f"({space.num_nodes(vd)}, 2), got {vals.shape}")
-    fluid_nodes = np.unique(space.tri_nodes(vd)[space.fluid_tris])
-    scale = max(1.0, float(np.abs(vals[fluid_nodes]).max(initial=0.0)))
-    fixed = fluid_nodes[space.u_node_dof[fluid_nodes] < 0]
-    worst = float(np.abs(vals[fixed]).max(initial=0.0))
-    if worst > tol * scale:
-        raise InterpolationError(
-            f"data does not vanish on gamma_f (max |v| = {worst:.3e}); "
-            "the constrained space cannot represent it")
-    coeffs = np.zeros(space.num_velocity_dofs)
-    free = fluid_nodes[space.u_node_dof[fluid_nodes] >= 0]
-    coeffs[space.u_node_dof[free, None] + np.arange(2)] = vals[free]
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
 # divergence-constrained lifting into the porous companion space
 # ---------------------------------------------------------------------------
 
@@ -509,8 +492,6 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
     result, not an error: the constraint then holds against mean-free test
     functions only.
     """
-    from scipy.sparse import bmat
-    from scipy.sparse.linalg import splu
     from . import assembly
 
     vals = trace_node_array(space, trace)
@@ -531,14 +512,8 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
     Ai, Di, gv = A[interior], Dt[:, interior], g[on_iface]
     K = bmat([[Ai[:, interior], Di.T], [Di, None]], format="csc")
     rhs = -np.concatenate([Ai[:, on_iface] @ gv, Dt[:, on_iface] @ gv])
-    try:
-        lu = splu(K)
-    except RuntimeError as exc:
-        raise SingularLinearSystem(
-            f"lifting saddle system is singular ({exc}); the porous "
-            "triangulation is too coarse for the divergence-constrained "
-            "extension") from exc
-    sol = lu.solve(rhs)
+    sol = _factor(K, "lifting saddle system (the porous triangulation may be "
+                  "too coarse)").solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularLinearSystem("lifting solve produced non-finite values")
 

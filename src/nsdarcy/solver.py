@@ -6,28 +6,23 @@ term.  Convection is assembled in skew-stabilized form; the fixed-point
 options are Picard (wind frozen), Newton, or Picard handing over to Newton
 once the residual is small.
 
-The pressure is determined only up to a constant.  The default gauge
-imposes zero mean through a Lagrange multiplier, which reproduces the
-Galerkin solution in the mean-free pressure space exactly.  The multiplier
-is eliminated instead of being appended as a dense row and column (which
-would wreck the fill-reducing ordering of the factorization): the
-unbordered operator A is factored once and solved for the right-hand side
-and for the mean vector m, giving y and z, and the solution is
-y - lam z with lam = (m . y) / (m . z).  A is invertible because mesh
-validation requires gamma_pd to have positive length, which fixes the
-head; m . z is nonzero exactly when the bordered system is nonsingular.
-Pinning a single pressure value is available as an alternative gauge, but
-with an open outflow boundary through the interface it perturbs the
-velocity at O(h) and degrades convergence orders; it exists for comparison
-experiments.
+The pressure is determined only up to a constant.  A Lagrange multiplier
+imposes zero mean, which reproduces the Galerkin solution in the mean-free
+pressure space exactly.  The multiplier is eliminated instead of being
+appended as a dense row and column (which would wreck the fill-reducing
+ordering of the factorization): the unbordered operator A is factored once
+and solved for the right-hand side and for the mean vector m, giving y and
+z, and the solution is y - lam z with lam = (m . y) / (m . z).  A is
+invertible because mesh validation requires gamma_pd to have positive
+length, which fixes the head; m . z is nonzero exactly when the bordered
+system is nonsingular.  Every linear system is solved by sparse LU.
 """
 
 import numpy as np
-from scipy.sparse import bmat, csc_matrix
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse import bmat
 
 from . import assembly
-from .fem import (SingularLinearSystem, _evaluate, discrete_lifting,
+from .fem import (SingularLinearSystem, _evaluate, _factor, discrete_lifting,
                   trace_node_array)
 from .mesh import FLUID, POROUS
 
@@ -59,25 +54,16 @@ class SolverConfig:
         falls below ``newton_switch_tol``, then Newton finishes.
     include_convection : bool
         False solves the linear Stokes-Darcy problem (one iteration).
-    linear_solver : "lu" or "gmres"
-        Direct sparse factorization, or restarted GMRES with an incomplete-LU
-        preconditioner.
-    pressure_gauge : "mean" or "pin"
     damping_factor : float
         Step damping applied to Picard after ``damping_trigger`` consecutive
         residual increases.
     """
 
     def __init__(self, tol=1e-10, max_iter=25, scheme="picard_then_newton",
-                 include_convection=True, linear_solver="lu",
-                 pressure_gauge="mean", damping_factor=0.7, damping_trigger=2,
-                 newton_switch_tol=1e-3):
+                 include_convection=True, damping_factor=0.7,
+                 damping_trigger=2, newton_switch_tol=1e-3):
         if scheme not in ("picard", "newton", "picard_then_newton"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if linear_solver not in ("lu", "gmres"):
-            raise ValueError(f"unknown linear_solver {linear_solver!r}")
-        if pressure_gauge not in ("mean", "pin"):
-            raise ValueError(f"unknown pressure_gauge {pressure_gauge!r}")
         if not 0 < damping_factor <= 1:
             raise ValueError("damping_factor must lie in (0, 1]")
         if not tol > 0:
@@ -88,8 +74,6 @@ class SolverConfig:
         self.max_iter = int(max_iter)
         self.scheme = scheme
         self.include_convection = bool(include_convection)
-        self.linear_solver = linear_solver
-        self.pressure_gauge = pressure_gauge
         self.damping_factor = float(damping_factor)
         self.damping_trigger = int(damping_trigger)
         self.newton_switch_tol = float(newton_switch_tol)
@@ -152,37 +136,10 @@ def _check_solution(x, residual, rhs, context):
             "severely ill-conditioned system")
 
 
-def _linear_solve(A, rhs, config, context):
+def _linear_solve(A, rhs, context):
     """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
-    with one factorization (or one preconditioner) of A."""
-    A = csc_matrix(A)
-    # SuperLU can crash outright on rank-deficient inputs (e.g. unstable
-    # velocity/pressure pairings), so reject those before factorizing
-    from scipy.sparse.csgraph import structural_rank
-    if structural_rank(A) < A.shape[0]:
-        raise SingularLinearSystem(
-            f"{context}: structurally singular system "
-            "(rank-deficient discretization, e.g. an unstable element pair)")
-    if config.linear_solver == "lu":
-        try:
-            x = splu(A).solve(rhs)
-        except RuntimeError as exc:
-            raise SingularLinearSystem(f"{context}: {exc}") from exc
-    else:
-        try:
-            ilu = spilu(A, drop_tol=1e-6, fill_factor=50)
-        except RuntimeError as exc:
-            raise SingularLinearSystem(f"{context}: {exc}") from exc
-        M = LinearOperator(A.shape, ilu.solve)
-
-        def krylov(b):
-            x, info = gmres(A, b, M=M, rtol=1e-12, atol=0.0, restart=300,
-                            maxiter=3000)
-            if info != 0:
-                raise SingularLinearSystem(
-                    f"{context}: GMRES stalled (info={info})")
-            return x
-        x = np.apply_along_axis(krylov, 0, rhs)
+    with one factorization of A."""
+    x = _factor(A, context).solve(rhs)
     _check_solution(x, A @ x - rhs, rhs, context)
     return x
 
@@ -238,9 +195,8 @@ class _System:
 
         The continuity equation holds against mean-free pressure tests only
         (a constant test function pairs with the net interface flux, which
-        need not vanish), so the continuity rows are projected accordingly:
-        with the mean gauge the component along the mean vector is removed,
-        with the pin gauge the pinned row is dropped.
+        need not vanish), so the component of the continuity rows along the
+        mean vector is removed.
         """
         space, cfg = self.space, self.config
         ue, pe, fe = self.expand(x)
@@ -251,11 +207,8 @@ class _System:
                                                  expanded=True) @ ue
         Fu = (Au - self.B.T @ pe + self.Cup @ fe)[self.iu]
         Fp = (self.B @ ue)[self.ip]
-        if cfg.pressure_gauge == "mean":
-            m = self.mean_vec
-            Fp = Fp - m * ((m @ Fp) / (m @ m))
-        else:
-            Fp[0] = 0.0
+        m = self.mean_vec
+        Fp = Fp - m * ((m @ Fp) / (m @ m))
         Fphi = (self.Adar @ fe - self.Cup.T @ ue)[self.iphi]
         return np.concatenate([Fu, Fp, Fphi]) - self.b
 
@@ -303,31 +256,21 @@ class _System:
         return A, rhs
 
     def gauge_and_solve(self, A, rhs, context):
-        """Solve the gauged system: with the mean gauge, the bordered system
-        [[A, m], [m^T, 0]] [x, lam] = [rhs, 0] by eliminating lam."""
-        cfg, space = self.config, self.space
-        if cfg.pressure_gauge == "mean":
-            m = np.zeros(A.shape[0])
-            m[space.offset_p:space.offset_phi] = self.mean_vec
-            y, z = _linear_solve(A, np.column_stack([rhs, m]), cfg, context).T
-            my, mz = m @ y, m @ z
-            if mz == 0 or not np.isfinite(my / mz):
-                raise SingularLinearSystem(
-                    f"{context}: singular mean-pressure constraint "
-                    f"(m . A^-1 m = {mz:.3e})")
-            lam = my / mz
-            x = y - lam * z
-            _check_solution(x, np.append(A @ x + lam * m - rhs, m @ x), rhs,
-                            context)
-            return x
-        # pin: replace the continuity row of the first pressure dof
-        A = A.tolil()
-        pin = space.offset_p
-        A.rows[pin] = [pin]
-        A.data[pin] = [1.0]
-        rhs = rhs.copy()
-        rhs[pin] = 0.0
-        return _linear_solve(A.tocsc(), rhs, cfg, context)
+        """Solve the bordered system [[A, m], [m^T, 0]] [x, lam] = [rhs, 0]
+        by eliminating lam."""
+        m = np.zeros(A.shape[0])
+        m[self.space.offset_p:self.space.offset_phi] = self.mean_vec
+        y, z = _linear_solve(A, np.column_stack([rhs, m]), context).T
+        my, mz = m @ y, m @ z
+        if mz == 0 or not np.isfinite(my / mz):
+            raise SingularLinearSystem(
+                f"{context}: singular mean-pressure constraint "
+                f"(m . A^-1 m = {mz:.3e})")
+        lam = my / mz
+        x = y - lam * z
+        _check_solution(x, np.append(A @ x + lam * m - rhs, m @ x), rhs,
+                        context)
+        return x
 
 
 def solve_coupled(space, params, config=None, dirichlet=None,
@@ -360,10 +303,7 @@ def solve_coupled(space, params, config=None, dirichlet=None,
             src = np.concatenate([src.u, src.p, src.phi])
         x = np.array(src, dtype=float)
         u, p, phi = space.split_state(x)
-        if config.pressure_gauge == "mean":
-            p[:] = project_zero_mean(space, p)
-        else:
-            p[:] = p - p[0]
+        p[:] = project_zero_mean(space, p)
 
     scale = max(sys.residual_scale(), 1e-300)
     transcript = []
@@ -449,11 +389,7 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
 
     Aii = A[interior][:, interior]
     rhs = -(A[interior][:, iface_mask] @ g[iface_mask])
-    try:
-        xi = splu(csc_matrix(Aii)).solve(rhs)
-    except RuntimeError as exc:
-        raise SingularLinearSystem(f"companion solve: {exc}") from exc
-    _check_solution(xi, Aii @ xi - rhs, rhs, "companion solve")
+    xi = _linear_solve(Aii, rhs, "companion solve")
     coeffs = g.copy()
     coeffs[interior] = xi
     return AuxResult(coeffs, float(sigma), wind_raw, lifting, trace_vals,

@@ -121,12 +121,13 @@ class TestEnergyReport:
             assert getattr(report, name) >= 0.0
         assert report.C_sq > 0.0
 
-    def test_energy_stable_under_refinement(self, params):
+    def test_energy_stable_under_refinement(self):
         mesh = build_rectangle_mesh(4, 8, 1.0)
         totals = []
         for _ in range(3):
             space = CoupledSpace(mesh)
-            local = params.rebind(mesh)
+            local = asm.ModelParams(mesh, nu=1.0, g_f=forcing_f,
+                                    g_p=forcing_p)
             state = slv.solve_coupled(space, local)
             rep = ana.verify_energy_estimate(space, local, state,
                                              with_inf_sup=False,
@@ -222,12 +223,13 @@ class TestCompensation:
                                     skew=True)
         assert comp.t_fluid == pytest.approx(skew, rel=1e-10, abs=1e-16)
 
-    def test_residual_decreases_under_refinement(self, params):
+    def test_residual_decreases_under_refinement(self):
         mesh = build_rectangle_mesh(4, 8, 1.0)
         residuals = []
         for _ in range(3):
             space = CoupledSpace(mesh)
-            local = params.rebind(mesh)
+            local = asm.ModelParams(mesh, nu=1.0, g_f=forcing_f,
+                                    g_p=forcing_p)
             state = slv.solve_coupled(space, local)
             residuals.append(
                 ana.compensation_residual(space, local, state=state).residual)

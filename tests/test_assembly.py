@@ -74,13 +74,6 @@ class TestModelParams:
         assert p.effective_sigma() == pytest.approx(0.25 * space.mesh.h)
         assert asm.ModelParams(space.mesh, nu=0.25, sigma=7.0).effective_sigma() == 7.0
 
-    def test_rebind(self, space):
-        p = asm.ModelParams(space.mesh, nu=1.0, K=lambda x, y: (1.0 + y) * np.eye(2))
-        fine = refine_uniform(space.mesh)
-        q = p.rebind(fine)
-        assert len(q.K_elems) == len(fine.porous_triangles())
-        assert q.nu == p.nu and q.G == p.G
-
 
 class TestStrain:
     def test_linear_field_oracle(self, space):

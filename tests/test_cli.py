@@ -311,11 +311,15 @@ class TestConfigHandling:
         assert payload["solver"]["iterations"] == 1
 
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", viscosity=2.0)
         out = tmp_path / "never"
-        assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_CONFIG
-        assert "unknown config keys: viscosity" in capsys.readouterr().err
-        assert not out.exists()
+        # the last two were solver options; their old defaults now fail too
+        for key, value in (("viscosity", 2.0), ("linear_solver", "lu"),
+                           ("pressure_gauge", "mean")):
+            cfg = write_config(tmp_path / "cfg.json", **{key: value})
+            assert run("solve", "--config", cfg,
+                       "--out", str(out)) == EXIT_CONFIG
+            assert f"unknown config keys: {key}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_malformed_json_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -328,9 +332,12 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("values", [
         {"nu": -3.0}, {"c_mult": "x"}, {"nu": "abc"}, {"tol": "x"},
-        {"sigma": "x"}, {"nu": None}],
+        {"sigma": "x"}, {"nu": None}, {"forcing": ["driven"]},
+        {"mesh": ["builtin:2x4"]}, {"no_convection": "false"},
+        {"vtk": "no"}],
         ids=["negative-nu", "string-c_mult", "string-nu", "string-tol",
-             "string-sigma", "null-nu"])
+             "string-sigma", "null-nu", "list-forcing", "list-mesh",
+             "string-no_convection", "string-vtk"])
     def test_invalid_parameter_leaves_no_outputs(self, tmp_path, capsys,
                                                  values):
         cfg = write_config(tmp_path / "cfg.json", **values)
@@ -338,6 +345,16 @@ class TestConfigHandling:
         assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
+    def test_output_directory_of_the_wrong_type(self, tmp_path, monkeypatch,
+                                                capsys, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", mesh="builtin:2x4",
+                           out=value)
+        assert run("solve", "--config", cfg) == EXIT_CONFIG
+        assert "out must be a string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("solve", "--config", str(tmp_path / "absent.json"),

@@ -1,4 +1,5 @@
-"""Quadrature, shape functions, dof bookkeeping, interpolation, lifting."""
+"""Quadrature, shape functions, dof bookkeeping, the guarded LU factor,
+lifting."""
 
 import math
 from math import factorial
@@ -9,9 +10,9 @@ import pytest
 from nsdarcy import assembly
 from nsdarcy.fem import (CoupledSpace, InterpolationError, LiftingResult,
                          QuadratureRule, SingularLinearSystem, SpaceError,
-                         _evaluate, discrete_lifting, edge_shape_values,
-                         scott_zhang_interpolate, shape_ref_grads, shape_values)
-from nsdarcy.mesh import FLUID, build_rectangle_mesh, refine_uniform
+                         _evaluate, _factor, discrete_lifting,
+                         edge_shape_values, shape_ref_grads, shape_values)
+from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
 
 
 def reference_monomial_integral(a, b):
@@ -217,55 +218,18 @@ class TestCoupledSpace:
             assert np.allclose(raw_d[n], (5.0, -1.0))
 
 
-class TestScottZhang:
-    def setup_method(self):
-        self.space = CoupledSpace(refine_uniform(build_rectangle_mesh(2, 4, 1.0)))
+class TestFactor:
+    def test_zero_row_is_structurally_singular(self):
+        A = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(SingularLinearSystem,
+                           match="^zero row: structurally singular"):
+            _factor(A, "zero row")
 
-    def test_reproduces_discrete_fields(self):
-        rng = np.random.default_rng(5)
-        co = rng.standard_normal(self.space.num_velocity_dofs)
-        raw = self.space.velocity_node_values(co)
-        back = scott_zhang_interpolate(self.space, raw)
-        assert np.array_equal(back, co)
-
-    def test_admissible_function(self):
-        f = lambda x, y: (x * (1 - x) * (y - 1) * (2 - y), 0.0)
-        co = scott_zhang_interpolate(self.space, f)
-        coords = self.space.node_coords(2)
-        raw = self.space.velocity_node_values(co)
-        fluid_nodes = np.unique(self.space.tri_nodes(2)[self.space.fluid_tris])
-        exact = np.array([f(x, y) for x, y in coords[fluid_nodes]])
-        assert np.abs(raw[fluid_nodes] - exact).max() < 1e-14
-
-    def test_rejects_nonvanishing_trace(self):
-        with pytest.raises(InterpolationError):
-            scott_zhang_interpolate(self.space, lambda x, y: (1.0, 0.0))
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(InterpolationError):
-            scott_zhang_interpolate(self.space, np.zeros((3, 2)))
-
-    def test_l2_convergence_is_cubic(self):
-        # nodal P2 interpolation of a smooth admissible field: L2 error ~ h^3
-        f = lambda x, y: (np.sin(np.pi * x) * (y - 1) * (2 - y) ** 2, 0.0)
-        errs = []
-        mesh = build_rectangle_mesh(2, 4, 1.0)
-        for _ in range(3):
-            space = CoupledSpace(mesh)
-            co = scott_zhang_interpolate(space, f)
-            raw = space.velocity_node_values(co)
-            rule = QuadratureRule.triangle(9)
-            vals = shape_values(2, rule.points)
-            _, nodes, _, _, _ = assembly._element_data(space, FLUID, 2, 9)
-            _, _, det, _ = assembly._geometry(space, FLUID)
-            W = rule.weights[None, :] * det[:, None]
-            X = assembly._quad_points(space, FLUID, 9)
-            uh = np.einsum('ql,elc->eqc', vals, raw[nodes])
-            ue = np.array([[f(x, y) for x, y in row] for row in X])
-            errs.append(np.sqrt(np.einsum('eqc,eqc,eq->', uh - ue, uh - ue, W)))
-            mesh = refine_uniform(mesh)
-        rates = np.log2(np.array(errs[:-1]) / errs[1:])
-        assert np.all(rates > 2.7)
+    def test_exactly_singular_factor_is_mapped(self):
+        # full structural rank, but SuperLU finds a zero pivot
+        with pytest.raises(SingularLinearSystem,
+                           match="^rank one: Factor is exactly singular"):
+            _factor(np.ones((2, 2)), "rank one")
 
 
 class TestDiscreteLifting:

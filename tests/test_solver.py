@@ -1,5 +1,5 @@
-"""Coupled solver behavior: trivial exact cases, scheme/gauge/solver-backend
-agreement, failure modes, and the porous companion solve."""
+"""Coupled solver behavior: trivial exact cases, scheme agreement, the
+mean-pressure gauge, failure modes, and the porous companion solve."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from scipy.sparse import bmat, csc_matrix
 from scipy.sparse.linalg import splu
 
 from nsdarcy import assembly as asm
+from nsdarcy import fem
 from nsdarcy import solver as slv
 from nsdarcy.fem import CoupledSpace, SingularLinearSystem
 from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
@@ -92,12 +93,6 @@ class TestNonlinearIteration:
                                                    max_iter=60))
         assert np.allclose(state.u, solution.u, atol=1e-8)
 
-    def test_gmres_backend_agrees_with_lu(self, space, params, solution):
-        state = slv.solve_coupled(space, params,
-                                  slv.SolverConfig(linear_solver="gmres"))
-        assert np.allclose(state.u, solution.u, atol=1e-8)
-        assert np.allclose(state.p, solution.p, atol=1e-8)
-
     def test_initial_state_does_not_change_small_data_solution(
             self, space, params, solution):
         rng = np.random.default_rng(7)
@@ -108,25 +103,6 @@ class TestNonlinearIteration:
     def test_mean_gauge_pressure_is_mean_free(self, space, solution):
         m = asm.pressure_mean_vector(space)
         assert abs(m @ solution.p) / m.sum() < 1e-12
-
-    def test_pin_gauge_semantics(self, space, params, solution):
-        # The net interface flux pairs with the constant pressure test, so
-        # the pin gauge (which drops one continuity row instead of removing
-        # the constant direction) solves a genuinely different problem: its
-        # velocity absorbs the whole flux incompatibility near the pinned
-        # vertex.  Assert the gauge's own contract, and that the deviation
-        # from the mean gauge stays at the incompatibility scale -- the
-        # reason mean is the default.
-        config = slv.SolverConfig(pressure_gauge="pin")
-        state = slv.solve_coupled(space, params, config)
-        assert state.converged
-        assert state.p[0] == 0.0
-        sys = slv._System(space, params, config, None, None)
-        ue = space.velocity_node_values(state.u).ravel()
-        continuity = (sys.B @ ue)[sys.ip]
-        assert np.linalg.norm(continuity[1:]) <= 1e-9
-        gap = np.abs(state.u - solution.u).max()
-        assert 0.0 < gap < 0.1 * max(np.abs(solution.u).max(), 1.0)
 
     def test_dirichlet_data_imposed_at_boundary_nodes(self, space):
         def lid(x, y):
@@ -166,10 +142,6 @@ class TestNonlinearIteration:
         with pytest.raises(ValueError):
             slv.SolverConfig(scheme="broyden")
         with pytest.raises(ValueError):
-            slv.SolverConfig(pressure_gauge="none")
-        with pytest.raises(ValueError):
-            slv.SolverConfig(linear_solver="cg")
-        with pytest.raises(ValueError):
             slv.SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             slv.SolverConfig(max_iter=0)
@@ -188,15 +160,12 @@ def _bordered_reference(sys, A, rhs):
 
 class TestMeanGauge:
     @pytest.mark.parametrize("mesh", ["space", "wavy_space"])
-    @pytest.mark.parametrize("linear_solver", ["lu", "gmres"])
     @pytest.mark.parametrize("newton", [False, True], ids=["picard", "newton"])
-    def test_elimination_matches_bordered_solve(self, request, mesh,
-                                                linear_solver, newton):
+    def test_elimination_matches_bordered_solve(self, request, mesh, newton):
         space = request.getfixturevalue(mesh)
         params = asm.ModelParams(space.mesh, nu=1.0, g_f=forcing_f,
                                  g_p=forcing_p)
-        config = slv.SolverConfig(linear_solver=linear_solver)
-        sys = slv._System(space, params, config, None, None)
+        sys = slv._System(space, params, slv.SolverConfig(), None, None)
         rng = np.random.default_rng(3)
         x0 = 0.1 * rng.standard_normal(space.num_total_dofs)
         A, rhs = sys.matrix_and_rhs(x0, newton)
@@ -214,7 +183,7 @@ class TestMeanGauge:
             shapes.append(A.shape)
             return splu(A, *args, **kwargs)
 
-        monkeypatch.setattr(slv, "splu", recording_splu)
+        monkeypatch.setattr(fem, "splu", recording_splu)
         state = slv.solve_coupled(space, params)
         n = space.num_total_dofs
         assert shapes == [(n, n)] * state.iterations
