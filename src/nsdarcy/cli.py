@@ -223,7 +223,11 @@ def _mesh_summary(mesh):
 
 def _outdir(cfg):
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: "
+                          f"{exc.strerror or exc}") from exc
     return out
 
 

@@ -18,6 +18,10 @@ from scipy.sparse.linalg import splu
 
 from .mesh import GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges
 
+# net interface flux of a lifting, relative to its data, above which the
+# lifting carries a warning
+LIFTING_FLUX_TOL = 1e-10
+
 
 class SpaceError(Exception):
     """Inconsistent discrete-space construction."""
@@ -479,7 +483,7 @@ def trace_node_array(space, trace):
     return arr
 
 
-def discrete_lifting(space, trace, flux_tol=1e-10):
+def discrete_lifting(space, trace):
     """Extend interface velocity data into the porous companion space.
 
     Minimizes the squared strain seminorm subject to the weak-divergence
@@ -488,9 +492,9 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
     zero values on the outer porous boundary.  ``trace`` is a callable
     ``(x, y) -> (2,)`` or an array aligned with ``space.interface_nodes``;
     it must vanish at interface endpoints (nodes shared with the outer
-    porous boundary).  Incompatible net flux is reported as a warning on the
-    result, not an error: the constraint then holds against mean-free test
-    functions only.
+    porous boundary).  Net flux above ``LIFTING_FLUX_TOL`` relative to the
+    data is reported as a warning on the result, not an error: the
+    constraint then holds against mean-free test functions only.
     """
     from . import assembly
 
@@ -530,7 +534,7 @@ def discrete_lifting(space, trace, flux_tol=1e-10):
 
     flux = float(np.asarray(D.sum(axis=0)).ravel() @ coeffs)
     warnings = []
-    if abs(flux) > flux_tol * scale:
+    if abs(flux) > LIFTING_FLUX_TOL * scale:
         warnings.append(
             f"interface data carries net flux {flux:.3e}; weak divergence "
             "constraint relaxed to mean-free test functions")

@@ -2,9 +2,13 @@
 
 The coupled block system couples fluid velocity/pressure with the porous
 head through a skew-symmetric interface pairing and the slip (friction)
-term.  Convection is assembled in skew-stabilized form; the fixed-point
-options are Picard (wind frozen), Newton, or Picard handing over to Newton
-once the residual is small.
+term.  Convection is assembled in skew-stabilized form.  Each iteration is
+a correction step J d = -F(x), x <- x + alpha d, where the velocity block
+V + C(u), assembled once per iterate, gives both F(x) and J.  Picard
+freezes the wind in J (the Oseen map of the existence proof); Newton adds
+the derivative of the convection in its wind.  Damping and the
+Picard-to-Newton switch are fixed: DAMPING_FACTOR = 0.7 after
+DAMPING_TRIGGER = 2 residual increases, NEWTON_SWITCH_TOL = 1e-3.
 
 The pressure is determined only up to a constant.  A Lagrange multiplier
 imposes zero mean, which reproduces the Galerkin solution in the mean-free
@@ -30,6 +34,11 @@ __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
            "SingularLinearSystem", "solve_coupled", "solve_auxiliary",
            "project_zero_mean"]
 
+# fixed iteration settings, see SolverConfig
+DAMPING_FACTOR = 0.7
+DAMPING_TRIGGER = 2
+NEWTON_SWITCH_TOL = 1e-3
+
 
 class NonConvergence(Exception):
     """An iteration missed its tolerance: the nonlinear solve (carries the
@@ -51,21 +60,17 @@ class SolverConfig:
     max_iter : int
     scheme : "picard", "newton", or "picard_then_newton"
         With the combined scheme, Picard runs until the relative residual
-        falls below ``newton_switch_tol``, then Newton finishes.
+        falls below ``NEWTON_SWITCH_TOL`` (1e-3), then Newton finishes.
+        Picard steps are scaled by ``DAMPING_FACTOR`` (0.7) after
+        ``DAMPING_TRIGGER`` (2) consecutive residual increases.
     include_convection : bool
         False solves the linear Stokes-Darcy problem (one iteration).
-    damping_factor : float
-        Step damping applied to Picard after ``damping_trigger`` consecutive
-        residual increases.
     """
 
     def __init__(self, tol=1e-10, max_iter=25, scheme="picard_then_newton",
-                 include_convection=True, damping_factor=0.7,
-                 damping_trigger=2, newton_switch_tol=1e-3):
+                 include_convection=True):
         if scheme not in ("picard", "newton", "picard_then_newton"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if not 0 < damping_factor <= 1:
-            raise ValueError("damping_factor must lie in (0, 1]")
         if not tol > 0:
             raise ValueError("tol must be positive")
         if int(max_iter) < 1:
@@ -74,9 +79,6 @@ class SolverConfig:
         self.max_iter = int(max_iter)
         self.scheme = scheme
         self.include_convection = bool(include_convection)
-        self.damping_factor = float(damping_factor)
-        self.damping_trigger = int(damping_trigger)
-        self.newton_switch_tol = float(newton_switch_tol)
 
 
 class CoupledState:
@@ -106,13 +108,11 @@ class CoupledState:
 class AuxResult:
     """Solution of the porous companion (Oseen) problem."""
 
-    def __init__(self, coeffs, sigma, wind_raw, lifting, trace_values,
-                 matrix, iface_mask):
+    def __init__(self, coeffs, sigma, wind_raw, lifting, matrix, iface_mask):
         self.coeffs = coeffs
         self.sigma = sigma
         self.wind_raw = wind_raw
         self.lifting = lifting
-        self.trace_values = trace_values
         self.matrix = matrix
         self.iface_mask = iface_mask
 
@@ -190,27 +190,27 @@ class _System:
         fe = space.head_node_values(phi)
         return ue, pe, fe
 
-    def residual(self, x):
-        """Nonlinear residual in free dofs.
+    def linearize(self, x):
+        """Velocity block V + C(u) at x, assembled once, and the nonlinear
+        residual F(x) in free dofs.
 
         The continuity equation holds against mean-free pressure tests only
         (a constant test function pairs with the net interface flux, which
         need not vanish), so the component of the continuity rows along the
         mean vector is removed.
         """
-        space, cfg = self.space, self.config
         ue, pe, fe = self.expand(x)
-        Au = self.V @ ue
-        if cfg.include_convection:
+        Auu = self.V
+        if self.config.include_convection:
             wind = ue.reshape(-1, 2)
-            Au = Au + assembly.convection_matrix(space, wind,
-                                                 expanded=True) @ ue
-        Fu = (Au - self.B.T @ pe + self.Cup @ fe)[self.iu]
+            Auu = Auu + assembly.convection_matrix(self.space, wind,
+                                                   expanded=True)
+        Fu = (Auu @ ue - self.B.T @ pe + self.Cup @ fe)[self.iu]
         Fp = (self.B @ ue)[self.ip]
         m = self.mean_vec
         Fp = Fp - m * ((m @ Fp) / (m @ m))
         Fphi = (self.Adar @ fe - self.Cup.T @ ue)[self.iphi]
-        return np.concatenate([Fu, Fp, Fphi]) - self.b
+        return Auu, np.concatenate([Fu, Fp, Fphi]) - self.b
 
     def residual_scale(self):
         """Magnitude of the problem data: loads plus the linear-operator
@@ -218,42 +218,26 @@ class _System:
         loads) still get a meaningful relative tolerance."""
         scale = np.linalg.norm(self.b)
         if self.dirichlet is not None:
-            space = self.space
             scale = max(scale,
                         np.linalg.norm((self.V @ self.u_dir)[self.iu]),
                         np.linalg.norm((self.B @ self.u_dir)[self.ip]),
                         np.linalg.norm((self.Cup.T @ self.u_dir)[self.iphi]))
         return scale
 
-    def matrix_and_rhs(self, x, newton):
-        """Free-dof linear system for one iteration, without the gauge.
-
-        Picard (newton=False): operator with frozen wind, right-hand side
-        the loads plus Dirichlet corrections; the solution is the next
-        iterate.  Newton: the Jacobian, to be used against -residual.
-        """
-        space, cfg = self.space, self.config
-        ue, _, _ = self.expand(x)
-        wind = ue.reshape(-1, 2)
-        Auu = self.V
-        if cfg.include_convection:
-            Auu = Auu + assembly.convection_matrix(space, wind, expanded=True)
-            if newton:
-                Auu = Auu + assembly.newton_convection_matrix(space, wind,
-                                                              expanded=True)
-        Auu_f = assembly.restrict(space, Auu, "velocity", "velocity")
-        A = bmat([[Auu_f, -self.Bf.T, self.Cf],
-                  [self.Bf, None, None],
-                  [-self.Cf.T, None, self.Df]], format="csr")
+    def jacobian(self, Auu, x, newton):
+        """Free-dof operator J of the correction step J d = -F(x), without
+        the gauge, from the velocity block ``Auu`` that ``linearize(x)``
+        returned: the frozen-wind (Picard) operator, or with ``newton`` the
+        Jacobian, which adds the derivative of the convection in its wind."""
+        space = self.space
         if newton:
-            rhs = -self.residual(x)
-        else:
-            rhs = self.b.copy()
-            corr_u = (Auu @ self.u_dir)[self.iu]
-            rhs[:space.offset_p] -= corr_u
-            rhs[space.offset_p:space.offset_phi] -= (self.B @ self.u_dir)[self.ip]
-            rhs[space.offset_phi:] += (self.Cup.T @ self.u_dir)[self.iphi]
-        return A, rhs
+            wind = self.expand(x)[0].reshape(-1, 2)
+            Auu = Auu + assembly.newton_convection_matrix(space, wind,
+                                                          expanded=True)
+        Auu_f = assembly.restrict(space, Auu, "velocity", "velocity")
+        return bmat([[Auu_f, -self.Bf.T, self.Cf],
+                     [self.Bf, None, None],
+                     [-self.Cf.T, None, self.Df]], format="csr")
 
     def gauge_and_solve(self, A, rhs, context):
         """Solve the bordered system [[A, m], [m^T, 0]] [x, lam] = [rhs, 0]
@@ -314,27 +298,27 @@ def solve_coupled(space, params, config=None, dirichlet=None,
     if not config.include_convection:
         scheme = "picard"  # single linear solve
 
+    Auu, F = sys.linearize(x)
     for it in range(1, config.max_iter + 1):
-        newton = scheme == "newton"
-        A, rhs = sys.matrix_and_rhs(x, newton)
-        step = sys.gauge_and_solve(A, rhs, f"coupled iteration {it}")
-        x_new = x + alpha * (step - x) if not newton else x + alpha * step
-        res = np.linalg.norm(sys.residual(x_new))
+        J = sys.jacobian(Auu, x, newton=scheme == "newton")
+        step = sys.gauge_and_solve(J, -F, f"coupled iteration {it}")
+        x = x + alpha * step
+        Auu, F = sys.linearize(x)
+        res = np.linalg.norm(F)
         transcript.append({"iteration": it, "scheme": scheme,
                            "residual": float(res), "alpha": float(alpha)})
-        x = x_new
         if res <= config.tol * scale or not config.include_convection:
             return CoupledState(*space.split_state(x), converged=True,
                                 iterations=it, residual=float(res),
                                 transcript=transcript, dirichlet=dirichlet)
         if res >= prev_res:
             increases += 1
-            if increases >= config.damping_trigger and scheme == "picard":
-                alpha = config.damping_factor
+            if increases >= DAMPING_TRIGGER and scheme == "picard":
+                alpha = DAMPING_FACTOR
         else:
             increases = 0
         if (config.scheme == "picard_then_newton" and scheme == "picard"
-                and res <= config.newton_switch_tol * scale):
+                and res <= NEWTON_SWITCH_TOL * scale):
             scheme = "newton"
             alpha = 1.0
         prev_res = res
@@ -392,5 +376,4 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
     xi = _linear_solve(Aii, rhs, "companion solve")
     coeffs = g.copy()
     coeffs[interior] = xi
-    return AuxResult(coeffs, float(sigma), wind_raw, lifting, trace_vals,
-                     A, iface_mask)
+    return AuxResult(coeffs, float(sigma), wind_raw, lifting, A, iface_mask)

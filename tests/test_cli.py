@@ -3,6 +3,7 @@ override rules between config files and flags."""
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -356,6 +357,27 @@ class TestConfigHandling:
         assert "out must be a string" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_empty_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("solve", "--mesh", "builtin:2x4",
+                   "--out", "") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "output directory ''" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_below_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
+        assert run("solve", "--mesh", "builtin:2x4",
+                   "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("solve", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "never")) == EXIT_CONFIG
@@ -438,9 +460,12 @@ class TestDeterminism:
 
 
 def test_console_script_is_installed(tmp_path):
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nsdarcy.cli", "mesh-info",
          "--mesh", "builtin:2x4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["num_vertices"] == 15

@@ -1,5 +1,8 @@
 """Coupled solver behavior: trivial exact cases, scheme agreement, the
-mean-pressure gauge, failure modes, and the porous companion solve."""
+correction step, the mean-pressure gauge, failure modes, and the porous
+companion solve."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from scipy.sparse import bmat, csc_matrix
 from scipy.sparse.linalg import splu
 
 from nsdarcy import assembly as asm
-from nsdarcy import fem
+from nsdarcy import fem, mms
 from nsdarcy import solver as slv
 from nsdarcy.fem import CoupledSpace, SingularLinearSystem
 from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
@@ -19,6 +22,10 @@ def forcing_f(x, y):
 
 def forcing_p(x, y):
     return np.sin(np.pi * x) * y
+
+
+def lid(x, y):
+    return (0.2 * (y - 1.0) * (2.0 - y), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +62,7 @@ class TestLinearRegime:
     def test_no_convection_equals_direct_linear_solve(self, space, params):
         config = slv.SolverConfig(include_convection=False)
         state = slv.solve_coupled(space, params, config)
-        sys = slv._System(space, params, config, None, None)
-        A, rhs = sys.matrix_and_rhs(np.zeros(space.num_total_dofs), newton=False)
-        direct = sys.gauge_and_solve(A, rhs, "direct")
+        direct = _bordered_reference(space, *_picard_system(space, params))
         stacked = np.concatenate([state.u, state.p, state.phi])
         assert np.allclose(stacked, direct, rtol=0.0, atol=1e-13)
 
@@ -66,7 +71,8 @@ class TestLinearRegime:
         sys = slv._System(space, params, config, None, None)
         x = np.concatenate([solution.u, solution.p, solution.phi])
         scale = np.linalg.norm(sys.b)
-        assert np.linalg.norm(sys.residual(x)) <= config.tol * scale
+        _, F = sys.linearize(x)
+        assert np.linalg.norm(F) <= config.tol * scale
 
 
 class TestNonlinearIteration:
@@ -105,9 +111,6 @@ class TestNonlinearIteration:
         assert abs(m @ solution.p) / m.sum() < 1e-12
 
     def test_dirichlet_data_imposed_at_boundary_nodes(self, space):
-        def lid(x, y):
-            return (0.2 * (y - 1.0) * (2.0 - y), 0.0)
-
         params = asm.ModelParams(space.mesh, nu=1.0)
         state = slv.solve_coupled(space, params, dirichlet=lid)
         u_raw = state.u_raw(space)
@@ -147,15 +150,84 @@ class TestNonlinearIteration:
             slv.SolverConfig(max_iter=0)
 
 
-def _bordered_reference(sys, A, rhs):
+def _bordered_reference(space, A, rhs):
     """Mean-gauge solution from the explicitly bordered system
     [[A, m], [m^T, 0]] [x, lam] = [rhs, 0]."""
     n = A.shape[0]
     m = np.zeros(n)
-    m[sys.space.offset_p:sys.space.offset_phi] = sys.mean_vec
+    m[space.offset_p:space.offset_phi] = asm.pressure_mean_vector(space)
     col = csc_matrix(m[:, None])
     bordered = bmat([[A, col], [col.T, None]], format="csc")
     return splu(bordered).solve(np.append(rhs, 0.0))[:n]
+
+
+def _picard_system(space, params, x=None, dirichlet=None):
+    """Direct form of one Picard step, built from the assembly builders: the
+    free-dof operator with the wind of x frozen (Stokes-Darcy when x is
+    None), and the loads less the operator image of the Dirichlet values.
+    Its mean-gauge solution is the next iterate."""
+    zero = np.zeros(space.num_velocity_dofs)
+    u_dir = space.velocity_node_values(zero, dirichlet).ravel()
+    Auu = (asm.strain_matrix(space, expanded=True, coefficient=2 * params.nu)
+           + asm.bjs_matrix(space, coefficient=params.G, expanded=True))
+    if x is not None:
+        u, _, _ = space.split_state(x)
+        wind = space.velocity_node_values(u, dirichlet)
+        Auu = Auu + asm.convection_matrix(space, wind, expanded=True)
+    B = asm.divergence_matrix(space, expanded=True)
+    Cup = asm.interface_coupling_matrix(space, expanded=True)
+    D = asm.darcy_matrix(space, params, expanded=True)
+    Bf = asm.restrict(space, B, "pressure", "velocity")
+    Cf = asm.restrict(space, Cup, "velocity", "head")
+    A = bmat([[asm.restrict(space, Auu, "velocity", "velocity"), -Bf.T, Cf],
+              [Bf, None, None],
+              [-Cf.T, None, asm.restrict(space, D, "head", "head")]],
+             format="csc")
+    lifted = np.concatenate([
+        (Auu @ u_dir)[asm.expanded_index(space, "velocity")],
+        (B @ u_dir)[asm.expanded_index(space, "pressure")],
+        -(Cup.T @ u_dir)[asm.expanded_index(space, "head")]])
+    return A, asm.load_vector(space, params) - lifted
+
+
+class TestCorrectionStep:
+    @pytest.mark.parametrize("mesh", ["space", "wavy_space"])
+    def test_picard_correction_equals_direct_picard_solve(self, request,
+                                                          mesh):
+        space = request.getfixturevalue(mesh)
+        params = asm.ModelParams(space.mesh, nu=1.0, g_f=forcing_f,
+                                 g_p=forcing_p)
+        sys = slv._System(space, params, slv.SolverConfig(), lid, None)
+        rng = np.random.default_rng(5)
+        x0 = 0.1 * rng.standard_normal(space.num_total_dofs)
+        _, p, _ = space.split_state(x0)
+        p[:] = slv.project_zero_mean(space, p)
+        Auu, F = sys.linearize(x0)
+        x1 = x0 + sys.gauge_and_solve(sys.jacobian(Auu, x0, False), -F,
+                                      "correction")
+        ref = _bordered_reference(space, *_picard_system(space, params, x0,
+                                                         lid))
+        assert np.linalg.norm(x1 - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("problem", ["default", "representable"])
+    def test_convection_assembled_once_per_iterate(self, space, params,
+                                                   monkeypatch, problem):
+        calls = Counter()
+        for name in ("convection_matrix", "newton_convection_matrix"):
+            def counting(*args, _name=name, _build=getattr(asm, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(asm, name, counting)
+        if problem == "default":
+            state = slv.solve_coupled(space, params)
+        else:
+            state = mms.representable_case().solve(space)
+        newton_rows = sum(row["scheme"] == "newton"
+                          for row in state.transcript)
+        assert newton_rows > 0
+        assert calls["convection_matrix"] == state.iterations + 1
+        assert calls["newton_convection_matrix"] == newton_rows
 
 
 class TestMeanGauge:
@@ -168,9 +240,10 @@ class TestMeanGauge:
         sys = slv._System(space, params, slv.SolverConfig(), None, None)
         rng = np.random.default_rng(3)
         x0 = 0.1 * rng.standard_normal(space.num_total_dofs)
-        A, rhs = sys.matrix_and_rhs(x0, newton)
+        Auu, F = sys.linearize(x0)
+        A, rhs = sys.jacobian(Auu, x0, newton), -F
         x = sys.gauge_and_solve(A, rhs, "equivalence")
-        ref = _bordered_reference(sys, A, rhs)
+        ref = _bordered_reference(space, A, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         _, p, _ = space.split_state(x)
         assert abs(sys.mean_vec @ p) <= 1e-13
@@ -190,7 +263,9 @@ class TestMeanGauge:
 
     def test_zero_mean_vector_is_a_singular_constraint(self, space, params):
         sys = slv._System(space, params, slv.SolverConfig(), None, None)
-        A, rhs = sys.matrix_and_rhs(np.zeros(space.num_total_dofs), False)
+        x0 = np.zeros(space.num_total_dofs)
+        Auu, F = sys.linearize(x0)
+        A, rhs = sys.jacobian(Auu, x0, False), -F
         sys.mean_vec = np.zeros_like(sys.mean_vec)
         with pytest.raises(SingularLinearSystem, match="mean-pressure"):
             sys.gauge_and_solve(A, rhs, "zero mean")
