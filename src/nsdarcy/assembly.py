@@ -26,14 +26,12 @@ once per evaluation site; a callable that only handles scalar coordinates
 is detected and evaluated point by point instead (``fem._evaluate``).
 """
 
-import functools
-
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .mesh import FLUID, POROUS
-from .fem import (QuadratureRule, _evaluate, edge_shape_values, shape_ref_grads,
-                  shape_values)
+from .fem import (QuadratureRule, _evaluate, _per_space, edge_shape_values,
+                  shape_ref_grads, shape_values)
 
 OPERATOR_DEGREE = 6
 LOAD_DEGREE = 9
@@ -134,18 +132,6 @@ def _region_tris(space, region):
     raise ValueError(f"unknown region tag {region}")
 
 
-def _per_space(fn):
-    """Memoize ``fn(space, *args)``, a result that belongs to the space, in
-    ``space._cache`` under the function name and the (hashable) arguments."""
-    @functools.wraps(fn)
-    def cached(space, *args):
-        key = (fn.__name__,) + args
-        if key not in space._cache:
-            space._cache[key] = fn(space, *args)
-        return space._cache[key]
-    return cached
-
-
 @_per_space
 def _geometry(space, region):
     tris = _region_tris(space, region)
@@ -234,6 +220,23 @@ def _scatter(L, rows, cols, shape):
     cols = np.broadcast_to(cols, L.shape)
     return coo_matrix((L.ravel(), (rows.ravel(), cols.ravel())),
                       shape=shape).tocsr()
+
+
+def _stored_sum(*mats):
+    """Sum of CSR matrices of one shape that stores every position any of
+    them stores: an exact cancellation stays an explicit zero, where the
+    sparse ``+`` drops it, so the sum's pattern does not follow rounding.
+    Matrices scattered over the same elements store the same pattern, and
+    their sum is the sum of their data arrays."""
+    first = mats[0]
+    if all(np.array_equal(m.indptr, first.indptr)
+           and np.array_equal(m.indices, first.indices) for m in mats[1:]):
+        return csr_matrix((sum(m.data for m in mats), first.indices,
+                           first.indptr), shape=first.shape)
+    coo = [m.tocoo() for m in mats]
+    return _scatter(np.concatenate([c.data for c in coo]),
+                    np.concatenate([c.row for c in coo]),
+                    np.concatenate([c.col for c in coo]), mats[0].shape)
 
 
 def _scatter_vv(L, nodes, dim):

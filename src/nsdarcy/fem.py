@@ -12,8 +12,10 @@ boundary for the companion space) are removed from the algebraic systems, not
 penalized; constrained nodes simply have no degree of freedom.
 """
 
+import functools
+
 import numpy as np
-from scipy.sparse import bmat, csc_matrix
+from scipy.sparse import bmat, csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .mesh import GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges
@@ -21,6 +23,10 @@ from .mesh import GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges
 # net interface flux of a lifting, relative to its data, above which the
 # lifting carries a warning
 LIFTING_FLUX_TOL = 1e-10
+
+# SuperLU keeps a diagonal pivot unless it is below this share of the
+# largest entry in its column
+PIVOT_THRESHOLD = 1e-3
 
 
 class SpaceError(Exception):
@@ -36,9 +42,73 @@ class SingularLinearSystem(Exception):
     """A linear system that cannot be solved reliably; carries defect info."""
 
 
-def _factor(A, context):
-    """Sparse LU factor of ``A``; a singular ``A`` raises
-    SingularLinearSystem with ``context`` leading the message."""
+def _splu(A, permc_spec):
+    return splu(A, permc_spec=permc_spec, diag_pivot_thresh=PIVOT_THRESHOLD,
+                options=dict(SymmetricMode=True))
+
+
+def _structural_diagonal(A):
+    """Mask of the rows of a CSR/CSC matrix that store their diagonal."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    has = np.zeros(A.shape[0], dtype=bool)
+    has[rows[A.indices == rows]] = True
+    return has
+
+
+def saddle_order(A):
+    """Symmetric fill-reducing order of a matrix with zero diagonal blocks.
+
+    A minimum-degree order of the stored pattern of A + A^T (explicit zeros
+    included), in which every unknown with a structurally zero diagonal
+    (pressures, multipliers) is moved to just after its last neighbour that
+    has a diagonal.  Factored in this order, the saddle matrix keeps its
+    pivots on the diagonal: each zero-diagonal unknown is eliminated after
+    the primal unknowns it couples to have filled its diagonal in.  SuperLU
+    exposes no ordering call, so the minimum-degree order is the column
+    order of a diagonally dominant SPD matrix with the same pattern.
+    Returns ``order``, the unknowns in elimination order.
+    """
+    A = csc_matrix(A)
+    T = csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    P = (T + T.T).tocsr()
+    P.data[:] = -1.0
+    spd = (P + diags(np.diff(P.indptr) + 1.0)).tocsc()
+    pos = _splu(spd, "MMD_AT_PLUS_A").perm_c  # position of each unknown
+    has_diag = _structural_diagonal(A)
+    # 1 + the position of the last neighbour with a diagonal, 0 for none
+    after = csr_matrix((np.where(has_diag[P.indices], pos[P.indices] + 1, 0),
+                        P.indices, P.indptr), shape=A.shape)
+    last = after.max(axis=1).toarray().ravel() - 1
+    key = np.where(has_diag | (last < 0), pos, last)
+    # ties: an unknown with a diagonal first, then the minimum-degree order
+    return np.lexsort((pos, ~has_diag, key))
+
+
+class _OrderedFactor:
+    """SuperLU factor of A[order][:, order] that solves with A."""
+
+    def __init__(self, lu, order):
+        self.lu = lu
+        self.order = order
+        self.nnz = lu.nnz
+
+    def solve(self, b):
+        x = np.empty(np.shape(b))
+        x[self.order] = self.lu.solve(np.asarray(b, dtype=float)[self.order])
+        return x
+
+
+def _factor(A, context, order=None):
+    """Sparse LU factor of ``A``, with ``.solve(b)`` for a vector or a 2-D
+    ``b``; a singular ``A`` raises SingularLinearSystem with ``context``
+    leading the message.
+
+    Every factorization prefers diagonal pivots (SuperLU's SymmetricMode
+    with threshold PIVOT_THRESHOLD) in a symmetric fill-reducing order: the
+    minimum-degree order of A + A^T when every diagonal is stored, and
+    otherwise ``order``, a ``saddle_order`` of a pattern that contains A's
+    (computed from A when not given).
+    """
     A = csc_matrix(A)
     # SuperLU can crash outright on rank-deficient inputs (e.g. unstable
     # velocity/pressure pairings), so reject those before factorizing
@@ -47,10 +117,26 @@ def _factor(A, context):
         raise SingularLinearSystem(
             f"{context}: structurally singular system "
             "(rank-deficient discretization, e.g. an unstable element pair)")
+    if order is None and not _structural_diagonal(A).all():
+        order = saddle_order(A)
     try:
-        return splu(A)
+        if order is None:
+            return _splu(A, "MMD_AT_PLUS_A")
+        return _OrderedFactor(_splu(A[order][:, order], "NATURAL"), order)
     except RuntimeError as exc:
         raise SingularLinearSystem(f"{context}: {exc}") from exc
+
+
+def _per_space(fn):
+    """Memoize ``fn(space, *args)``, a result that belongs to the space, in
+    ``space._cache`` under the function name and the (hashable) arguments."""
+    @functools.wraps(fn)
+    def cached(space, *args):
+        key = (fn.__name__,) + args
+        if key not in space._cache:
+            space._cache[key] = fn(space, *args)
+        return space._cache[key]
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +569,29 @@ def trace_node_array(space, trace):
     return arr
 
 
+@_per_space
+def _lifting_system(space):
+    """The factored lifting saddle matrix [[A_ii, D_i^T], [D_i, 0]], the
+    interface columns A_ig and D_g of its two block rows, and the weak
+    divergence pairing D; all belong to the space.  A is the companion
+    strain matrix, i and g are its interior and interface dofs, and the
+    lowest porous vertex leaves the multiplier space (D without its first
+    row)."""
+    from . import assembly
+
+    A = assembly._companion_strain(space)
+    D = assembly.aux_divergence_matrix(space)
+    Dt = D[1:]
+    on_iface = space.aux_interface_values(
+        np.zeros((len(space.interface_nodes), 2)))[1]
+    interior = ~on_iface
+    Ai, Di = A[interior], Dt[:, interior]
+    K = bmat([[Ai[:, interior], Di.T], [Di, None]], format="csc")
+    lu = _factor(K, "lifting saddle system (the porous triangulation may be "
+                 "too coarse)")
+    return lu, Ai[:, on_iface], Dt[:, on_iface], D
+
+
 def discrete_lifting(space, trace):
     """Extend interface velocity data into the porous companion space.
 
@@ -507,25 +616,19 @@ def discrete_lifting(space, trace):
             f"interface data must vanish at interface endpoints "
             f"(max |v| = {worst:.3e})")
 
-    A = assembly._companion_strain(space)
-    D = assembly.aux_divergence_matrix(space)
-
+    lu, Ag, Dg, D = _lifting_system(space)
     g, on_iface = space.aux_interface_values(vals)
-    interior = ~on_iface
-    Dt = D[1:]  # the lowest porous vertex leaves the multiplier space
-    Ai, Di, gv = A[interior], Dt[:, interior], g[on_iface]
-    K = bmat([[Ai[:, interior], Di.T], [Di, None]], format="csc")
-    rhs = -np.concatenate([Ai[:, on_iface] @ gv, Dt[:, on_iface] @ gv])
-    sol = _factor(K, "lifting saddle system (the porous triangulation may be "
-                  "too coarse)").solve(rhs)
+    gv = g[on_iface]
+    sol = lu.solve(-np.concatenate([Ag @ gv, Dg @ gv]))
     if not np.all(np.isfinite(sol)):
         raise SingularLinearSystem("lifting solve produced non-finite values")
 
     coeffs = g.copy()
-    coeffs[interior] = sol[:interior.sum()]
+    coeffs[~on_iface] = sol[:Ag.shape[0]]
 
-    pair = Dt @ coeffs
+    pair = (D @ coeffs)[1:]
     constraint_residual = float(np.abs(pair).max(initial=0.0))
+    A = assembly._companion_strain(space)
     sys_scale = max(1.0, float(np.abs(A @ coeffs).max(initial=0.0)))
     if constraint_residual > 1e-6 * sys_scale:
         raise SingularLinearSystem(

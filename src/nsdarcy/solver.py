@@ -19,7 +19,17 @@ and solved for the right-hand side and for the mean vector m, giving y and
 z, and the solution is y - lam z with lam = (m . y) / (m . z).  A is
 invertible because mesh validation requires gamma_pd to have positive
 length, which fixes the head; m . z is nonzero exactly when the bordered
-system is nonsingular.  Every linear system is solved by sparse LU.
+system is nonsingular.
+
+Every linear system is solved by sparse LU (``fem._factor``) with diagonal
+pivoting in a symmetric fill-reducing order.  The coupled operator has a
+zero pressure block, so its order is a saddle order: minimum degree, with
+every pressure moved to just after its last velocity neighbour, where
+elimination has filled its diagonal in.  It is computed once per space from
+a pattern that contains the operator of every iterate, Picard or Newton,
+and every dataset; the Jacobian stores that pattern whatever the iterate
+(exact cancellations stay as explicit zeros), so the fill does not depend
+on rounding.
 """
 
 import numpy as np
@@ -27,7 +37,7 @@ from scipy.sparse import bmat
 
 from . import assembly
 from .fem import (SingularLinearSystem, _evaluate, _factor, discrete_lifting,
-                  trace_node_array)
+                  saddle_order, trace_node_array)
 from .mesh import FLUID, POROUS
 
 __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
@@ -136,10 +146,10 @@ def _check_solution(x, residual, rhs, context):
             "severely ill-conditioned system")
 
 
-def _linear_solve(A, rhs, context):
+def _linear_solve(A, rhs, context, order=None):
     """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
-    with one factorization of A."""
-    x = _factor(A, context).solve(rhs)
+    with one factorization of A (in ``order``, see ``fem._factor``)."""
+    x = _factor(A, context, order).solve(rhs)
     _check_solution(x, A @ x - rhs, rhs, context)
     return x
 
@@ -154,6 +164,22 @@ def _space_blocks(space):
             assembly.interface_coupling_matrix(space, expanded=True))
 
 
+@assembly._per_space
+def _coupled_order(space):
+    """Saddle order of every coupled operator on the space, from a pattern
+    that contains each of them: the expanded strain matrix stores every
+    velocity pair of a fluid triangle (zeros included), which covers the
+    slip, convection and Newton blocks, and the pattern of the Darcy block
+    does not depend on the permeability."""
+    S, B, Cup = _space_blocks(space)
+    Sf = assembly.restrict(space, S, "velocity", "velocity")
+    Bf = assembly.restrict(space, B, "pressure", "velocity")
+    Cf = assembly.restrict(space, Cup, "velocity", "head")
+    Df = assembly.darcy_matrix(space, assembly.ModelParams(space.mesh, nu=1.0))
+    return saddle_order(bmat([[Sf, Bf.T, Cf], [Bf, None, None],
+                              [Cf.T, None, Df]], format="csc"))
+
+
 class _System:
     """Expanded blocks of the coupled operator on one space, and the
     free-dof blocks that stay fixed over the iteration."""
@@ -164,9 +190,10 @@ class _System:
         self.config = config
         self.dirichlet = dirichlet
         S, self.B, self.Cup = _space_blocks(space)
-        self.V = (2 * params.nu * S
-                  + assembly.bjs_matrix(space, coefficient=params.G,
-                                        expanded=True))
+        # stored on the pattern of S, which the convection blocks share
+        self.V = assembly._stored_sum(
+            2 * params.nu * S,
+            assembly.bjs_matrix(space, coefficient=params.G, expanded=True))
         self.Adar = assembly.darcy_matrix(space, params, expanded=True)
         self.Bf = assembly.restrict(space, self.B, "pressure", "velocity")
         self.Cf = assembly.restrict(space, self.Cup, "velocity", "head")
@@ -180,6 +207,7 @@ class _System:
         self.mean_vec = assembly.pressure_mean_vector(space)
         self.u_dir = space.velocity_node_values(
             np.zeros(space.num_velocity_dofs), dirichlet).ravel()
+        self.order = _coupled_order(space)
 
     def expand(self, x):
         space = self.space
@@ -191,8 +219,9 @@ class _System:
         return ue, pe, fe
 
     def linearize(self, x):
-        """Velocity block V + C(u) at x, assembled once, and the nonlinear
-        residual F(x) in free dofs.
+        """Velocity block V + C(u) at x, assembled once (storing every
+        position of C, zeros included), and the nonlinear residual F(x) in
+        free dofs.
 
         The continuity equation holds against mean-free pressure tests only
         (a constant test function pairs with the net interface flux, which
@@ -203,8 +232,9 @@ class _System:
         Auu = self.V
         if self.config.include_convection:
             wind = ue.reshape(-1, 2)
-            Auu = Auu + assembly.convection_matrix(self.space, wind,
-                                                   expanded=True)
+            Auu = assembly._stored_sum(
+                Auu, assembly.convection_matrix(self.space, wind,
+                                                expanded=True))
         Fu = (Auu @ ue - self.B.T @ pe + self.Cup @ fe)[self.iu]
         Fp = (self.B @ ue)[self.ip]
         m = self.mean_vec
@@ -228,12 +258,14 @@ class _System:
         """Free-dof operator J of the correction step J d = -F(x), without
         the gauge, from the velocity block ``Auu`` that ``linearize(x)``
         returned: the frozen-wind (Picard) operator, or with ``newton`` the
-        Jacobian, which adds the derivative of the convection in its wind."""
+        Jacobian, which adds the derivative of the convection in its wind.
+        Its stored pattern does not depend on the iterate."""
         space = self.space
         if newton:
             wind = self.expand(x)[0].reshape(-1, 2)
-            Auu = Auu + assembly.newton_convection_matrix(space, wind,
-                                                          expanded=True)
+            Auu = assembly._stored_sum(
+                Auu, assembly.newton_convection_matrix(space, wind,
+                                                       expanded=True))
         Auu_f = assembly.restrict(space, Auu, "velocity", "velocity")
         return bmat([[Auu_f, -self.Bf.T, self.Cf],
                      [self.Bf, None, None],
@@ -244,7 +276,8 @@ class _System:
         by eliminating lam."""
         m = np.zeros(A.shape[0])
         m[self.space.offset_p:self.space.offset_phi] = self.mean_vec
-        y, z = _linear_solve(A, np.column_stack([rhs, m]), context).T
+        y, z = _linear_solve(A, np.column_stack([rhs, m]), context,
+                             self.order).T
         my, mz = m @ y, m @ z
         if mz == 0 or not np.isfinite(my / mz):
             raise SingularLinearSystem(

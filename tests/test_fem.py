@@ -6,8 +6,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from nsdarcy import assembly
+from nsdarcy import assembly, fem
 from nsdarcy.fem import (CoupledSpace, InterpolationError, LiftingResult,
                          QuadratureRule, SingularLinearSystem, SpaceError,
                          _evaluate, _factor, discrete_lifting,
@@ -244,6 +245,24 @@ class TestDiscreteLifting:
         coords = self.space.node_coords(2)[self.space.interface_nodes]
         exact = np.array([trace(x, y) for x, y in coords])
         assert np.abs(raw[self.space.interface_nodes] - exact).max() == 0.0
+
+    def test_saddle_is_factored_once_per_space(self, monkeypatch):
+        shapes = []
+
+        def recording_splu(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", recording_splu)
+        traces = (lambda x, y: (x * (1 - x), 0.0),
+                  lambda x, y: (0.0, x * (1 - x)))
+        results = [discrete_lifting(self.space, t) for t in traces]
+        # the ordering factorization and the saddle factor, both once
+        assert len(shapes) == 2 and shapes[0] == shapes[1]
+        fresh = CoupledSpace(self.space.mesh)
+        for res, trace in zip(results, traces):
+            assert np.array_equal(res.coeffs,
+                                  discrete_lifting(fresh, trace).coeffs)
 
     def test_weak_divergence_constraint(self):
         res = discrete_lifting(self.space, lambda x, y: (x * (1 - x), 0.0))

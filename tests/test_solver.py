@@ -11,6 +11,7 @@ from scipy.sparse.linalg import splu
 
 from nsdarcy import assembly as asm
 from nsdarcy import fem, mms
+from nsdarcy.cli import FORCINGS, _scaled
 from nsdarcy import solver as slv
 from nsdarcy.fem import CoupledSpace, SingularLinearSystem
 from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
@@ -141,6 +142,23 @@ class TestNonlinearIteration:
         with pytest.raises(SingularLinearSystem):
             slv.solve_coupled(space, params)
 
+    @pytest.mark.parametrize("cells, amplitude, nu, picard_steps", [
+        ((16, 32), 5.0, 0.1, 11),
+        ((8, 16), 5.0, 0.1, 12),
+        ((16, 32), 2.0, 0.05, 7),
+    ])
+    def test_large_data_converges_with_a_fixed_switch_point(
+            self, cells, amplitude, nu, picard_steps):
+        # uniqueness numbers 110-159, far from small data: the regime of
+        # the a priori estimate without a smallness condition
+        space = CoupledSpace(build_rectangle_mesh(*cells, 1.0))
+        g_f, g_p = (_scaled(fn, amplitude) for fn in FORCINGS["driven"])
+        params = asm.ModelParams(space.mesh, nu=nu, g_f=g_f, g_p=g_p)
+        state = slv.solve_coupled(space, params)
+        assert state.converged
+        assert ([row["scheme"] for row in state.transcript]
+                == ["picard"] * picard_steps + ["newton"] * 2)
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             slv.SolverConfig(scheme="broyden")
@@ -249,7 +267,7 @@ class TestMeanGauge:
         assert abs(sys.mean_vec @ p) <= 1e-13
 
     def test_factors_the_unbordered_operator_once_per_iteration(
-            self, space, params, monkeypatch):
+            self, params, monkeypatch):
         shapes = []
 
         def recording_splu(A, *args, **kwargs):
@@ -257,8 +275,13 @@ class TestMeanGauge:
             return splu(A, *args, **kwargs)
 
         monkeypatch.setattr(fem, "splu", recording_splu)
-        state = slv.solve_coupled(space, params)
+        space = CoupledSpace(params.mesh)  # no saddle order computed yet
         n = space.num_total_dofs
+        state = slv.solve_coupled(space, params)
+        # the ordering factorization of the space, then one per iteration
+        assert shapes == [(n, n)] * (state.iterations + 1)
+        shapes.clear()
+        state = slv.solve_coupled(space, params)
         assert shapes == [(n, n)] * state.iterations
 
     def test_zero_mean_vector_is_a_singular_constraint(self, space, params):
