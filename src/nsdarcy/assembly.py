@@ -2,11 +2,12 @@
 
 Matrix builders assemble in an *expanded* numbering first: every geometric
 node of the relevant scalar space carries its degrees of freedom (two
-interleaved components for vector fields), whether or not it is free.  The
-expanded form makes inhomogeneous Dirichlet data a plain matrix-vector
-product.  By default builders return the restriction to free dofs in the
-ordering of the CoupledSpace maps; pass ``expanded=True`` for the full
-matrix.
+interleaved components for vector fields), whether or not it is free, so
+node n holds positions ``width * n + component``.  The expanded form makes
+inhomogeneous Dirichlet data a plain matrix-vector product.  By default
+builders return the restriction to free dofs; the position of each free dof
+is the ``index`` of its field in the one field table ``CoupledSpace.fields``
+(``expanded_index``).  Pass ``expanded=True`` for the full matrix.
 
 Per-node *raw value* arrays -- shape (num_nodes, 2) for vector fields,
 (num_nodes,) for scalars -- are the lingua franca of the functional
@@ -74,11 +75,11 @@ class ModelParams:
 
     def __init__(self, mesh, nu, K=1.0, G=1.0, sigma=None, g_f=None, g_p=None):
         if not (np.isfinite(nu) and nu > 0):
-            raise ParameterError(f"viscosity must be positive, got {nu}")
+            raise ParameterError(f"viscosity nu must be positive, got {nu}")
         if not (np.isfinite(G) and G > 0):
-            raise ParameterError(f"slip coefficient must be positive, got {G}")
+            raise ParameterError(f"slip coefficient G must be positive, got {G}")
         if sigma is not None and not (np.isfinite(sigma) and sigma > 0):
-            raise ParameterError(f"companion viscosity must be positive, got {sigma}")
+            raise ParameterError(f"companion viscosity sigma must be positive, got {sigma}")
         self.mesh = mesh
         self.nu = float(nu)
         self.G = float(G)
@@ -184,22 +185,10 @@ def _edge_data(space, quad_degree):
             space.iface_lengths[:, None] * rule.weights, points)
 
 
-@_per_space
 def expanded_index(space, kind):
-    """Map free dofs of a field to their expanded-numbering positions."""
-    node_dofs = {"velocity": (space.u_node_dof, 2),
-                 "aux": (space.aux_node_dof, 2),
-                 "pressure": (space.p_vertex_dof, 1),
-                 "head": (space.phi_node_dof, 1),
-                 "porous_vertex": (space.porous_vertex_row, 1)}
-    if kind not in node_dofs:
-        raise ValueError(f"unknown field kind {kind!r}")
-    node_dof, width = node_dofs[kind]
-    nodes = np.flatnonzero(node_dof >= 0)
-    idx = np.empty(width * len(nodes), dtype=np.int64)
-    for c in range(width):
-        idx[node_dof[nodes] + c] = width * nodes + c
-    return idx
+    """Expanded-numbering position of each free dof of a field, read from
+    the field table of the space."""
+    return space.fields[kind].index
 
 
 def restrict(space, A, row_kind, col_kind):

@@ -13,12 +13,13 @@ penalized; constrained nodes simply have no degree of freedom.
 """
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import bmat, csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .mesh import GAMMA_F, GAMMA_PD, GAMMA_PN, _unique_edges
+from .mesh import GAMMA_F, GAMMA_PD
 
 # net interface flux of a lifting, relative to its data, above which the
 # lifting carries a warning
@@ -307,14 +308,34 @@ def _evaluate(func, points, shape=()):
 # coupled space
 # ---------------------------------------------------------------------------
 
+class Field(NamedTuple):
+    """Numbering of one discrete field: ``node_dof[n]`` is the first of the
+    ``width`` dofs of node n (-1 for a node without dofs), ``index[d]`` is
+    the expanded position ``width * node + component`` of dof d, and
+    ``fixed`` lists the constrained nodes of the field's region."""
+
+    node_dof: np.ndarray
+    width: int
+    index: np.ndarray
+    fixed: np.ndarray
+
+
 class CoupledSpace:
     """Degree-of-freedom bookkeeping for the coupled discrete spaces.
 
-    Blocks of the coupled system, in order: fluid velocity (two interleaved
-    components per free node), fluid pressure (all fluid vertices; the
-    zero-mean gauge is handled by the solver), porous head (free porous
-    nodes).  The porous companion velocity space has its own numbering and is
-    not part of the coupled block vector.
+    One table, ``fields``, numbers every discrete field by one rule: the
+    nodes of the field's region that are not on its constrained boundary,
+    in node order, carry ``width`` consecutive dofs each (two interleaved
+    components for vector fields).  The fields are the fluid velocity
+    ("velocity", fixed on gamma_f), the pressure ("pressure", every fluid
+    vertex; the zero-mean gauge is handled by the solver), the porous head
+    ("head", fixed on gamma_pd), the porous companion velocity ("aux",
+    fixed on the outer porous boundary, free on the interface) and the
+    multiplier space of the lifting ("porous_vertex", every porous vertex).
+    Blocks of the coupled system, in order: velocity, pressure, head.  The
+    companion velocity has its own numbering and is not part of the coupled
+    block vector.  ``node_values`` turns free coefficients of any field into
+    per-node values.  The P2 node of mesh edge e is ``num_vertices + e``.
 
     Parameters
     ----------
@@ -335,63 +356,30 @@ class CoupledSpace:
         self.velocity_degree = velocity_degree
         self.head_degree = head_degree
 
-        self.edges, self.tri_to_edge = _unique_edges(mesh.triangles)
         nv = mesh.num_vertices
-        mids = 0.5 * (mesh.vertices[self.edges[:, 0]] + mesh.vertices[self.edges[:, 1]])
+        mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         self._coords = {1: mesh.vertices, 2: np.vstack([mesh.vertices, mids])}
         self._tri_nodes = {1: mesh.triangles,
-                           2: np.column_stack([mesh.triangles, nv + self.tri_to_edge])}
-        self._edge_index = {tuple(e): i for i, e in enumerate(self.edges)}
+                           2: np.column_stack([mesh.triangles, nv + mesh.tri_to_edge])}
 
         self.fluid_tris = mesh.fluid_triangles()
         self.porous_tris = mesh.porous_triangles()
 
-        bed = np.sort(mesh.boundary_edges, axis=1)
-        btag = mesh.boundary_tags
-        gamma_f_edges = bed[btag == GAMMA_F]
-        gamma_pd_edges = bed[btag == GAMMA_PD]
-        gamma_p_edges = bed[np.isin(btag, (GAMMA_PD, GAMMA_PN))]
-
+        bed, btag = mesh.boundary_edges, mesh.boundary_tags
         vd, hd = velocity_degree, head_degree
-        fluid_nodes = np.unique(self._tri_nodes[vd][self.fluid_tris])
-        porous_nodes_v = np.unique(self._tri_nodes[vd][self.porous_tris])
-        porous_nodes_h = np.unique(self._tri_nodes[hd][self.porous_tris])
-
-        on_gamma_f = self._nodes_on(gamma_f_edges, vd)
-        on_gamma_p = self._nodes_on(gamma_p_edges, vd)
-        on_gamma_pd_h = self._nodes_on(gamma_pd_edges, hd)
-
-        # fluid velocity: 2 dofs per free fluid node, x at 2k, y at 2k+1
-        self.u_node_dof = np.full(self.num_nodes(vd), -1, dtype=np.int64)
-        free = fluid_nodes[~on_gamma_f[fluid_nodes]]
-        self.u_node_dof[free] = 2 * np.arange(len(free))
-        self.num_velocity_dofs = 2 * len(free)
-
-        # pressure: P1 on all fluid vertices
-        fluid_verts = np.unique(mesh.triangles[self.fluid_tris])
-        self.p_vertex_dof = np.full(nv, -1, dtype=np.int64)
-        self.p_vertex_dof[fluid_verts] = np.arange(len(fluid_verts))
-        self.num_pressure_dofs = len(fluid_verts)
-
-        # head: free porous nodes (gamma_pd removed)
-        self.phi_node_dof = np.full(self.num_nodes(hd), -1, dtype=np.int64)
-        free_h = porous_nodes_h[~on_gamma_pd_h[porous_nodes_h]]
-        self.phi_node_dof[free_h] = np.arange(len(free_h))
-        self.num_head_dofs = len(free_h)
-
-        # companion velocity on the porous side: zero on gamma_pd+gamma_pn,
-        # free on the interface
-        self.aux_node_dof = np.full(self.num_nodes(vd), -1, dtype=np.int64)
-        free_a = porous_nodes_v[~on_gamma_p[porous_nodes_v]]
-        self.aux_node_dof[free_a] = 2 * np.arange(len(free_a))
-        self.num_aux_dofs = 2 * len(free_a)
-
-        # porous P1 vertices: multiplier space for the weak-divergence
-        # constraint of the lifting
-        porous_verts = np.unique(mesh.triangles[self.porous_tris])
-        self.porous_vertex_row = np.full(nv, -1, dtype=np.int64)
-        self.porous_vertex_row[porous_verts] = np.arange(len(porous_verts))
-        self.num_porous_vertices = len(porous_verts)
+        unconstrained = bed[:0]
+        # (degree, region, constrained boundary edges, dofs per node)
+        layout = {"velocity": (vd, self.fluid_tris, bed[btag == GAMMA_F], 2),
+                  "pressure": (1, self.fluid_tris, unconstrained, 1),
+                  "head": (hd, self.porous_tris, bed[btag == GAMMA_PD], 1),
+                  "aux": (vd, self.porous_tris, bed[btag != GAMMA_F], 2),
+                  "porous_vertex": (1, self.porous_tris, unconstrained, 1)}
+        self.fields = {kind: self._number(*spec) for kind, spec in layout.items()}
+        self.u_node_dof = self.fields["velocity"].node_dof
+        self.aux_node_dof = self.fields["aux"].node_dof
+        (self.num_velocity_dofs, self.num_pressure_dofs, self.num_head_dofs,
+         self.num_aux_dofs, self.num_porous_vertices) = (
+            len(self.fields[kind].index) for kind in layout)
 
         self.offset_u = 0
         self.offset_p = self.num_velocity_dofs
@@ -417,23 +405,25 @@ class CoupledSpace:
         """Dimension of the zero-mean pressure space."""
         return self.num_pressure_dofs - 1
 
-    def _nodes_on(self, edge_list, degree):
-        marks = np.zeros(self.num_nodes(degree), dtype=bool)
-        if len(edge_list):
-            marks[np.asarray(edge_list).ravel()] = True
-            if degree == 2:
-                nv = self.mesh.num_vertices
-                for a, b in edge_list:
-                    marks[nv + self._edge_index[(a, b)]] = True
-        return marks
+    def _number(self, degree, tris, fixed_edges, width):
+        """The numbering rule: the free nodes of the region, in node order,
+        get ``width`` consecutive dofs each."""
+        nodes = np.unique(self._tri_nodes[degree][tris])
+        on = np.zeros(self.num_nodes(degree), dtype=bool)
+        on[fixed_edges.ravel()] = True
+        if degree == 2:
+            on[self.mesh.num_vertices + self.mesh.edge_ids(fixed_edges)] = True
+        free = nodes[~on[nodes]]
+        node_dof = np.full(len(on), -1, dtype=np.int64)
+        node_dof[free] = width * np.arange(len(free))
+        return Field(node_dof, width, (width * free[:, None] + np.arange(width)).ravel(),
+                     nodes[on[nodes]])
 
     def _build_interface_data(self):
         mesh = self.mesh
         vd = self.velocity_degree
         ends = mesh.interface_edges
-        mids = mesh.num_vertices + np.array(
-            [self._edge_index[tuple(sorted(e))] for e in ends.tolist()],
-            dtype=np.int64)
+        mids = mesh.num_vertices + mesh.edge_ids(ends)
         with_mids = np.column_stack([ends, mids])
         self.iface_edge_nodes = with_mids if vd == 2 else ends
         self.iface_edge_head_nodes = with_mids if self.head_degree == 2 else ends
@@ -464,33 +454,34 @@ class CoupledSpace:
 
     # -- value plumbing -----------------------------------------------------
 
-    def velocity_node_values(self, coeffs, dirichlet=None):
-        """Expand fluid-velocity coefficients to per-node values, (nn, 2).
+    def node_values(self, kind, coeffs):
+        """Per-node values of field ``kind`` from its free coefficients:
+        (nn, 2) for a vector field, (nn,) for a scalar one, zero at nodes
+        without dofs."""
+        field = self.fields[kind]
+        vals = np.zeros(field.width * len(field.node_dof))
+        vals[field.index] = coeffs
+        return vals.reshape(-1, 2) if field.width == 2 else vals
 
-        Constrained nodes take ``dirichlet`` values (a callable of the node
-        coordinates) when given, otherwise zero.  Nodes outside the fluid
-        subdomain are zero.
-        """
-        vals = self._vector_values(self.u_node_dof, coeffs)
+    def velocity_node_values(self, coeffs, dirichlet=None):
+        """Fluid-velocity values per node, (nn, 2); constrained fluid nodes
+        take ``dirichlet`` values (a callable of the node coordinates) when
+        given, otherwise zero."""
+        vals = self.node_values("velocity", coeffs)
         if dirichlet is not None:
-            fluid_nodes = np.unique(self.tri_nodes(self.velocity_degree)[self.fluid_tris])
-            fixed = fluid_nodes[self.u_node_dof[fluid_nodes] < 0]
+            fixed = self.fields["velocity"].fixed
             coords = self.node_coords(self.velocity_degree)[fixed]
             vals[fixed] = _evaluate(dirichlet, coords, (2,)).T
         return vals
 
     def aux_node_values(self, coeffs):
-        """Expand companion-velocity coefficients to per-node values, (nn, 2)."""
-        return self._vector_values(self.aux_node_dof, coeffs)
+        return self.node_values("aux", coeffs)
 
-    @staticmethod
-    def _vector_values(node_dof, coeffs):
-        """Per-node values (nn, 2) of the vector field numbered by ``node_dof``
-        (x at ``node_dof``, y right after; zero at constrained nodes)."""
-        vals = np.zeros((len(node_dof), 2))
-        free = node_dof >= 0
-        vals[free] = coeffs[node_dof[free, None] + np.arange(2)]
-        return vals
+    def head_node_values(self, coeffs):
+        return self.node_values("head", coeffs)
+
+    def pressure_node_values(self, coeffs):
+        return self.node_values("pressure", coeffs)
 
     def aux_interface_values(self, trace_vals):
         """Companion coefficients holding ``trace_vals`` (aligned with
@@ -503,27 +494,6 @@ class CoupledSpace:
         mask = np.zeros(self.num_aux_dofs, dtype=bool)
         mask[idx] = True
         return coeffs, mask
-
-    def head_node_values(self, coeffs, dirichlet=None):
-        vals = np.zeros(self.num_nodes(self.head_degree))
-        free = self.phi_node_dof >= 0
-        vals[free] = coeffs[self.phi_node_dof[free]]
-        if dirichlet is not None:
-            porous_nodes = np.unique(self.tri_nodes(self.head_degree)[self.porous_tris])
-            fixed = porous_nodes[self.phi_node_dof[porous_nodes] < 0]
-            vals[fixed] = _evaluate(dirichlet, self.node_coords(self.head_degree)[fixed])
-        return vals
-
-    def pressure_node_values(self, coeffs):
-        vals = np.zeros(self.mesh.num_vertices)
-        free = self.p_vertex_dof >= 0
-        vals[free] = coeffs[self.p_vertex_dof[free]]
-        return vals
-
-    def interface_trace(self, u_coeffs, dirichlet=None):
-        """Values of a fluid-velocity field at the interface nodes, (ni, 2)."""
-        vals = self.velocity_node_values(u_coeffs, dirichlet)
-        return vals[self.interface_nodes]
 
     def split_state(self, x):
         """Split a coupled block vector into (u, p, phi) coefficient views."""

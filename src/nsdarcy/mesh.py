@@ -88,7 +88,10 @@ class MixedMesh:
 
     The interface edge list, the adjacent fluid/porous triangle of each
     interface edge, and the unit normal pointing out of the fluid subdomain
-    are derived from the triangle tags and validated.
+    are derived from the triangle tags and validated.  Validation keeps the
+    one edge table of the mesh: ``edges`` (sorted vertex pairs in
+    lexicographic order) and ``tri_to_edge``; ``edge_ids`` looks vertex
+    pairs up in it.
     """
 
     def __init__(self, vertices, triangles, tri_tags, boundary_edges, boundary_tags):
@@ -111,8 +114,7 @@ class MixedMesh:
         if np.any(flip):
             self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
 
-        self._validate()
-        self._build_interface()
+        self._build_interface(self._validate())
 
     # -- basic quantities --------------------------------------------------
 
@@ -146,6 +148,8 @@ class MixedMesh:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
+        """Check the mesh, keep its edge table, and return the two
+        triangles of each edge."""
         v, t = self.vertices, self.triangles
         if not np.all(np.isfinite(v)):
             raise MeshError("non-finite vertex coordinates")
@@ -174,13 +178,13 @@ class MixedMesh:
             raise MeshError("boundary edge with unknown tag")
 
         # boundary roster must equal the set of single-neighbor edges
-        edges, tri_to_edge = self._edge_data = (_unique_edges(t))
-        counts = np.zeros(len(edges), dtype=int)
-        np.add.at(counts, tri_to_edge.ravel(), 1)
+        self.edges, self.tri_to_edge = _unique_edges(t)
+        self._edge_keys = self._pair_keys(self.edges)
+        counts = np.bincount(self.tri_to_edge.ravel(), minlength=len(self.edges))
         if counts.max() > 2:
             raise MeshError("edge shared by more than two triangles")
 
-        single = set(map(tuple, edges[counts == 1]))
+        single = set(map(tuple, self.edges[counts == 1]))
         listed = set(map(tuple, np.sort(self.boundary_edges, axis=1)))
         if single != listed:
             missing = single - listed
@@ -188,52 +192,51 @@ class MixedMesh:
             raise MeshError(
                 f"boundary roster mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
 
+        # the lower and the higher triangle of each edge (the same one on
+        # the boundary)
+        tri = np.argsort(self.tri_to_edge.ravel(), kind="stable") // 3
+        start = np.cumsum(counts) - counts
+        neighbors = tri[start], tri[start + counts - 1]
+
         # boundary tags must sit on the matching subdomain
-        tag_of = {tuple(e): tag for e, tag in
-                  zip(np.sort(self.boundary_edges, axis=1), self.boundary_tags)}
-        edge_tri = {}
-        for k, row in enumerate(tri_to_edge):
-            for e in row:
-                edge_tri.setdefault(e, []).append(k)
-        for e_idx in np.flatnonzero(counts == 1):
-            tag = tag_of[tuple(edges[e_idx])]
-            tri_tag = self.tri_tags[edge_tri[e_idx][0]]
-            if tag == GAMMA_F and tri_tag != FLUID:
-                raise MeshError("gamma_f edge adjacent to a porous triangle")
-            if tag in (GAMMA_PD, GAMMA_PN) and tri_tag != POROUS:
-                raise MeshError("porous boundary edge adjacent to a fluid triangle")
+        tri_tag = self.tri_tags[neighbors[0][self.edge_ids(self.boundary_edges)]]
+        on_gamma_f = self.boundary_tags == GAMMA_F
+        if np.any(on_gamma_f & (tri_tag != FLUID)):
+            raise MeshError("gamma_f edge adjacent to a porous triangle")
+        if np.any(~on_gamma_f & (tri_tag != POROUS)):
+            raise MeshError("porous boundary edge adjacent to a fluid triangle")
 
         if not np.any(self.boundary_tags == GAMMA_F):
             raise MeshError("gamma_f must have positive length")
         if not np.any(self.boundary_tags == GAMMA_PD):
             raise MeshError("gamma_pd must have positive length")
+        return neighbors
 
-        self._edge_neighbors = edge_tri
-        self._edge_counts = counts
+    def _pair_keys(self, pairs):
+        """One integer per vertex pair, the same in either orientation and
+        increasing in the lexicographic order of (min, max)."""
+        p = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        return p[:, 0] * self.num_vertices + p[:, 1]
 
-    def _build_interface(self):
-        edges, _ = self._edge_data
-        counts = self._edge_counts
-        iface, fluid_tri, porous_tri = [], [], []
-        for e_idx in np.flatnonzero(counts == 2):
-            t0, t1 = self._edge_neighbors[e_idx]
-            tags = (self.tri_tags[t0], self.tri_tags[t1])
-            if tags[0] == tags[1]:
-                continue
-            iface.append(edges[e_idx])
-            if tags[0] == FLUID:
-                fluid_tri.append(t0)
-                porous_tri.append(t1)
-            else:
-                fluid_tri.append(t1)
-                porous_tri.append(t0)
-        if not iface:
+    def edge_ids(self, pairs):
+        """Edge id (row of ``edges``) of each vertex pair, either orientation."""
+        keys = self._pair_keys(pairs)
+        ids = np.searchsorted(self._edge_keys, keys)
+        if not np.array_equal(self._edge_keys[np.minimum(ids, len(self.edges) - 1)], keys):
+            raise MeshError("vertex pair that is not an edge of the mesh")
+        return ids
+
+    def _build_interface(self, neighbors):
+        # edges are in lexicographic order, and so is the interface
+        t0, t1 = neighbors
+        iface = np.flatnonzero(self.tri_tags[t0] != self.tri_tags[t1])
+        if not len(iface):
             raise MeshError("fluid and porous subdomains do not touch")
-
-        order = np.lexsort((np.array(iface)[:, 1], np.array(iface)[:, 0]))
-        self.interface_edges = np.array(iface, dtype=np.int64)[order]
-        self.interface_fluid_tri = np.array(fluid_tri, dtype=np.int64)[order]
-        self.interface_porous_tri = np.array(porous_tri, dtype=np.int64)[order]
+        t0, t1 = t0[iface], t1[iface]
+        fluid_first = self.tri_tags[t0] == FLUID
+        self.interface_edges = self.edges[iface]
+        self.interface_fluid_tri = np.where(fluid_first, t0, t1)
+        self.interface_porous_tri = np.where(fluid_first, t1, t0)
 
         normals = np.empty((len(self.interface_edges), 2))
         for k, (a, b) in enumerate(self.interface_edges):
@@ -245,8 +248,6 @@ class MixedMesh:
                 n = -n
             normals[k] = n
         self.interface_normals = normals  # unit normal out of the fluid side
-
-        del self._edge_data, self._edge_neighbors, self._edge_counts
 
 
 def build_rectangle_mesh(nx, ny, split_y, bounds=(0.0, 1.0, 0.0, 2.0)):
@@ -315,26 +316,20 @@ def refine_uniform(mesh):
     the parent boundary tag.  Interface data is re-derived by the
     constructor, so interface edge counts double per refinement.
     """
-    edges, tri_to_edge = _unique_edges(mesh.triangles)
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-    offset = mesh.num_vertices
 
-    tris, tags = [], []
-    for k, (v0, v1, v2) in enumerate(mesh.triangles):
-        m12, m20, m01 = offset + tri_to_edge[k]
-        tris += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
-        tags += [mesh.tri_tags[k]] * 4
+    # one row per parent: its four children, and the two halves of each
+    # boundary edge
+    v0, v1, v2 = mesh.triangles.T
+    m12, m20, m01 = (mesh.num_vertices + mesh.tri_to_edge).T
+    tris = np.column_stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20])
+    a, b = mesh.boundary_edges.T
+    m = mesh.num_vertices + mesh.edge_ids(mesh.boundary_edges)
+    bedges = np.column_stack([a, m, m, b])
 
-    edge_index = {tuple(e): i for i, e in enumerate(edges)}
-    bedges, btags = [], []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = offset + edge_index[tuple(sorted((a, b)))]
-        bedges += [(a, m), (m, b)]
-        btags += [tag, tag]
-
-    return MixedMesh(vertices, np.array(tris), np.array(tags),
-                     np.array(bedges), np.array(btags))
+    return MixedMesh(vertices, tris.reshape(-1, 3), np.repeat(mesh.tri_tags, 4),
+                     bedges.reshape(-1, 2), np.repeat(mesh.boundary_tags, 2))
 
 
 def refinement_chain(mesh, levels):

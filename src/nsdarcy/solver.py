@@ -210,13 +210,12 @@ class _System:
         self.order = _coupled_order(space)
 
     def expand(self, x):
+        """Expanded velocity (Dirichlet values included), pressure and head
+        of the coupled vector ``x``."""
         space = self.space
         u, p, phi = space.split_state(x)
-        ue = space.velocity_node_values(u, self.dirichlet).ravel()
-        pe = np.zeros(space.mesh.num_vertices)
-        pe[self.ip] = p
-        fe = space.head_node_values(phi)
-        return ue, pe, fe
+        return (space.velocity_node_values(u).ravel() + self.u_dir,
+                space.pressure_node_values(p), space.head_node_values(phi))
 
     def linearize(self, x):
         """Velocity block V + C(u) at x, assembled once (storing every
@@ -380,7 +379,8 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
     array or a callable sampled at the companion nodes.
     """
     if state is not None:
-        trace_vals = space.interface_trace(state.u, state.dirichlet)
+        trace_vals = space.velocity_node_values(
+            state.u, state.dirichlet)[space.interface_nodes]
     elif trace is not None:
         trace_vals = trace_node_array(space, trace)
     else:

@@ -2,23 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import MixedMesh, build_rectangle_mesh
 
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("nsdarcy", derandomize=True, deadline=None,
+                          database=None, max_examples=40)
+settings.load_profile("nsdarcy")
+
+
+def _wavy(mesh):
+    x, y = mesh.vertices.T
+    return MixedMesh(np.column_stack([x, y + 0.1 * np.sin(np.pi * x) * y * (2 - y)]),
+                     mesh.triangles, mesh.tri_tags, mesh.boundary_edges,
+                     mesh.boundary_tags)
+
+
+@pytest.fixture(scope="session")
+def wavy_map():
+    """The conforming vertex map y -> y + 0.1 sin(pi x) y (2 - y) of a mesh
+    of the built-in rectangle [0, 1] x [0, 2]: the outer boundary stays in
+    place and the interface y = 1 becomes a sine arc, so every interface
+    edge has its own normal (on the rectangle all normals are (0, -1))."""
+    return _wavy
+
 
 @pytest.fixture(scope="session")
 def wavy_space():
-    """The 6x12 rectangle under the conforming vertex map
-    y -> y + 0.1 sin(pi x) y (2 - y): the outer boundary stays in place and
-    the interface y = 1 becomes a sine arc, so every interface edge has its
-    own normal (on the rectangle all normals are (0, -1))."""
-    mesh = build_rectangle_mesh(6, 12, 1.0)
-    x, y = mesh.vertices.T
-    wavy = MixedMesh(np.column_stack([x, y + 0.1 * np.sin(np.pi * x) * y * (2 - y)]),
-                     mesh.triangles, mesh.tri_tags, mesh.boundary_edges,
-                     mesh.boundary_tags)
-    return CoupledSpace(wavy)
+    """The 6x12 rectangle under the wavy vertex map (``wavy_map``)."""
+    return CoupledSpace(_wavy(build_rectangle_mesh(6, 12, 1.0)))
 
 
 @pytest.fixture

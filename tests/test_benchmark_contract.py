@@ -1,10 +1,18 @@
 """The benchmark's traced run wraps package functions by name: every name
 its tracer lists must still resolve, or ``perfbench/run.py --trace 1``
-fails on start-up."""
+fails on start-up; and one traced execution must run to the end."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
+
+from nsdarcy.fem import CoupledSpace
+from nsdarcy.mesh import build_rectangle_mesh
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -19,3 +27,23 @@ def test_every_traced_package_function_resolves():
                if not callable(getattr(importlib.import_module(module), attr,
                                        None))]
     assert missing == []
+
+
+def test_traced_solve_runs_end_to_end(tmp_path):
+    # one traced execution reads what the tracer reads off the package
+    root = TRACER.parents[1]
+    record, spans = tmp_path / "record.json", tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"),
+         "--record", str(record), "--spawned-at", repr(time.monotonic()),
+         "--spans", str(spans), "--", "solve", "--mesh", "builtin:2x4",
+         "--out", str(tmp_path / "out")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(record.read_text())["per_layer"]
+    space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))
+    assert metrics["solver.dofs"] == space.num_total_dofs == 39
+    assert metrics["fem.CoupledSpace.calls"] == 1
+    assert metrics["linalg.splu.calls"] > 0

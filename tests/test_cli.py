@@ -199,15 +199,19 @@ class TestVerify:
                 space, params, state=state).residual)
         assert by_name["compensation"]["details"]["residuals"] == expected
 
-    def test_single_level_marks_compensation_insufficient(self, tmp_path):
+    def test_single_level_marks_compensation_insufficient(self, tmp_path,
+                                                         capsys):
         out = tmp_path / "run"
         assert run("verify", "--mesh", "builtin:2x4", "--levels", "1",
                    "--out", str(out)) == EXIT_OK
         bundle = json.loads((out / "verification.json").read_text())
         by_name = {c["name"]: c for c in bundle["checks"]}
-        assert by_name["compensation"]["passed"] is True
-        assert by_name["compensation"]["details"]["status"] == \
-            "insufficient levels"
+        # one level shows no decrease: the check is skipped, not passed
+        assert by_name["compensation"]["passed"] is None
+        details = by_name["compensation"]["details"]
+        assert details["status"] == "skipped"
+        assert "two levels" in details["reason"]
+        assert "compensation: skipped" in capsys.readouterr().out
 
 
 class TestMms:
@@ -335,16 +339,23 @@ class TestConfigHandling:
         {"nu": -3.0}, {"c_mult": "x"}, {"nu": "abc"}, {"tol": "x"},
         {"sigma": "x"}, {"nu": None}, {"forcing": ["driven"]},
         {"mesh": ["builtin:2x4"]}, {"no_convection": "false"},
-        {"vtk": "no"}],
+        {"vtk": "no"}, {"c_mult": float("inf")}, {"c_mult": float("nan")},
+        {"c_mult": -1.0}, {"c_mult": 0.0}, {"tol": float("inf")},
+        {"seed": -1}],
         ids=["negative-nu", "string-c_mult", "string-nu", "string-tol",
              "string-sigma", "null-nu", "list-forcing", "list-mesh",
-             "string-no_convection", "string-vtk"])
+             "string-no_convection", "string-vtk", "inf-c_mult",
+             "nan-c_mult", "negative-c_mult", "zero-c_mult", "inf-tol",
+             "negative-seed"])
     def test_invalid_parameter_leaves_no_outputs(self, tmp_path, capsys,
                                                  values):
         cfg = write_config(tmp_path / "cfg.json", **values)
         out = tmp_path / "never"
         assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        [key] = values
+        assert key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
@@ -387,6 +398,20 @@ class TestConfigHandling:
         assert run("solve", "--mesh", "builtin:4by8",
                    "--out", str(tmp_path)) == EXIT_CONFIG
         assert "builtin:WxH" in capsys.readouterr().err
+
+    # an odd height puts no grid line on the interface y = 1
+    @pytest.mark.parametrize("spec", ["builtin:3x3", "builtin:2x1",
+                                      "builtin:1x1", "builtin:0x4"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "mms",
+                                         "mesh-info"])
+    def test_unbuildable_builtin_spec(self, tmp_path, capsys, command, spec):
+        out = tmp_path / "never"
+        assert run(command, "--mesh", spec, "--out", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unknown_case_lists_choices(self, tmp_path, capsys):
         assert run("solve", "--case", "bogus",
