@@ -110,6 +110,22 @@ _STRING_KEYS = ("mesh", "out", "forcing", "scheme", "case")
 _NULLABLE_KEYS = ("sigma", "levels", "case")
 
 
+def _number(key, value, kind=float):
+    """``value`` as a finite ``kind``, or a ConfigError naming ``key``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float)
+                and not value.is_integer())):
+        raise ConfigError(f"{key} must be a number of type "
+                          f"{kind.__name__}, got {value!r}")
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 def load_config(args):
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -134,23 +150,17 @@ def load_config(args):
         if getattr(args, key, False):
             cfg[key] = True
     # a string, null, non-finite or fractional count is a config error, not
-    # a traceback
+    # a traceback, and so is a permeability K that is not a positive number
+    # or a 2x2 matrix (ModelParams checks that a matrix is SPD)
     for key, kind in _NUMBER_KEYS.items():
-        value = cfg[key]
-        if value is None and key in _NULLABLE_KEYS:
-            continue
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (kind is int and isinstance(value, float)
-                    and not value.is_integer())):
-            raise ConfigError(f"{key} must be a number of type "
-                              f"{kind.__name__}, got {value!r}")
-        try:
-            cfg[key] = kind(value)
-            finite = math.isfinite(cfg[key])
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        if not (cfg[key] is None and key in _NULLABLE_KEYS):
+            cfg[key] = _number(key, cfg[key], kind)
+    K = cfg["K"]
+    if (isinstance(K, list) and len(K) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in K)):
+        cfg["K"] = [[_number("K", v) for v in row] for row in K]
+    elif isinstance(K, list) or not _number("K", K) > 0:
+        raise ConfigError(f"K must be a number > 0 or a 2x2 matrix, got {K!r}")
     # so is a name that is not a string, or a switch that is not a boolean
     # (the string "false" would otherwise read as true)
     for keys, kind, wanted in ((_STRING_KEYS, str, "a string"),
@@ -175,12 +185,19 @@ def load_config(args):
     return cfg
 
 
-def resolve_mesh(spec):
+def _builtin_size(spec):
+    """(W, H) of a ``builtin:WxH`` spec, or a ConfigError naming it."""
     m = re.fullmatch(r"builtin:(\d+)x(\d+)", str(spec))
-    if m:
-        return build_rectangle_mesh(int(m.group(1)), int(m.group(2)), 1.0)
+    width, height = (int(m.group(1)), int(m.group(2))) if m else (0, 0)
+    if width < 1 or height < 2 or height % 2:
+        raise ConfigError(f"{spec!r} is no builtin:WxH mesh with W >= 1 and "
+                          "an even H >= 2 (the interface y = 1 is a grid line)")
+    return width, height
+
+
+def resolve_mesh(spec):
     if str(spec).startswith("builtin:"):
-        raise ConfigError(f"bad builtin mesh spec {spec!r} (want builtin:WxH)")
+        return build_rectangle_mesh(*_builtin_size(spec), 1.0)
     try:
         if str(spec).endswith(".msh"):
             return load_gmsh_subset(spec)
@@ -442,11 +459,8 @@ def cmd_mms(cfg):
         raise ConfigError("rate assertion needs at least 3 levels "
                           "(pass --no-assert to run fewer)")
 
-    m = re.fullmatch(r"builtin:(\d+)x(\d+)", str(cfg["mesh"]))
-    if not m:
-        raise ConfigError("mms runs on builtin meshes (builtin:WxH)")
-    base = (int(m.group(1)), int(m.group(2)))
-    study = mms.convergence_study(case, num_levels=levels, base=base,
+    study = mms.convergence_study(case, num_levels=levels,
+                                  base=_builtin_size(cfg["mesh"]),
                                   config=_solver_config(cfg),
                                   velocity_degree=cfg["velocity_degree"],
                                   head_degree=cfg["head_degree"])

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import bmat, csc_matrix, csr_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from .mesh import GAMMA_F, GAMMA_PD
 
@@ -28,6 +28,8 @@ LIFTING_FLUX_TOL = 1e-10
 # SuperLU keeps a diagonal pivot unless it is below this share of the
 # largest entry in its column
 PIVOT_THRESHOLD = 1e-3
+_SUPERLU_OPTIONS = dict(diag_pivot_thresh=PIVOT_THRESHOLD,
+                        options=dict(SymmetricMode=True))
 
 
 class SpaceError(Exception):
@@ -41,11 +43,6 @@ class InterpolationError(Exception):
 
 class SingularLinearSystem(Exception):
     """A linear system that cannot be solved reliably; carries defect info."""
-
-
-def _splu(A, permc_spec):
-    return splu(A, permc_spec=permc_spec, diag_pivot_thresh=PIVOT_THRESHOLD,
-                options=dict(SymmetricMode=True))
 
 
 def _structural_diagonal(A):
@@ -66,7 +63,8 @@ def saddle_order(A):
     pivots on the diagonal: each zero-diagonal unknown is eliminated after
     the primal unknowns it couples to have filled its diagonal in.  SuperLU
     exposes no ordering call, so the minimum-degree order is the column
-    order of a diagonally dominant SPD matrix with the same pattern.
+    order of an incomplete factorization (all fill dropped, the same order
+    as a full one) of a diagonally dominant SPD matrix with the same pattern.
     Returns ``order``, the unknowns in elimination order.
     """
     A = csc_matrix(A)
@@ -74,7 +72,8 @@ def saddle_order(A):
     P = (T + T.T).tocsr()
     P.data[:] = -1.0
     spd = (P + diags(np.diff(P.indptr) + 1.0)).tocsc()
-    pos = _splu(spd, "MMD_AT_PLUS_A").perm_c  # position of each unknown
+    pos = spilu(spd, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                **_SUPERLU_OPTIONS).perm_c  # position of each unknown
     has_diag = _structural_diagonal(A)
     # 1 + the position of the last neighbour with a diagonal, 0 for none
     after = csr_matrix((np.where(has_diag[P.indices], pos[P.indices] + 1, 0),
@@ -122,8 +121,9 @@ def _factor(A, context, order=None):
         order = saddle_order(A)
     try:
         if order is None:
-            return _splu(A, "MMD_AT_PLUS_A")
-        return _OrderedFactor(_splu(A[order][:, order], "NATURAL"), order)
+            return splu(A, permc_spec="MMD_AT_PLUS_A", **_SUPERLU_OPTIONS)
+        return _OrderedFactor(splu(A[order][:, order], permc_spec="NATURAL",
+                                   **_SUPERLU_OPTIONS), order)
     except RuntimeError as exc:
         raise SingularLinearSystem(f"{context}: {exc}") from exc
 

@@ -25,11 +25,10 @@ Every linear system is solved by sparse LU (``fem._factor``) with diagonal
 pivoting in a symmetric fill-reducing order.  The coupled operator has a
 zero pressure block, so its order is a saddle order: minimum degree, with
 every pressure moved to just after its last velocity neighbour, where
-elimination has filled its diagonal in.  It is computed once per space from
-a pattern that contains the operator of every iterate, Picard or Newton,
-and every dataset; the Jacobian stores that pattern whatever the iterate
-(exact cancellations stay as explicit zeros), so the fill does not depend
-on rounding.
+elimination has filled its diagonal in.  It is computed once per space, from
+the Picard Jacobian at zero wind; every Jacobian, Picard or Newton, of every
+iterate and dataset stores that pattern (exact cancellations stay as
+explicit zeros), so the fill does not depend on rounding.
 """
 
 import numpy as np
@@ -92,10 +91,10 @@ class SolverConfig:
 
 
 class CoupledState:
-    """Solution of the coupled system in free-dof coefficients."""
+    """Free-dof solution of the coupled system and its residual ``F``."""
 
     def __init__(self, u, p, phi, converged, iterations, residual, transcript,
-                 dirichlet=None):
+                 dirichlet=None, F=None):
         self.u = u
         self.p = p
         self.phi = phi
@@ -104,6 +103,7 @@ class CoupledState:
         self.residual = residual
         self.transcript = transcript
         self.dirichlet = dirichlet
+        self.F = F
 
     def u_raw(self, space):
         return space.velocity_node_values(self.u, self.dirichlet)
@@ -156,28 +156,15 @@ def _linear_solve(A, rhs, context, order=None):
 
 @assembly._per_space
 def _space_blocks(space):
-    """Expanded blocks of the coupled operator that depend on the space
-    alone: the unit-coefficient fluid strain, the divergence and the
-    interface coupling."""
-    return (assembly.strain_matrix(space, FLUID, expanded=True),
-            assembly.divergence_matrix(space, FLUID, expanded=True),
-            assembly.interface_coupling_matrix(space, expanded=True))
-
-
-@assembly._per_space
-def _coupled_order(space):
-    """Saddle order of every coupled operator on the space, from a pattern
-    that contains each of them: the expanded strain matrix stores every
-    velocity pair of a fluid triangle (zeros included), which covers the
-    slip, convection and Newton blocks, and the pattern of the Darcy block
-    does not depend on the permeability."""
-    S, B, Cup = _space_blocks(space)
-    Sf = assembly.restrict(space, S, "velocity", "velocity")
-    Bf = assembly.restrict(space, B, "pressure", "velocity")
-    Cf = assembly.restrict(space, Cup, "velocity", "head")
-    Df = assembly.darcy_matrix(space, assembly.ModelParams(space.mesh, nu=1.0))
-    return saddle_order(bmat([[Sf, Bf.T, Cf], [Bf, None, None],
-                              [Cf.T, None, Df]], format="csc"))
+    """Blocks of the coupled operator that depend on the space alone,
+    assembled and restricted once: the expanded unit-coefficient fluid
+    strain S, divergence B and interface coupling Cup, and the free-dof
+    divergence Bf and coupling Cf, as (S, B, Cup, Bf, Cf)."""
+    B = assembly.divergence_matrix(space, FLUID, expanded=True)
+    Cup = assembly.interface_coupling_matrix(space, expanded=True)
+    return (assembly.strain_matrix(space, FLUID, expanded=True), B, Cup,
+            assembly.restrict(space, B, "pressure", "velocity"),
+            assembly.restrict(space, Cup, "velocity", "head"))
 
 
 class _System:
@@ -189,14 +176,12 @@ class _System:
         self.params = params
         self.config = config
         self.dirichlet = dirichlet
-        S, self.B, self.Cup = _space_blocks(space)
+        S, self.B, self.Cup, self.Bf, self.Cf = _space_blocks(space)
         # stored on the pattern of S, which the convection blocks share
         self.V = assembly._stored_sum(
             2 * params.nu * S,
             assembly.bjs_matrix(space, coefficient=params.G, expanded=True))
         self.Adar = assembly.darcy_matrix(space, params, expanded=True)
-        self.Bf = assembly.restrict(space, self.B, "pressure", "velocity")
-        self.Cf = assembly.restrict(space, self.Cup, "velocity", "head")
         self.Df = assembly.restrict(space, self.Adar, "head", "head")
         self.iu = assembly.expanded_index(space, "velocity")
         self.ip = assembly.expanded_index(space, "pressure")
@@ -207,7 +192,11 @@ class _System:
         self.mean_vec = assembly.pressure_mean_vector(space)
         self.u_dir = space.velocity_node_values(
             np.zeros(space.num_velocity_dofs), dirichlet).ravel()
-        self.order = _coupled_order(space)
+        # every Jacobian on the space stores the zero-wind Picard pattern
+        self.order = space._cache.get("coupled_order")
+        if self.order is None:
+            self.order = space._cache["coupled_order"] = saddle_order(
+                self.jacobian(self.V, None, newton=False))
 
     def expand(self, x):
         """Expanded velocity (Dirichlet values included), pressure and head
@@ -342,7 +331,7 @@ def solve_coupled(space, params, config=None, dirichlet=None,
         if res <= config.tol * scale or not config.include_convection:
             return CoupledState(*space.split_state(x), converged=True,
                                 iterations=it, residual=float(res),
-                                transcript=transcript, dirichlet=dirichlet)
+                                transcript=transcript, dirichlet=dirichlet, F=F)
         if res >= prev_res:
             increases += 1
             if increases >= DAMPING_TRIGGER and scheme == "picard":
@@ -361,7 +350,7 @@ def solve_coupled(space, params, config=None, dirichlet=None,
         transcript=transcript,
         state=CoupledState(*space.split_state(x), converged=False,
                            iterations=config.max_iter, residual=float(prev_res),
-                           transcript=transcript, dirichlet=dirichlet))
+                           transcript=transcript, dirichlet=dirichlet, F=F))
 
 
 def solve_auxiliary(space, params, state=None, trace=None, sigma=None,

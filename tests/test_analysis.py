@@ -12,6 +12,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from nsdarcy import analysis as ana
+from nsdarcy import mms
 from nsdarcy import assembly as asm
 from nsdarcy import solver as slv
 from nsdarcy.fem import CoupledSpace
@@ -168,6 +169,26 @@ class TestEnergyReport:
         assert report.beta * report.pressure_norm <= report.pressure_dual * (
             1 + 1e-9)
         assert report.pressure_dual > 0.0
+
+    @pytest.mark.parametrize("data", ["driven", "smooth", "representable"])
+    def test_pressure_dual_is_the_dual_norm_of_the_pressure_term(
+            self, space, params, data):
+        # at the solution the momentum rows without the pressure equal
+        # -Bf^T p, interface loads included (the manufactured cases carry
+        # them)
+        if data == "driven":
+            state = slv.solve_coupled(space, params)
+        else:
+            case = mms.get_case(data)
+            params = case.params(space.mesh)
+            state = case.solve(space)
+        rep = ana.verify_energy_estimate(space, params, state,
+                                         with_inf_sup=False,
+                                         with_companion=False)
+        b = asm.divergence_matrix(space).T @ state.p
+        S = csc_matrix(asm.strain_matrix(space))
+        dual = np.sqrt(b @ splu(S).solve(b))
+        assert rep.pressure_dual == pytest.approx(dual, rel=1e-9)
 
     def test_companion_fields_match_direct_computation(self, space, params,
                                                        state, report):

@@ -341,12 +341,14 @@ class TestConfigHandling:
         {"mesh": ["builtin:2x4"]}, {"no_convection": "false"},
         {"vtk": "no"}, {"c_mult": float("inf")}, {"c_mult": float("nan")},
         {"c_mult": -1.0}, {"c_mult": 0.0}, {"tol": float("inf")},
-        {"seed": -1}],
+        {"seed": -1}, {"K": True}, {"K": float("inf")}, {"K": "abc"},
+        {"K": -1}, {"K": [[1, 0]]}],
         ids=["negative-nu", "string-c_mult", "string-nu", "string-tol",
              "string-sigma", "null-nu", "list-forcing", "list-mesh",
              "string-no_convection", "string-vtk", "inf-c_mult",
              "nan-c_mult", "negative-c_mult", "zero-c_mult", "inf-tol",
-             "negative-seed"])
+             "negative-seed", "bool-K", "inf-K", "string-K", "negative-K",
+             "one-row-K"])
     def test_invalid_parameter_leaves_no_outputs(self, tmp_path, capsys,
                                                  values):
         cfg = write_config(tmp_path / "cfg.json", **values)
@@ -356,7 +358,16 @@ class TestConfigHandling:
         assert "config error" in err
         [key] = values
         assert key in err
+        assert "Warning" not in err
         assert not out.exists()
+
+    def test_anisotropic_permeability_solves(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", mesh="builtin:2x4",
+                           K=[[1, 0], [0, 2]])
+        out = tmp_path / "run"
+        assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_OK
+        energy = json.loads((out / "report.json").read_text())["energy"]
+        assert (energy["lambda_min"], energy["lambda_max"]) == (1.0, 2.0)
 
     @pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
     def test_output_directory_of_the_wrong_type(self, tmp_path, monkeypatch,
@@ -409,6 +420,8 @@ class TestConfigHandling:
         assert run(command, "--mesh", spec, "--out", str(out)) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config error" in captured.err
+        # the message speaks of the spec, not of the mesh builder
+        assert spec in captured.err and "split_y" not in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()

@@ -6,10 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.sparse import bmat, csc_matrix, csr_matrix
+from scipy.sparse import bmat, csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from nsdarcy import assembly as asm
+from nsdarcy import mms
 from nsdarcy import solver as slv
 from nsdarcy.fem import CoupledSpace, _factor, saddle_order
 from nsdarcy.mesh import POROUS, build_rectangle_mesh
@@ -31,10 +32,11 @@ def rectangle():
     return CoupledSpace(build_rectangle_mesh(4, 8, 1.0))
 
 
-def _system(space, nu=1.0, K=1.0):
-    params = asm.ModelParams(space.mesh, nu=nu, K=K, g_f=forcing_f,
+def _system(space, nu=1.0, K=1.0, G=1.0, config=None):
+    params = asm.ModelParams(space.mesh, nu=nu, K=K, G=G, g_f=forcing_f,
                              g_p=forcing_p)
-    return slv._System(space, params, slv.SolverConfig(), None, None)
+    return slv._System(space, params, config or slv.SolverConfig(), None,
+                       None)
 
 
 def _matrices(space):
@@ -77,6 +79,35 @@ def test_solves_match_a_colamd_reference(matrices, kind):
         x, x_ref = lu.solve(rhs), ref.solve(rhs)
         assert x.shape == rhs.shape
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def _full_factorization_order(A):
+    """The saddle order with the minimum-degree order read from a complete
+    factorization of the SPD surrogate: the reference for the incomplete
+    one that ``saddle_order`` runs."""
+    A = csc_matrix(A)
+    T = csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    P = (T + T.T).tocsr()
+    P.data[:] = -1.0
+    spd = (P + diags(np.diff(P.indptr) + 1.0)).tocsc()
+    pos = splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+               options=dict(SymmetricMode=True)).perm_c
+    has_diag = np.array([i in A.indices[A.indptr[i]:A.indptr[i + 1]]
+                         for i in range(A.shape[0])])
+    last = np.full(A.shape[0], -1)
+    for i in range(A.shape[0]):
+        nb = P.indices[P.indptr[i]:P.indptr[i + 1]]
+        nb = nb[has_diag[nb]]
+        if len(nb):
+            last[i] = pos[nb].max()
+    key = np.where(has_diag | (last < 0), pos, last)
+    return np.lexsort((pos, ~has_diag, key))
+
+
+@pytest.mark.parametrize("kind", ["picard", "lifting"])
+def test_order_matches_a_full_factorization(matrices, kind):
+    A = matrices[kind][0]
+    assert np.array_equal(saddle_order(A), _full_factorization_order(A))
 
 
 @pytest.mark.parametrize("kind", ["picard", "lifting"])
@@ -134,14 +165,31 @@ def test_one_order_per_space_for_every_dataset(monkeypatch):
 
 
 @pytest.mark.parametrize("newton", [False, True], ids=["picard", "newton"])
-def test_jacobian_pattern_does_not_follow_the_iterate(rectangle, newton):
-    # at the zero iterate the convection and Newton blocks vanish, so every
-    # entry they store cancels exactly
-    sys = _system(rectangle)
-    zero = np.zeros(rectangle.num_total_dofs)
+def test_jacobian_pattern_does_not_follow_the_iterate(monkeypatch, newton):
+    sources = []
+
+    def recording(A):
+        sources.append(A)
+        return saddle_order(A)
+
+    monkeypatch.setattr(slv, "saddle_order", recording)
+    space = CoupledSpace(build_rectangle_mesh(4, 8, 1.0))
+    case = mms.get_case("representable")
+    systems = [
+        _system(space),
+        _system(space, nu=0.05, K=[[2.0, 0.3], [0.3, 0.5]], G=3.0),
+        _system(space, config=slv.SolverConfig(include_convection=False)),
+        slv._System(space, case.params(space.mesh), slv.SolverConfig(),
+                    case.dirichlet, case.interface_loads(space))]
+    [source] = sources  # the operator the order of the space comes from
+    zero = np.zeros(space.num_total_dofs)
     generic = 0.1 * np.random.default_rng(6).standard_normal(len(zero))
-    J0, J1 = (sys.jacobian(sys.linearize(x)[0], x, newton)
-              for x in (zero, generic))
-    assert np.array_equal(J0.indptr, J1.indptr)
-    assert np.array_equal(J0.indices, J1.indices)
+    for sys in systems:
+        for x in (zero, generic):
+            J = sys.jacobian(sys.linearize(x)[0], x, newton)
+            assert np.array_equal(J.indptr, source.indptr)
+            assert np.array_equal(J.indices, source.indices)
+    # at the zero iterate of the driven data the convection and Newton
+    # blocks vanish, so every entry they store cancels exactly
+    J0 = systems[0].jacobian(systems[0].linearize(zero)[0], zero, newton)
     assert np.count_nonzero(J0.data == 0) > 0
