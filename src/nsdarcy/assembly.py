@@ -14,10 +14,22 @@ Per-node *raw value* arrays -- shape (num_nodes, 2) for vector fields,
 evaluators at the bottom of the module.  They coincide with expanded
 coefficient vectors after ``ravel()``.
 
-Volume operators use a degree-6 triangle rule and interface operators a
-degree-7 edge rule, so every bilinear-form integrand of the discretization
-(polynomial degree at most 5, and at most 6 on edges) is integrated exactly.
-Load functionals use degree-9 volume and degree-11 edge rules.
+Volume operators are tensor contractions (Kirby, Knepley, Logg & Scott,
+SISC 27, 2005; Kirby & Logg, ACM TOMS 32, 2006).  On an affine triangle
+each element matrix is a per-element *geometry tensor*, built from the
+Jacobian (and the permeability, or the wind's node values), contracted with
+a *reference tensor* of basis-function integrals over the reference
+triangle, so the local blocks of an operator are one matrix product.  The
+reference tensors are summed once per polynomial degree, on first use, by
+the degree-6 triangle rule, which integrates each of their integrands
+(degree at most 5) exactly.  Interface operators use a degree-7 edge rule,
+exact for their integrands (degree at most 6).
+
+Pointwise quadrature remains for data, energies and errors: loads
+(degree-9 volume and degree-11 edge rules), the energy and functional
+evaluators (degree 6) and the error norms of ``mms``.  Only these evaluators
+build per-point physical gradients (``_element_grads``), and they stay an
+integration independent of the reference tensors that checks them.
 
 Data callables (sources, permeability, interface defects, Dirichlet data)
 take coordinate arrays ``(x, y)`` of any shape and return, per point, a
@@ -26,6 +38,9 @@ axes leading, e.g. ``(sin(x) * y, x)`` for a vector field.  Each is called
 once per evaluation site; a callable that only handles scalar coordinates
 is detected and evaluated point by point instead (``fem._evaluate``).
 """
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -147,21 +162,87 @@ def _geometry(space, region):
     return tris, pts, det, invJT
 
 
-@_per_space
-def _basis(space, degree, quad_degree):
-    rule = QuadratureRule.triangle(quad_degree)
-    return rule, shape_values(degree, rule.points), shape_ref_grads(degree, rule.points)
+class _Reference(NamedTuple):
+    """Reference tensors of one degree, each laid out as (geometry axes,
+    local block axes) for ``_contract``; c, d are vector components."""
+
+    strain: np.ndarray      # [c, d, a, b, l, c, m, d]
+    darcy: np.ndarray       # [a, b, l, m]
+    divergence: np.ndarray  # [d, a, r, m, d]
+    convection: np.ndarray  # [k, a, l, c, m, c]
+    skew: np.ndarray        # [k, a, l, c, m, c]
+    newton: np.ndarray      # [k, c, d, a, l, c, m, d]
+    mass: np.ndarray        # [1, l, m]
+    mean: np.ndarray        # [1, l]
+
+
+@functools.cache
+def _reference(degree):
+    """Integrals over the reference triangle, by the operator rule, of the
+    degree-``degree`` basis phi, its reference gradients and the P1 basis
+    psi:
+    S[l, m, a, b] = int d_a phi_l d_b phi_m,
+    R[k, l, m, a] = int phi_k phi_l d_a phi_m,
+    D[r, m, a] = int psi_r d_a phi_m,
+    and the mass and mean of phi.  The vector operators see them with the
+    component identity attached, so one matrix product yields their blocks.
+    """
+    rule = QuadratureRule.triangle(OPERATOR_DEGREE)
+    w = rule.weights
+    v = shape_values(degree, rule.points)
+    g = shape_ref_grads(degree, rule.points)
+    S = np.einsum('q,qla,qmb->lmab', w, g, g)
+    R = np.einsum('q,qk,ql,qma->klma', w, v, v, g)
+    D = np.einsum('q,qr,qma->rma', w, shape_values(1, rule.points), g)
+    I = np.eye(2)
+    ref = _Reference(
+        strain=np.einsum('lmab,ce,df->cdablemf', S, I, I),
+        darcy=S.transpose(2, 3, 0, 1),
+        divergence=np.einsum('rma,de->darme', D, I),
+        convection=np.einsum('klma,cd->kalcmd', R, I),
+        skew=np.einsum('lmka,cd->kalcmd', R, I),
+        newton=(np.einsum('lmka,ce,df->kcdalemf', R, I, I)
+                + 0.5 * np.einsum('klma,ce,df->kcdalemf', R, I, I)),
+        mass=np.einsum('q,ql,qm->lm', w, v, v)[None],
+        mean=(w @ v)[None])
+    for tensor in ref:  # shared by every caller
+        tensor.setflags(write=False)
+    return ref
+
+
+def _contract(G, T):
+    """Local blocks sum_g G[e, g] T[g, ...]: the per-element geometry
+    tensor G (ne, *g) contracted with the leading axes of the reference
+    tensor T, as one matrix product."""
+    n = G[0].size
+    return (G.reshape(len(G), n) @ T.reshape(n, -1)).reshape(
+        (len(G),) + T.shape[G.ndim - 1:])
 
 
 @_per_space
 def _element_data(space, region, degree, quad_degree):
-    """(tris, nodes, values, phys_grads, weights) for one region/space/rule."""
-    tris, pts, det, invJT = _geometry(space, region)
-    rule, vals, ref_grads = _basis(space, degree, quad_degree)
-    grads = np.einsum('eij,qlj->eqli', invJT, ref_grads)
-    weights = rule.weights[None, :] * det[:, None]
-    nodes = space.tri_nodes(degree)[tris]
-    return tris, nodes, vals, grads, weights
+    """(nodes, values, weights) for one region/space/rule."""
+    tris, _, det, _ = _geometry(space, region)
+    rule = QuadratureRule.triangle(quad_degree)
+    return (space.tri_nodes(degree)[tris], shape_values(degree, rule.points),
+            rule.weights[None, :] * det[:, None])
+
+
+@_per_space
+def _element_grads(space, region, degree, quad_degree):
+    """Physical shape gradients (ne, nq, nloc, 2) at the points of one
+    rule, for the evaluators that integrate pointwise (energies, errors)."""
+    invJT = _geometry(space, region)[3][:, None, None]
+    ref = shape_ref_grads(degree, QuadratureRule.triangle(quad_degree).points)
+    return (invJT[..., 0] * ref[:, :, None, 0]
+            + invJT[..., 1] * ref[:, :, None, 1])
+
+
+def _pointwise(space, region, degree, quad_degree=OPERATOR_DEGREE):
+    """(nodes, values, gradients, weights) for the evaluators that
+    integrate pointwise products of fields and their gradients."""
+    nodes, vals, W = _element_data(space, region, degree, quad_degree)
+    return nodes, vals, _element_grads(space, region, degree, quad_degree), W
 
 
 @_per_space
@@ -251,12 +332,14 @@ def _vector_matrix(space, L, nodes, region, expanded):
 def strain_matrix(space, region=FLUID, coefficient=1.0, expanded=False):
     """(D(u), D(v)) over one region, times a constant coefficient, on the
     natural vector field of the region (fluid / porous companion velocity)."""
-    _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
-                                      OPERATOR_DEGREE)
-    base = np.einsum('eqli,eqmi,eq->elm', g, g, W)
-    cross = np.einsum('eqld,eqmc,eq->elmcd', g, g, W)
-    L = 0.5 * (np.einsum('elm,cd->elcmd', base, np.eye(2))
-               + cross.transpose(0, 1, 3, 2, 4))
+    tris, _, det, invJT = _geometry(space, region)
+    # G[e, c, d, a, b] = det/2 (delta_cd (J^-1 J^-T)_ab + J^-T_da J^-T_cb)
+    M = invJT.transpose(0, 2, 1) @ invJT
+    G = 0.5 * det[:, None, None, None, None] * (
+        np.eye(2)[:, :, None, None] * M[:, None, None]
+        + invJT[:, None, :, :, None] * invJT[:, :, None, None, :])
+    L = _contract(G, _reference(space.velocity_degree).strain)
+    nodes = space.tri_nodes(space.velocity_degree)[tris]
     return coefficient * _vector_matrix(space, L, nodes, region, expanded)
 
 
@@ -269,10 +352,10 @@ def _companion_strain(space):
 
 def darcy_matrix(space, params, expanded=False):
     """(K grad(phi), grad(psi)) over the porous region."""
-    _, nodes, _, g, W = _element_data(space, POROUS, space.head_degree,
-                                      OPERATOR_DEGREE)
-    Kg = np.einsum('eij,eqmj->eqmi', params.K_elems, g)
-    L = np.einsum('eqli,eqmi,eq->elm', g, Kg, W)
+    tris, _, det, invJT = _geometry(space, POROUS)
+    G = det[:, None, None] * (invJT.transpose(0, 2, 1) @ params.K_elems @ invJT)
+    L = _contract(G, _reference(space.head_degree).darcy)
+    nodes = space.tri_nodes(space.head_degree)[tris]
     n = space.num_nodes(space.head_degree)
     A = _scatter(L, nodes[:, :, None], nodes[:, None, :], (n, n))
     return A if expanded else restrict(space, A, "head", "head")
@@ -280,11 +363,12 @@ def darcy_matrix(space, params, expanded=False):
 
 def divergence_matrix(space, region=FLUID, expanded=False):
     """(q, div u): P1 scalar rows against vector columns over one region."""
-    _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
-                                      OPERATOR_DEGREE)
-    _, rnodes, vals1, _, _ = _element_data(space, region, 1, OPERATOR_DEGREE)
-    L = np.einsum('qr,eqmd,eq->ermd', vals1, g, W)
-    B = _scatter(L, rnodes[:, :, None, None], _vector_dofs(nodes)[:, None],
+    tris, _, det, invJT = _geometry(space, region)
+    L = _contract(det[:, None, None] * invJT,
+                  _reference(space.velocity_degree).divergence)
+    nodes = space.tri_nodes(space.velocity_degree)[tris]
+    B = _scatter(L, space.tri_nodes(1)[tris][:, :, None, None],
+                 _vector_dofs(nodes)[:, None],
                  (space.mesh.num_vertices,
                   2 * space.num_nodes(space.velocity_degree)))
     if expanded:
@@ -304,28 +388,24 @@ def convection_matrix(space, wind, region=FLUID, skew=True, expanded=False):
 
     ``wind`` is a raw per-node value array of shape (num_nodes, 2).
     """
-    _, nodes, vals, g, W = _element_data(space, region, space.velocity_degree,
-                                         OPERATOR_DEGREE)
+    tris, _, det, invJT = _geometry(space, region)
+    nodes = space.tri_nodes(space.velocity_degree)[tris]
     wn = np.asarray(wind)[nodes]
-    wq = np.einsum('ql,elc->eqc', vals, wn)
-    wgrad = np.einsum('eqj,eqmj->eqm', wq, g)
-    P = np.einsum('ql,eqm,eq->elm', vals, wgrad, W)
-    if skew:
-        divw = np.einsum('elc,eqlc->eq', wn, g)
-        P = P + 0.5 * np.einsum('eq,ql,qm->elm', divw * W, vals, vals)
-    L = np.einsum('elm,cd->elcmd', P, np.eye(2))
+    ref = _reference(space.velocity_degree)
+    T = ref.convection + 0.5 * ref.skew if skew else ref.convection
+    # G[e, k, a] = det sum_j w_kj J^-T_ja
+    L = _contract(det[:, None, None] * (wn @ invJT), T)
     return _vector_matrix(space, L, nodes, region, expanded)
 
 
 def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
     """((u . grad) w, v) + 1/2 (div u, w . v): the extra Newton block."""
-    _, nodes, vals, g, W = _element_data(space, region, space.velocity_degree,
-                                         OPERATOR_DEGREE)
+    tris, _, det, invJT = _geometry(space, region)
+    nodes = space.tri_nodes(space.velocity_degree)[tris]
     wn = np.asarray(wind)[nodes]
-    wq = np.einsum('ql,elc->eqc', vals, wn)
-    gw = np.einsum('elc,eqlj->eqcj', wn, g)
-    L = (np.einsum('ql,qm,eqcd,eq->elcmd', vals, vals, gw, W)
-         + 0.5 * np.einsum('ql,eqmd,eqc,eq->elcmd', vals, g, wq, W))
+    # X[e, k, c, d, a] = det w_kc J^-T_da
+    X = (det[:, None, None] * wn)[:, :, :, None, None] * invJT[:, None, None]
+    L = _contract(X, _reference(space.velocity_degree).newton)
     return _vector_matrix(space, L, nodes, region, expanded)
 
 
@@ -357,8 +437,9 @@ def interface_coupling_matrix(space, expanded=False):
 
 def pressure_mass_matrix(space, expanded=False):
     """(p, q) over the fluid region, P1 x P1."""
-    _, rnodes, vals1, _, W = _element_data(space, FLUID, 1, OPERATOR_DEGREE)
-    L = np.einsum('ql,qm,eq->elm', vals1, vals1, W)
+    tris, _, det, _ = _geometry(space, FLUID)
+    L = _contract(det[:, None], _reference(1).mass)
+    rnodes = space.tri_nodes(1)[tris]
     nv = space.mesh.num_vertices
     M = _scatter(L, rnodes[:, :, None], rnodes[:, None, :], (nv, nv))
     return M if expanded else restrict(space, M, "pressure", "pressure")
@@ -366,10 +447,9 @@ def pressure_mass_matrix(space, expanded=False):
 
 def pressure_mean_vector(space):
     """Integrals of the pressure basis functions over the fluid region."""
-    _, rnodes, vals1, _, W = _element_data(space, FLUID, 1, OPERATOR_DEGREE)
-    loc = np.einsum('ql,eq->el', vals1, W)
+    tris, _, det, _ = _geometry(space, FLUID)
     m = np.zeros(space.mesh.num_vertices)
-    np.add.at(m, rnodes, loc)
+    np.add.at(m, space.tri_nodes(1)[tris], _contract(det[:, None], _reference(1).mean))
     return m[expanded_index(space, "pressure")]
 
 
@@ -393,11 +473,11 @@ def _expanded_loads(space, params):
     fu = np.zeros((space.num_nodes(vd), 2))
     fh = np.zeros(space.num_nodes(hd))
     if params.g_f is not None:
-        _, nodes, vals, _, W = _element_data(space, FLUID, vd, LOAD_DEGREE)
+        nodes, vals, W = _element_data(space, FLUID, vd, LOAD_DEGREE)
         F = _evaluate(params.g_f, _quad_points(space, FLUID, LOAD_DEGREE), (2,))
         np.add.at(fu, nodes, np.einsum('eq,ceq,ql->elc', W, F, vals))
     if params.g_p is not None:
-        _, nodes, vals, _, W = _element_data(space, POROUS, hd, LOAD_DEGREE)
+        nodes, vals, W = _element_data(space, POROUS, hd, LOAD_DEGREE)
         F = _evaluate(params.g_p, _quad_points(space, POROUS, LOAD_DEGREE))
         np.add.at(fh, nodes, np.einsum('eq,eq,ql->el', W, F, vals))
     return fu, fh
@@ -445,56 +525,60 @@ def interface_residual_loads(space, r_mass=None, r_normal=None, r_tangential=Non
 # functional evaluators on raw per-node values
 # ---------------------------------------------------------------------------
 
+def _point_values(raw, nodes, vals):
+    """Values (ne, nq, 2) of a vector field, given per node, at the
+    quadrature points."""
+    return vals @ np.asarray(raw)[nodes]
+
+
+def _point_grads(raw, nodes, g):
+    """Gradients (ne, nq, 2, 2), [component, direction], of a vector field,
+    given per node, at the quadrature points."""
+    return np.swapaxes(np.asarray(raw)[nodes], 1, 2)[:, None] @ g
+
+
 def strain_energy(space, u_raw, region):
     """Integral of D(u):D(u) over a region (no viscosity factor)."""
-    _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
-                                      OPERATOR_DEGREE)
-    gu = np.einsum('elc,eqlj->eqcj', np.asarray(u_raw)[nodes], g)
+    nodes, _, g, W = _pointwise(space, region, space.velocity_degree)
+    gu = _point_grads(u_raw, nodes, g)
     D = 0.5 * (gu + gu.transpose(0, 1, 3, 2))
     return float(np.einsum('eqcj,eqcj,eq->', D, D, W))
 
 
 def darcy_energy(space, phi_raw, params):
     """Integral of grad(phi) . K grad(phi) over the porous region."""
-    _, nodes, _, g, W = _element_data(space, POROUS, space.head_degree,
-                                      OPERATOR_DEGREE)
-    gp = np.einsum('el,eqlj->eqj', np.asarray(phi_raw)[nodes], g)
-    return float(np.einsum('eqi,eij,eqj,eq->', gp, params.K_elems, gp, W))
+    nodes, _, g, W = _pointwise(space, POROUS, space.head_degree)
+    gp = (np.asarray(phi_raw)[nodes][:, None, None] @ g)[:, :, 0]
+    return float(np.einsum('eqi,eqi,eq->', gp @ params.K_elems, gp, W))
 
 
 def divergence_value(space, q_raw, u_raw, region=FLUID):
     """Integral of q * div(u), q piecewise linear on vertices."""
-    _, nodes, _, g, W = _element_data(space, region, space.velocity_degree,
-                                      OPERATOR_DEGREE)
-    _, rnodes, vals1, _, _ = _element_data(space, region, 1, OPERATOR_DEGREE)
-    qq = np.einsum('ql,el->eq', vals1, np.asarray(q_raw)[rnodes])
+    nodes, _, g, W = _pointwise(space, region, space.velocity_degree)
+    rnodes, vals1, _ = _element_data(space, region, 1, OPERATOR_DEGREE)
+    qq = np.asarray(q_raw)[rnodes] @ vals1.T
     divu = np.einsum('elc,eqlc->eq', np.asarray(u_raw)[nodes], g)
     return float(np.einsum('eq,eq,eq->', qq, divu, W))
 
 
 def convection_value(space, w_raw, u_raw, v_raw, region=FLUID, skew=True):
     """((w . grad) u, v) over a region, optionally with 1/2 (div w, u . v)."""
-    _, nodes, vals, g, W = _element_data(space, region, space.velocity_degree,
-                                         OPERATOR_DEGREE)
-    wn = np.asarray(w_raw)[nodes]
-    wq = np.einsum('ql,elc->eqc', vals, wn)
-    gu = np.einsum('elc,eqlj->eqcj', np.asarray(u_raw)[nodes], g)
-    vq = np.einsum('ql,elc->eqc', vals, np.asarray(v_raw)[nodes])
-    out = np.einsum('eqj,eqcj,eqc,eq->', wq, gu, vq, W)
+    nodes, vals, g, W = _pointwise(space, region, space.velocity_degree)
+    wq, vq = _point_values(w_raw, nodes, vals), _point_values(v_raw, nodes, vals)
+    wgu = np.einsum('eqcj,eqj->eqc', _point_grads(u_raw, nodes, g), wq)
+    out = np.einsum('eqc,eqc,eq->', wgu, vq, W)
     if skew:
-        divw = np.einsum('elc,eqlc->eq', wn, g)
-        uq = np.einsum('ql,elc->eqc', vals, np.asarray(u_raw)[nodes])
+        divw = np.einsum('elc,eqlc->eq', np.asarray(w_raw)[nodes], g)
+        uq = _point_values(u_raw, nodes, vals)
         out += 0.5 * np.einsum('eq,eqc,eqc,eq->', divw, uq, vq, W)
     return float(out)
 
 
 def divdot_value(space, w_raw, u_raw, v_raw, region=POROUS):
     """Integral of div(w) * (u . v) over a region."""
-    _, nodes, vals, g, W = _element_data(space, region, space.velocity_degree,
-                                         OPERATOR_DEGREE)
+    nodes, vals, g, W = _pointwise(space, region, space.velocity_degree)
     divw = np.einsum('elc,eqlc->eq', np.asarray(w_raw)[nodes], g)
-    uq = np.einsum('ql,elc->eqc', vals, np.asarray(u_raw)[nodes])
-    vq = np.einsum('ql,elc->eqc', vals, np.asarray(v_raw)[nodes])
+    uq, vq = _point_values(u_raw, nodes, vals), _point_values(v_raw, nodes, vals)
     return float(np.einsum('eq,eqc,eqc,eq->', divw, uq, vq, W))
 
 

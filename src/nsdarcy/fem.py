@@ -381,7 +381,6 @@ class CoupledSpace:
          self.num_aux_dofs, self.num_porous_vertices) = (
             len(self.fields[kind].index) for kind in layout)
 
-        self.offset_u = 0
         self.offset_p = self.num_velocity_dofs
         self.offset_phi = self.offset_p + self.num_pressure_dofs
         self.num_total_dofs = self.offset_phi + self.num_head_dofs

@@ -245,19 +245,18 @@ def solution_errors(space, case, state):
     porous region), all by degree-9 quadrature.
     """
     vd = space.velocity_degree
-    _, nodes, vals, grads, W = assembly._element_data(space, FLUID, vd,
-                                                      _ERROR_DEGREE)
+    nodes, vals, grads, W = assembly._pointwise(space, FLUID, vd,
+                                                _ERROR_DEGREE)
     X = assembly._quad_points(space, FLUID, _ERROR_DEGREE)
     un = state.u_raw(space)[nodes]
     du = np.einsum('ql,elc->ceq', vals, un) - _evaluate(case.u, X, (2,))
     dg = (np.einsum('elc,eqlj->cjeq', un, grads)
           - _evaluate(case.grad_u, X, (2, 2)))
-    _, pnodes, vals1, _, _ = assembly._element_data(space, FLUID, 1,
-                                                    _ERROR_DEGREE)
+    pnodes, vals1, _ = assembly._element_data(space, FLUID, 1, _ERROR_DEGREE)
     pn = state.p_raw(space)[pnodes]
     dp = np.einsum('ql,el->eq', vals1, pn) - _evaluate(case.p, X)
 
-    _, nodes_h, _, grads_h, Wp = assembly._element_data(
+    nodes_h, _, grads_h, Wp = assembly._pointwise(
         space, POROUS, space.head_degree, _ERROR_DEGREE)
     Xp = assembly._quad_points(space, POROUS, _ERROR_DEGREE)
     dphi = (np.einsum('el,eqlj->jeq', state.phi_raw(space)[nodes_h], grads_h)
@@ -287,8 +286,8 @@ def consistency_residual(space, case):
     R = b.copy()
 
     vd = space.velocity_degree
-    _, nodes, vals, grads, W = assembly._element_data(space, FLUID, vd,
-                                                      _ERROR_DEGREE)
+    nodes, vals, grads, W = assembly._pointwise(space, FLUID, vd,
+                                                _ERROR_DEGREE)
     X = assembly._quad_points(space, FLUID, _ERROR_DEGREE)
     U = _evaluate(case.u, X, (2,))
     GU = _evaluate(case.grad_u, X, (2, 2))
@@ -302,8 +301,7 @@ def consistency_residual(space, case):
     np.add.at(fu, nodes, loc)
     R[:space.offset_p] += fu.ravel()[assembly.expanded_index(space, "velocity")]
 
-    _, pnodes, vals1, _, _ = assembly._element_data(space, FLUID, 1,
-                                                    _ERROR_DEGREE)
+    pnodes, vals1, _ = assembly._element_data(space, FLUID, 1, _ERROR_DEGREE)
     locp = -np.einsum('eq,eq,qr->er', W, GU[0, 0] + GU[1, 1], vals1)
     fp = np.zeros(space.mesh.num_vertices)
     np.add.at(fp, pnodes, locp)
@@ -311,8 +309,8 @@ def consistency_residual(space, case):
         assembly.expanded_index(space, "pressure")]
 
     hd = space.head_degree
-    _, nodes_h, _, grads_h, Wp = assembly._element_data(space, POROUS, hd,
-                                                        _ERROR_DEGREE)
+    nodes_h, _, grads_h, Wp = assembly._pointwise(space, POROUS, hd,
+                                                  _ERROR_DEGREE)
     Xp = assembly._quad_points(space, POROUS, _ERROR_DEGREE)
     KG = np.einsum('ij,jeq->eqi', case.K, _evaluate(case.grad_phi, Xp, (2,)))
     loch = -np.einsum('eq,eqj,eqlj->el', Wp, KG, grads_h)

@@ -8,9 +8,13 @@ tolerances.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse import coo_matrix
 
 from nsdarcy import assembly as asm
-from nsdarcy.fem import CoupledSpace, QuadratureRule, edge_shape_values
+from nsdarcy import mms
+from nsdarcy.fem import (CoupledSpace, QuadratureRule, edge_shape_values,
+                         shape_ref_grads, shape_values)
 from nsdarcy.mesh import FLUID, POROUS, build_rectangle_mesh, refine_uniform
 
 
@@ -354,3 +358,227 @@ class TestPressureHelpers:
         qf = q[asm.expanded_index(space, "pressure")]
         assert m @ qf == pytest.approx(0.5, abs=1e-12)  # int of x over the strip
 
+
+
+# ---------------------------------------------------------------------------
+# quadrature oracle of the volume operators
+# ---------------------------------------------------------------------------
+
+def _oracle_data(space, region, degree):
+    """(nodes, values, physical gradients, weights) at the points of the
+    degree-6 rule, from inverted Jacobians."""
+    rule = QuadratureRule.triangle(6)
+    tris = space.fluid_tris if region == FLUID else space.porous_tris
+    pts = space.mesh.vertices[space.mesh.triangles[tris]]
+    J = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]], axis=2)
+    invJT = np.linalg.inv(J).transpose(0, 2, 1)
+    g = np.einsum('eij,qlj->eqli', invJT, shape_ref_grads(degree, rule.points))
+    W = rule.weights[None, :] * np.linalg.det(J)[:, None]
+    return space.tri_nodes(degree)[tris], shape_values(degree, rule.points), g, W
+
+
+def _dense(L, rows, cols, shape):
+    rows, cols = np.broadcast_to(rows, L.shape), np.broadcast_to(cols, L.shape)
+    return coo_matrix((L.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=shape).toarray()
+
+
+def _dense_vv(space, nodes, L):
+    dofs = 2 * nodes[..., None] + np.arange(2)
+    n = 2 * space.num_nodes(space.velocity_degree)
+    return _dense(L, dofs[:, :, :, None, None], dofs[:, None, None], (n, n))
+
+
+def oracle_strain(space, region):
+    nodes, _, g, W = _oracle_data(space, region, space.velocity_degree)
+    base = np.einsum('eqli,eqmi,eq->elm', g, g, W)
+    cross = np.einsum('eqld,eqmc,eq->elmcd', g, g, W)
+    L = 0.5 * (np.einsum('elm,cd->elcmd', base, np.eye(2))
+               + cross.transpose(0, 1, 3, 2, 4))
+    return _dense_vv(space, nodes, L)
+
+
+def oracle_darcy(space, params):
+    nodes, _, g, W = _oracle_data(space, POROUS, space.head_degree)
+    Kg = np.einsum('eij,eqmj->eqmi', params.K_elems, g)
+    L = np.einsum('eqli,eqmi,eq->elm', g, Kg, W)
+    n = space.num_nodes(space.head_degree)
+    return _dense(L, nodes[:, :, None], nodes[:, None, :], (n, n))
+
+
+def oracle_divergence(space, region):
+    nodes, _, g, W = _oracle_data(space, region, space.velocity_degree)
+    rnodes, vals1, _, _ = _oracle_data(space, region, 1)
+    L = np.einsum('qr,eqmd,eq->ermd', vals1, g, W)
+    return _dense(L, rnodes[:, :, None, None],
+                  (2 * nodes[..., None] + np.arange(2))[:, None],
+                  (space.mesh.num_vertices,
+                   2 * space.num_nodes(space.velocity_degree)))
+
+
+def oracle_convection(space, wind, region, skew):
+    nodes, vals, g, W = _oracle_data(space, region, space.velocity_degree)
+    wn = wind[nodes]
+    wq = np.einsum('ql,elc->eqc', vals, wn)
+    wgrad = np.einsum('eqj,eqmj->eqm', wq, g)
+    P = np.einsum('ql,eqm,eq->elm', vals, wgrad, W)
+    if skew:
+        divw = np.einsum('elc,eqlc->eq', wn, g)
+        P = P + 0.5 * np.einsum('eq,ql,qm->elm', divw * W, vals, vals)
+    return _dense_vv(space, nodes, np.einsum('elm,cd->elcmd', P, np.eye(2)))
+
+
+def oracle_newton(space, wind, region):
+    nodes, vals, g, W = _oracle_data(space, region, space.velocity_degree)
+    wn = wind[nodes]
+    wq = np.einsum('ql,elc->eqc', vals, wn)
+    gw = np.einsum('elc,eqlj->eqcj', wn, g)
+    L = (np.einsum('ql,qm,eqcd,eq->elcmd', vals, vals, gw, W)
+         + 0.5 * np.einsum('ql,eqmd,eqc,eq->elcmd', vals, g, wq, W))
+    return _dense_vv(space, nodes, L)
+
+
+def oracle_pressure_mass(space):
+    rnodes, vals1, _, W = _oracle_data(space, FLUID, 1)
+    L = np.einsum('ql,qm,eq->elm', vals1, vals1, W)
+    nv = space.mesh.num_vertices
+    return _dense(L, rnodes[:, :, None], rnodes[:, None, :], (nv, nv))
+
+
+def oracle_pressure_mean(space):
+    rnodes, vals1, _, W = _oracle_data(space, FLUID, 1)
+    m = np.zeros(space.mesh.num_vertices)
+    np.add.at(m, rnodes, np.einsum('ql,eq->el', vals1, W))
+    return m[asm.expanded_index(space, "pressure")]
+
+
+def anisotropic_K(x, y):
+    return ((2.0 + x, 0.3 * y), (0.3 * y, 1.0 + y * y))
+
+
+def assert_close(got, expect):
+    got = got.toarray() if hasattr(got, "toarray") else got
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.fixture(params=["space", "wavy_space"])
+def any_space(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestTensorOperatorsMatchQuadrature:
+    """Each operator built from reference tensors equals its element-wise
+    quadrature sum, the form the tensors replace, to rounding."""
+
+    @pytest.mark.parametrize("region", [FLUID, POROUS])
+    def test_strain_and_divergence(self, any_space, region):
+        assert_close(asm.strain_matrix(any_space, region, expanded=True),
+                     oracle_strain(any_space, region))
+        assert_close(asm.divergence_matrix(any_space, region, expanded=True),
+                     oracle_divergence(any_space, region))
+
+    def test_aux_divergence(self, any_space):
+        full = oracle_divergence(any_space, POROUS)
+        rows = asm.expanded_index(any_space, "porous_vertex")
+        cols = asm.expanded_index(any_space, "aux")
+        assert_close(asm.aux_divergence_matrix(any_space),
+                     full[rows][:, cols])
+
+    @pytest.mark.parametrize("region", [FLUID, POROUS])
+    @pytest.mark.parametrize("skew", [True, False])
+    def test_convection_and_newton(self, any_space, region, skew):
+        rng = np.random.default_rng(13)
+        wind = rng.standard_normal((any_space.num_nodes(2), 2))
+        assert_close(asm.convection_matrix(any_space, wind, region, skew=skew,
+                                           expanded=True),
+                     oracle_convection(any_space, wind, region, skew))
+        assert_close(asm.newton_convection_matrix(any_space, wind, region,
+                                                  expanded=True),
+                     oracle_newton(any_space, wind, region))
+
+    def test_pressure_mass_and_mean(self, any_space):
+        assert_close(asm.pressure_mass_matrix(any_space, expanded=True),
+                     oracle_pressure_mass(any_space))
+        assert_close(asm.pressure_mean_vector(any_space),
+                     oracle_pressure_mean(any_space))
+
+    @pytest.mark.parametrize("head_degree", [1, 2])
+    @pytest.mark.parametrize("wavy", [False, True])
+    def test_darcy_with_variable_anisotropic_K(self, wavy_map, head_degree,
+                                               wavy):
+        mesh = refine_uniform(build_rectangle_mesh(2, 4, 1.0))
+        sp = CoupledSpace(wavy_map(mesh) if wavy else mesh,
+                          head_degree=head_degree)
+        params = asm.ModelParams(sp.mesh, nu=1.0, K=anisotropic_K)
+        assert len(np.unique(params.K_elems[:, 0, 1])) > 1
+        assert_close(asm.darcy_matrix(sp, params, expanded=True),
+                     oracle_darcy(sp, params))
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_assembled_convection_identities_on_the_wavy_interface(wavy_space,
+                                                               seed, scale):
+    """Through the assembled matrices, for a random wind w (any values,
+    boundary nodes included) and fields u, v, d vanishing on gamma_f: the
+    skew form gives v.C(w)u + u.C(w)v = int_interface (u.v)(w.n_f), and
+    the Newton block completes the trilinear expansion
+    C(w+d)(w+d) - C(w)w = C(w)d + N(w)d + C(d)d."""
+    sp = wavy_space
+    rng = np.random.default_rng(seed)
+    w = scale * rng.standard_normal((sp.num_nodes(2), 2))
+    u, v, d = (random_velocity(sp, rng) for _ in range(3))
+    C = asm.convection_matrix(sp, w, expanded=True)
+    pair = v.ravel() @ (C @ u.ravel()) + u.ravel() @ (C @ v.ravel())
+    flux = asm.interface_uv_flux(sp, u, v, w)
+    size = np.abs(v.ravel()) @ (abs(C) @ np.abs(u.ravel()))
+    assert abs(pair - flux) <= 1e-12 * size
+
+    Cm = lambda a: asm.convection_matrix(sp, a, expanded=True)
+    N = asm.newton_convection_matrix(sp, w, expanded=True)
+    lhs = Cm(w + d) @ (w + d).ravel() - C @ w.ravel()
+    rhs = C @ d.ravel() + N @ d.ravel() + Cm(d) @ d.ravel()
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_gradient_arrays_are_built_only_by_pointwise_evaluators(wavy_map):
+    """Operators and loads read no per-point gradient array; the energy
+    evaluators build one at the operator rule and the error norms one at
+    their own rule."""
+    def grad_keys(sp):
+        return {key[1:] for key in sp._cache if key[0] == "_element_grads"}
+
+    sp = CoupledSpace(wavy_map(build_rectangle_mesh(2, 4, 1.0)))
+    case = mms.representable_case()
+    params = case.params(sp.mesh)
+    state = case.solve(sp)
+    wind = state.u_raw(sp)
+    for region in (FLUID, POROUS):
+        asm.strain_matrix(sp, region)
+        asm.divergence_matrix(sp, region)
+        asm.convection_matrix(sp, wind, region)
+        asm.convection_matrix(sp, wind, region, skew=False)
+        asm.newton_convection_matrix(sp, wind, region)
+    asm.aux_divergence_matrix(sp)
+    asm.darcy_matrix(sp, params)
+    asm.pressure_mass_matrix(sp)
+    asm.pressure_mean_vector(sp)
+    asm.load_vector(sp, params)
+    asm.load_value(sp, params, wind, state.phi_raw(sp))
+    assert grad_keys(sp) == set()
+
+    phi = state.phi_raw(sp)
+    asm.strain_energy(sp, wind, FLUID)
+    asm.strain_energy(sp, wind, POROUS)
+    asm.darcy_energy(sp, phi, params)
+    asm.divergence_value(sp, state.p_raw(sp), wind)
+    asm.convection_value(sp, wind, wind, wind)
+    asm.divdot_value(sp, wind, wind, wind)
+    six = asm.OPERATOR_DEGREE
+    assert grad_keys(sp) == {(FLUID, 2, six), (POROUS, 2, six),
+                             (POROUS, 1, six)}
+
+    mms.solution_errors(sp, case, state)
+    nine = mms._ERROR_DEGREE
+    assert grad_keys(sp) == {(FLUID, 2, six), (POROUS, 2, six),
+                             (POROUS, 1, six), (FLUID, 2, nine),
+                             (POROUS, 1, nine)}
