@@ -38,16 +38,18 @@ def _strain_lu(space):
                                      "velocity", "velocity"), "fluid strain")
 
 
-def _fluid_dual(space, params, b):
-    """||g_f||_* from the coupled load vector ``b``."""
-    if params.g_f is None:
+def _fluid_dual(space, b):
+    """Dual norm of the momentum rows of the coupled right-hand side ``b``
+    on the discrete fluid velocity space; 0 when they vanish."""
+    if not b[:space.offset_p].any():
         return 0.0
     return _riesz(_strain_lu(space), b[:space.offset_p])[1]
 
 
 def _porous_dual(space, params, b):
-    """||g_p||_* from the coupled load vector ``b``."""
-    if params.g_p is None:
+    """Dual norm of the head rows of the coupled right-hand side ``b`` in the
+    Darcy norm; 0 when they vanish."""
+    if not b[space.offset_phi:].any():
         return 0.0
     A = assembly.darcy_matrix(space, params)
     return _riesz(_factor(A, "Darcy matrix"), b[space.offset_phi:])[1]
@@ -56,7 +58,7 @@ def _porous_dual(space, params, b):
 def dual_norm_fluid(space, params):
     """Dual norm of the fluid load: sup (g_f, v) / ||D(v)|| over the
     discrete fluid velocity space, via a Riesz solve."""
-    return _fluid_dual(space, params, assembly.load_vector(space, params))
+    return _fluid_dual(space, assembly.load_vector(space, params))
 
 
 def dual_norm_porous(space, params):
@@ -70,20 +72,23 @@ def _uniqueness(params, gf, gp):
 
 
 def uniqueness_number(space, params):
-    """Small-data functional nu^-2 ||g_f||_* + nu^-3/2 lambda_min^-1/2 ||g_p||_*.
+    """Small-data functional nu^-2 ||g_f||_* + nu^-3/2 lambda_min^-1/2 ||g_p||_*
+    of the volume sources.
 
     Values small against one indicate the convective perturbation is
     dominated by the dissipation, the regime with a unique solution.
     """
     b = assembly.load_vector(space, params)
-    return _uniqueness(params, _fluid_dual(space, params, b),
+    return _uniqueness(params, _fluid_dual(space, b),
                        _porous_dual(space, params, b))
 
 
 class _Report:
     def to_dict(self):
-        """Flat JSON-ready dict; each field cast to its annotated type."""
-        return {f.name: f.type(getattr(self, f.name)) for f in fields(self)}
+        """Flat JSON-ready dict; each field cast to its annotated type, and
+        None (a check that does not apply) kept as None."""
+        return {f.name: None if (v := getattr(self, f.name)) is None
+                else f.type(v) for f in fields(self)}
 
 
 @dataclass
@@ -91,10 +96,16 @@ class EnergyReport(_Report):
     """Every quantity of the a priori theory at one discrete solution.
 
     ``e_*`` are the energies (viscous, Darcy, companion, slip), ``dual_g*``
-    the load dual norms, ``C_sq`` the reference bound
-    ``nu^-1 dual_gf^2 + lambda_min^-1 dual_gp^2``, and
+    the dual norms of the momentum and head rows of the solve's right-hand
+    side b, ``load_work`` the work of b on the solution, ``C_sq`` the
+    reference bound ``nu^-1 dual_gf^2 + lambda_min^-1 dual_gp^2``, and
     ``bound_ratio = (e_fluid + e_darcy) / C_sq`` the measured constant of
     the a priori estimate, flagged against ``c_mult``.
+
+    Fields that do not apply are nan (``bound_ok`` None), so null in JSON:
+    with Dirichlet velocity data, ``balance_defect_rel``, ``bound_ratio``,
+    ``bound_ok``, ``e_aux`` and ``compensation_residual``; without the
+    inf-sup eigensolve, ``beta``.
     """
 
     e_fluid: float
@@ -112,7 +123,7 @@ class EnergyReport(_Report):
     gamma_term: float
     compensation_residual: float
     balance_defect_rel: float
-    bound_ok: bool
+    bound_ok: bool  # None where the bound does not apply
     c_mult: float
     load_work: float
     h: float
@@ -123,22 +134,33 @@ class EnergyReport(_Report):
 
 
 def verify_energy_estimate(space, params, state, c_mult=4.0,
-                           with_inf_sup=True, with_companion=True):
-    """Check the discrete energy balance and the a priori energy bound.
+                           with_inf_sup=True):
+    """Check the discrete energy balance and the a priori energy bound at the
+    solution ``state``, against the data its solve used.
 
-    The balance identity (exact at the discrete solution up to solver and
-    rounding error) reads
+    The report reads the solve's free-dof right-hand side ``state.b`` (the
+    volume loads plus any extra loads, such as a manufactured case's
+    interface loads), its residual ``state.F`` and its Dirichlet data
+    ``state.dirichlet``; it evaluates no data callable.  The balance
+    identity (exact at the discrete solution up to solver and rounding
+    error) reads
 
         2 nu ||D(u)||^2 + ||K^1/2 grad(phi)||^2 + G ||u.tau||^2 + gamma(u)
-            = (g_f, u) + (g_p, phi),
+            = b . (u, phi),
 
-    where gamma(u) is half the interface flux of the kinetic energy.  The a
-    priori estimate is checked as e_fluid + e_darcy <= c_mult * C_sq with
-    the dual norms computed by discrete Riesz solves.
+    where gamma(u) is half the interface flux of the kinetic energy and the
+    right side is the work of the data, (g_f, u) + (g_p, phi) plus that of
+    the extra loads.  The a priori estimate is checked as
+    e_fluid + e_darcy <= c_mult * C_sq, with the dual norms of the momentum
+    and head rows of b computed by discrete Riesz solves.
 
-    ``with_inf_sup`` and ``with_companion`` skip the inf-sup eigensolve and
-    the companion solve (needs the solution trace to vanish at the
-    interface endpoints); the corresponding report fields become nan.
+    Non-homogeneous Dirichlet data add boundary work that neither the
+    balance nor the bound carries, and the companion problem needs a
+    solution trace that vanishes at the interface endpoints: with
+    ``state.dirichlet`` set, ``balance_defect_rel``, ``bound_ratio``,
+    ``e_aux`` and ``compensation_residual`` are nan and ``bound_ok`` is
+    None.  ``with_inf_sup=False`` skips the inf-sup eigensolve, and ``beta``
+    is nan.
     """
     u_raw = state.u_raw(space)
     phi_raw = state.phi_raw(space)
@@ -146,15 +168,18 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     darcy = assembly.darcy_energy(space, phi_raw, params)
     bjs = assembly.bjs_energy(space, u_raw, coefficient=params.G)
     gamma = assembly.gamma_term(space, u_raw)
-    # one load evaluation feeds the work and both dual norms
-    fu, fh = assembly._expanded_loads(space, params)
-    b = assembly._coupled_vector(space, fu, fh)
-    work = float(fu.ravel() @ u_raw.ravel() + fh @ phi_raw)
+    # the work b . (u, phi), summed over the per-node arrays (b expands to
+    # zero at nodes without dofs); a sum over the free dofs alone runs in
+    # another order and rounds differently
+    b = state.b
+    work = float(space.velocity_node_values(b[:space.offset_p]).ravel()
+                 @ u_raw.ravel()
+                 + space.head_node_values(b[space.offset_phi:]) @ phi_raw)
 
     balance = 2 * params.nu * strain + darcy + bjs + gamma - work
     scale = max(abs(work), 2 * params.nu * strain + darcy + bjs, 1e-30)
 
-    gf = _fluid_dual(space, params, b)
+    gf = _fluid_dual(space, b)
     gp = _porous_dual(space, params, b)
     c_sq = gf ** 2 / params.nu + gp ** 2 / params.lambda_min
     e_fluid = params.nu * strain
@@ -172,11 +197,13 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     _, p_dual = _riesz(_strain_lu(space), ell)
 
     beta = compute_inf_sup(space).beta if with_inf_sup else np.nan
-    if with_companion:
+    if state.dirichlet is None:
         comp = compensation_residual(space, params, state=state)
         e_aux, comp_res = comp.energy_aux, comp.residual
+        defect, bound_ok = abs(balance) / scale, bool(ratio <= c_mult)
     else:
-        e_aux = comp_res = np.nan
+        e_aux = comp_res = defect = ratio = np.nan
+        bound_ok = None
 
     return EnergyReport(
         e_fluid=e_fluid, e_darcy=darcy, e_aux=e_aux, e_bjs=bjs,
@@ -184,10 +211,10 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
         uniqueness_number=_uniqueness(params, gf, gp),
         pressure_norm=p_norm, pressure_dual=p_dual, beta=beta,
         gamma_term=gamma, compensation_residual=comp_res,
-        balance_defect_rel=abs(balance) / scale,
-        bound_ok=bool(ratio <= c_mult), c_mult=c_mult, load_work=work,
-        h=space.mesh.h, nu=params.nu, slip_coefficient=params.G,
-        lambda_min=params.lambda_min, lambda_max=params.lambda_max)
+        balance_defect_rel=defect, bound_ok=bound_ok, c_mult=c_mult,
+        load_work=work, h=space.mesh.h, nu=params.nu,
+        slip_coefficient=params.G, lambda_min=params.lambda_min,
+        lambda_max=params.lambda_max)
 
 
 @dataclass
@@ -328,12 +355,15 @@ def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
     energy norm.  The small-data condition is
     ``uniqueness_number * c_mult < 1``; the verdict is "unique" when it
     holds and the solutions agree within 1e-8 relative, "violated" when it
-    holds but they differ, "inconclusive" when the condition fails.
+    holds but they differ, "inconclusive" when the condition fails.  The
+    uniqueness number is that of the right-hand side the solves used,
+    ``extra_loads`` included.
     """
     config = config or SolverConfig()
-    num = uniqueness_number(space, params)
     s0 = solve_coupled(space, params, config, dirichlet=dirichlet,
                        extra_loads=extra_loads)
+    num = _uniqueness(params, _fluid_dual(space, s0.b),
+                      _porous_dual(space, params, s0.b))
 
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(space.num_total_dofs)

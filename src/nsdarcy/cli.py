@@ -283,8 +283,7 @@ def cmd_solve(cfg):
                                  dirichlet=dirichlet, extra_loads=extra)
     report = analysis.verify_energy_estimate(
         space, params, state, c_mult=cfg["c_mult"],
-        with_inf_sup=space.num_pressure_dofs <= _INF_SUP_DOF_CAP,
-        with_companion=dirichlet is None)
+        with_inf_sup=space.num_pressure_dofs <= _INF_SUP_DOF_CAP)
 
     payload = {
         "command": "solve",
@@ -327,7 +326,15 @@ def cmd_verify(cfg):
     the base mesh is refined ``levels - 1`` times, and each level's space,
     strain factorization and inf-sup constant are computed once and shared
     by every check.  Energy reports are memoized per (level, nu, K,
-    forcing), so the compensation sweep reuses a suite dataset's solve."""
+    forcing), so the compensation sweep reuses a suite dataset's solve.
+    The bundle checks the Taylor-Hood pair with a P1 head; other degrees
+    are a config error (``--unstable-pair`` runs the equal-order control)."""
+    other = [f"{key}={cfg[key]!r}" for key in ("velocity_degree", "head_degree")
+             if cfg[key] != DEFAULTS[key]]
+    if other:
+        raise ConfigError(f"verify checks the Taylor-Hood pair with a P1 head "
+                          f"only, not {', '.join(other)} (use --unstable-pair "
+                          "for the equal-order control)")
     levels = cfg["levels"] if cfg["levels"] is not None else 3
     c_mult = cfg["c_mult"]
     meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)

@@ -91,10 +91,12 @@ class SolverConfig:
 
 
 class CoupledState:
-    """Free-dof solution of the coupled system and its residual ``F``."""
+    """Free-dof solution of the coupled system, with the data it solved for:
+    the Dirichlet velocity data ``dirichlet``, the free-dof right-hand side
+    ``b`` (the volume loads plus any extra loads) and the residual ``F``."""
 
     def __init__(self, u, p, phi, converged, iterations, residual, transcript,
-                 dirichlet=None, F=None):
+                 dirichlet=None, F=None, b=None):
         self.u = u
         self.p = p
         self.phi = phi
@@ -104,6 +106,7 @@ class CoupledState:
         self.transcript = transcript
         self.dirichlet = dirichlet
         self.F = F
+        self.b = b
 
     def u_raw(self, space):
         return space.velocity_node_values(self.u, self.dirichlet)
@@ -331,7 +334,8 @@ def solve_coupled(space, params, config=None, dirichlet=None,
         if res <= config.tol * scale or not config.include_convection:
             return CoupledState(*space.split_state(x), converged=True,
                                 iterations=it, residual=float(res),
-                                transcript=transcript, dirichlet=dirichlet, F=F)
+                                transcript=transcript, dirichlet=dirichlet, F=F,
+                                b=sys.b)
         if res >= prev_res:
             increases += 1
             if increases >= DAMPING_TRIGGER and scheme == "picard":
@@ -350,7 +354,8 @@ def solve_coupled(space, params, config=None, dirichlet=None,
         transcript=transcript,
         state=CoupledState(*space.split_state(x), converged=False,
                            iterations=config.max_iter, residual=float(prev_res),
-                           transcript=transcript, dirichlet=dirichlet, F=F))
+                           transcript=transcript, dirichlet=dirichlet, F=F,
+                           b=sys.b))
 
 
 def solve_auxiliary(space, params, state=None, trace=None, sigma=None,

@@ -132,8 +132,7 @@ def test_criterion_04_a_priori_bound():
             params = asm.ModelParams(mesh, **data)
             state = slv.solve_coupled(space, params)
             rep = verify_energy_estimate(space, params, state, c_mult=c_mult,
-                                         with_inf_sup=False,
-                                         with_companion=False)
+                                         with_inf_sup=False)
             ratios.append(rep.bound_ratio)
             mesh = refine_uniform(mesh)
         spread = (max(ratios) - min(ratios)) / min(ratios)
@@ -216,7 +215,7 @@ def test_criterion_08_uniqueness(base_space):
         dparams = asm.ModelParams(space.mesh, **data)
         state = slv.solve_coupled(space, dparams)
         rep = verify_energy_estimate(space, dparams, state,
-                                     with_inf_sup=False, with_companion=False)
+                                     with_inf_sup=False)
         worst_p = max(worst_p,
                       beta * rep.pressure_norm / max(rep.pressure_dual, 1e-30))
     report(8, "uniqueness", two_start_ok and worst_p <= 4.0,

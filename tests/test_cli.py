@@ -56,7 +56,8 @@ class TestSolve:
 
     def test_case_run_reports_errors_and_nan_becomes_null(self, tmp_path):
         # the representable case carries inhomogeneous boundary data, so the
-        # companion fields are skipped; their NaN must serialize as null
+        # companion fields, the balance and the bound do not apply; their
+        # NaN, and the None of bound_ok, must serialize as null
         out = tmp_path / "run"
         assert run("solve", "--case", "representable",
                    "--out", str(out)) == EXIT_OK
@@ -65,8 +66,21 @@ class TestSolve:
         assert payload["forcing"] is None
         errors = payload["errors"]
         assert all(errors[k] < 1e-9 for k in errors)
-        assert payload["energy"]["e_aux"] is None
-        assert payload["energy"]["compensation_residual"] is None
+        energy = payload["energy"]
+        for key in ("e_aux", "compensation_residual", "bound_ok",
+                    "bound_ratio", "balance_defect_rel"):
+            assert energy[key] is None, key
+        assert set(energy) == {f.name for f in dataclasses.fields(EnergyReport)}
+
+    @pytest.mark.parametrize("mesh", ["builtin:4x8", "builtin:16x32"])
+    def test_case_balance_closes_with_its_interface_loads(self, tmp_path,
+                                                          mesh):
+        out = tmp_path / "run"
+        assert run("solve", "--case", "smooth", "--mesh", mesh,
+                   "--out", str(out)) == EXIT_OK
+        energy = json.loads((out / "report.json").read_text())["energy"]
+        assert energy["balance_defect_rel"] <= 1e-12
+        assert energy["bound_ok"] is True
 
     def test_vtk_flag_writes_legacy_file(self, tmp_path):
         out = tmp_path / "run"
@@ -424,6 +438,22 @@ class TestConfigHandling:
         assert spec in captured.err and "split_y" not in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [
+        {"velocity_degree": 1}, {"head_degree": 2},
+        {"velocity_degree": 1, "head_degree": 2}],
+        ids=["velocity", "head", "both"])
+    def test_verify_rejects_other_degrees(self, tmp_path, capsys, values):
+        # the bundle checks the Taylor-Hood pair; the equal-order control is
+        # the --unstable-pair flag
+        cfg = write_config(tmp_path / "cfg.json", **values)
+        out = tmp_path / "never"
+        assert run("verify", "--config", cfg, "--mesh", "builtin:2x4",
+                   "--levels", "1", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "--unstable-pair" in err
+        assert all(key in err for key in values)
         assert not out.exists()
 
     def test_unknown_case_lists_choices(self, tmp_path, capsys):
