@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,56 +78,75 @@ FORCINGS = {
 # configuration
 # ---------------------------------------------------------------------------
 
-DEFAULTS = {
-    "mesh": "builtin:4x8",
-    "levels": None,
-    "nu": 1.0,
-    "K": 1.0,
-    "G": 1.0,
-    "sigma": None,
-    "forcing": "driven",
-    "case": None,
-    "c_mult": 4.0,
-    "seed": 0,
-    "out": ".",
-    "no_convection": False,
-    "vtk": False,
-    "velocity_degree": 2,
-    "head_degree": 1,
-    "tol": 1e-10,
-    "max_iter": 25,
-    "scheme": "picard_then_newton",
-    "unstable_pair": False,
-    "no_assert": False,
-    "dump": False,
+class Key(NamedTuple):
+    """A config key: its default (None makes it nullable), its JSON type,
+    the commands that read it, and its flag's help (None: no flag)."""
+    default: object
+    kind: type
+    readers: tuple
+    flag: str = None
+
+
+_ALL = ("solve", "verify", "mms", "mesh-info")
+_SOLVES = ("solve", "verify", "mms")
+_SV = ("solve", "verify")
+
+KEYS = {
+    "mesh": Key("builtin:4x8", str, _ALL, "builtin:WxH or a mesh file path"),
+    "levels": Key(None, int, ("verify", "mms"), "refinement levels"),
+    "nu": Key(1.0, float, _SV),
+    "K": Key(1.0, float, _SV),  # or a 2x2 matrix
+    "G": Key(1.0, float, ("solve",)),
+    "sigma": Key(None, float, _SV, "companion viscosity (default nu*h)"),
+    "forcing": Key("driven", str, ("solve",)),
+    "case": Key(None, str, ("solve", "mms"),
+                "manufactured case: smooth (mms default) or representable"),
+    "c_mult": Key(4.0, float, _SV, "multiplier for generic-constant checks"),
+    "seed": Key(0, int, _ALL, "seed for randomized checks"),
+    "out": Key(".", str, _ALL, "output directory"),
+    "no_convection": Key(False, bool, _SOLVES, "linear Stokes-Darcy problem"),
+    "vtk": Key(False, bool, ("solve",), "also write fields.vtk"),
+    "velocity_degree": Key(2, int, ("solve", "mms")),
+    "head_degree": Key(1, int, ("solve", "mms")),
+    "tol": Key(1e-10, float, _SOLVES),
+    "max_iter": Key(25, int, _SOLVES),
+    "scheme": Key("picard_then_newton", str, _SOLVES),
+    "unstable_pair": Key(False, bool, ("verify",), "P1-P1 inf-sup control"),
+    "no_assert": Key(False, bool, ("mms",), "rates do not gate the exit code"),
+    "dump": Key(False, bool, ("mesh-info",), "print the canonical text form"),
 }
-
-_FLAG_KEYS = ("mesh", "levels", "c_mult", "seed", "out", "sigma", "case")
-_TRUE_FLAGS = ("no_convection", "vtk", "unstable_pair", "no_assert", "dump")
-_NUMBER_KEYS = {"nu": float, "G": float, "sigma": float, "c_mult": float,
-                "tol": float, "max_iter": int, "seed": int, "levels": int,
-                "velocity_degree": int, "head_degree": int}
-_STRING_KEYS = ("mesh", "out", "forcing", "scheme", "case")
-_NULLABLE_KEYS = ("sigma", "levels", "case")
+DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
 
 
-def _number(key, value, kind=float):
-    """``value`` as a finite ``kind``, or a ConfigError naming ``key``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float)
-                and not value.is_integer())):
-        raise ConfigError(f"{key} must be a number of type "
-                          f"{kind.__name__}, got {value!r}")
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+def _typed(key, value, kind):
+    """``value`` if it has its key's JSON type, else a ConfigError naming
+    the key: numbers are finite and counts whole, and K is a number > 0 or
+    a 2x2 matrix of numbers (ModelParams checks that a matrix is SPD)."""
+    if key == "K" and isinstance(value, list) and len(value) == 2 and all(
+            isinstance(row, list) and len(row) == 2 for row in value):
+        return [[_typed("K entry", v, float) for v in row] for row in value]
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+        wanted = "a string" if kind is str else "true or false"
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+          or (kind is int and isinstance(value, float)
+              and not value.is_integer())):
+        wanted = f"a number of type {kind.__name__}"
+    elif not abs(value) <= sys.float_info.max:  # nan, inf or a huge integer
+        wanted = "a finite number"
+    elif key == "K" and not value > 0:
+        wanted = "a number > 0"
+    else:
+        return kind(value)
+    if key == "K":
+        wanted = f"{wanted} or a 2x2 matrix"
+    raise ConfigError(f"{key} must be {wanted}, got {value!r}")
 
 
 def load_config(args):
+    """Defaults, then the file, then the flags; each value checked, and
+    none set away from its default for a command that does not read it."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
@@ -138,38 +158,15 @@ def load_config(args):
             raise ConfigError(f"malformed config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(DEFAULTS))
+        unknown = sorted(set(data) - set(KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(data)
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key in _TRUE_FLAGS:
-        if getattr(args, key, False):
-            cfg[key] = True
-    # a string, null, non-finite or fractional count is a config error, not
-    # a traceback, and so is a permeability K that is not a positive number
-    # or a 2x2 matrix (ModelParams checks that a matrix is SPD)
-    for key, kind in _NUMBER_KEYS.items():
-        if not (cfg[key] is None and key in _NULLABLE_KEYS):
-            cfg[key] = _number(key, cfg[key], kind)
-    K = cfg["K"]
-    if (isinstance(K, list) and len(K) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in K)):
-        cfg["K"] = [[_number("K", v) for v in row] for row in K]
-    elif isinstance(K, list) or not _number("K", K) > 0:
-        raise ConfigError(f"K must be a number > 0 or a 2x2 matrix, got {K!r}")
-    # so is a name that is not a string, or a switch that is not a boolean
-    # (the string "false" would otherwise read as true)
-    for keys, kind, wanted in ((_STRING_KEYS, str, "a string"),
-                               (_TRUE_FLAGS, bool, "true or false")):
-        for key in keys:
-            value = cfg[key]
-            if not (isinstance(value, kind)
-                    or (value is None and key in _NULLABLE_KEYS)):
-                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in KEYS)
+    for key, spec in KEYS.items():
+        if not (cfg[key] is None and spec.default is None):
+            cfg[key] = _typed(key, cfg[key], spec.kind)
     if cfg["levels"] is not None and cfg["levels"] < 1:
         raise ConfigError("levels must be at least 1")
     if not cfg["c_mult"] > 0:
@@ -182,6 +179,18 @@ def load_config(args):
     if cfg["forcing"] not in FORCINGS:
         raise ConfigError(f"unknown forcing {cfg['forcing']!r}; "
                           f"available: {', '.join(sorted(FORCINGS))}")
+    command = args.command
+    fixed = (("nu", "K", "G", "forcing")  # a manufactured case fixes them
+             if command == "solve" and cfg["case"] else ())
+    unread = [key for key, spec in KEYS.items() if cfg[key] != spec.default
+              and (command not in spec.readers or key in fixed)]
+    if unread:
+        why = ("; verify checks the Taylor-Hood pair with a P1 head (the "
+               "equal-order control is --unstable-pair)" if command ==
+               "verify" and "degree" in "".join(unread) else "")
+        raise ConfigError(
+            f"{'solve --case' if fixed else command} does not read "
+            f"{', '.join(f'{key}={cfg[key]!r}' for key in unread)}{why}")
     return cfg
 
 
@@ -327,15 +336,8 @@ def cmd_verify(cfg):
     strain factorization and inf-sup constant are computed once and shared
     by every check.  Energy reports are memoized per (level, nu, K,
     forcing), so the compensation sweep reuses a suite dataset's solve.
-    The bundle checks the Taylor-Hood pair with a P1 head; other degrees
-    are a config error (``--unstable-pair`` runs the equal-order control)."""
-    other = [f"{key}={cfg[key]!r}" for key in ("velocity_degree", "head_degree")
-             if cfg[key] != DEFAULTS[key]]
-    if other:
-        raise ConfigError(f"verify checks the Taylor-Hood pair with a P1 head "
-                          f"only, not {', '.join(other)} (use --unstable-pair "
-                          "for the equal-order control)")
-    levels = cfg["levels"] if cfg["levels"] is not None else 3
+    The bundle checks the Taylor-Hood pair with a P1 head only."""
+    levels = cfg["levels"] or 3
     c_mult = cfg["c_mult"]
     meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)
     spaces = [CoupledSpace(mesh) for mesh in meshes]
@@ -458,10 +460,7 @@ def cmd_mms(cfg):
     case_name = cfg["case"] or "smooth"
     case = mms.get_case(case_name)
     assert_rates = case_name == "smooth" and not cfg["no_assert"]
-    if cfg["levels"] is not None:
-        levels = cfg["levels"]
-    else:
-        levels = 4 if case_name == "smooth" else 2
+    levels = cfg["levels"] or (4 if case_name == "smooth" else 2)
     if assert_rates and levels < 3:
         raise ConfigError("rate assertion needs at least 3 levels "
                           "(pass --no-assert to run fewer)")
@@ -525,64 +524,35 @@ def cmd_mesh_info(cfg):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+COMMANDS = {"solve": (cmd_solve, "solve one coupled problem"),
+            "verify": (cmd_verify, "run the verification bundle"),
+            "mms": (cmd_mms, "manufactured-solution rate study"),
+            "mesh-info": (cmd_mesh_info, "inspect a mesh")}
+
+
 def build_parser():
+    """One subparser per command; an absent flag sets no attribute."""
     parser = _Parser(prog="nsdarcy",
                      description="Coupled Navier-Stokes/Darcy solver and "
                                  "verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, about) in COMMANDS.items():
+        p = sub.add_parser(command, help=about,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--mesh", help="builtin:WxH or a mesh file path")
-        p.add_argument("--levels", type=int, help="refinement levels")
-        p.add_argument("--c-mult", dest="c_mult", type=float,
-                       help="multiplier for generic-constant checks")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--sigma", type=float,
-                       help="companion viscosity (default nu*h)")
-        p.add_argument("--no-convection", dest="no_convection",
-                       action="store_true",
-                       help="linear Stokes-Darcy configuration")
-
-    p_solve = sub.add_parser("solve", help="solve one coupled problem")
-    common(p_solve)
-    p_solve.add_argument("--case", help="manufactured case instead of a "
-                                        "forcing preset")
-    p_solve.add_argument("--vtk", action="store_true",
-                         help="also write fields.vtk")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="run the verification bundle")
-    common(p_verify)
-    p_verify.add_argument("--unstable-pair", dest="unstable_pair",
-                          action="store_true",
-                          help="negative control: equal-order velocity/"
-                               "pressure pair in the inf-sup check")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_mms = sub.add_parser("mms", help="manufactured-solution rate study")
-    common(p_mms)
-    p_mms.add_argument("--case", help="smooth (default) or representable")
-    p_mms.add_argument("--no-assert", dest="no_assert", action="store_true",
-                       help="report rates without gating the exit code")
-    p_mms.set_defaults(func=cmd_mms)
-
-    p_info = sub.add_parser("mesh-info", help="inspect a mesh")
-    common(p_info)
-    p_info.add_argument("--dump", action="store_true",
-                        help="print the canonical text form instead of a "
-                             "summary")
-    p_info.set_defaults(func=cmd_mesh_info)
+        for key, spec in KEYS.items():
+            if spec.flag and command in spec.readers:
+                kind = ({"action": "store_true"} if spec.kind is bool
+                        else {"type": spec.kind})
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               help=spec.flag, **kind)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        return args.func(cfg)
+        return COMMANDS[args.command][0](load_config(args))
     except (ConfigError, MeshError, assembly.ParameterError, SpaceError,
             ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

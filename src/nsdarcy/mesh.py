@@ -103,6 +103,12 @@ class MixedMesh:
 
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+            raise MeshError("triangles must be an (nt, 3) array")
+        if len(self.triangles) == 0:
+            raise MeshError("empty triangulation")
+        if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
+            raise MeshError("triangle vertex index out of range")
         if len(self.tri_tags) != len(self.triangles):
             raise MeshError("one subdomain tag per triangle required")
         if len(self.boundary_tags) != len(self.boundary_edges):
@@ -153,10 +159,6 @@ class MixedMesh:
         v, t = self.vertices, self.triangles
         if not np.all(np.isfinite(v)):
             raise MeshError("non-finite vertex coordinates")
-        if len(t) == 0:
-            raise MeshError("empty triangulation")
-        if t.min() < 0 or t.max() >= len(v):
-            raise MeshError("triangle vertex index out of range")
 
         scale = max(1.0, float(np.abs(v).max()))
         rounded = np.round(v / (1e-12 * scale)).astype(np.int64)
@@ -184,8 +186,10 @@ class MixedMesh:
         if counts.max() > 2:
             raise MeshError("edge shared by more than two triangles")
 
-        single = set(map(tuple, self.edges[counts == 1]))
-        listed = set(map(tuple, np.sort(self.boundary_edges, axis=1)))
+        single = set(map(tuple, self.edges[counts == 1].tolist()))
+        listed = set(map(tuple, np.sort(self.boundary_edges, axis=1).tolist()))
+        if len(listed) != len(self.boundary_edges):
+            raise MeshError("boundary edge listed more than once")
         if single != listed:
             missing = single - listed
             extra = listed - single
@@ -385,7 +389,10 @@ def load_mesh(text):
             parts = lines[pos].split()
             if len(parts) != ncols:
                 raise MeshFormatError(f"bad {name} row: {lines[pos]!r}")
-            rows.append(converter(parts))
+            try:
+                rows.append(converter(parts))
+            except (ValueError, OverflowError):
+                raise MeshFormatError(f"bad {name} row: {lines[pos]!r}") from None
             pos += 1
         return rows
 
@@ -394,21 +401,21 @@ def load_mesh(text):
     def tri_row(p):
         if p[3] not in TRI_TAG_IDS:
             raise MeshFormatError(f"unknown subdomain tag {p[3]!r}")
-        return (int(p[0]), int(p[1]), int(p[2]), TRI_TAG_IDS[p[3]])
+        return (*map(np.int64, p[:3]), TRI_TAG_IDS[p[3]])
 
     tris = block("triangles", 4, tri_row)
 
     def edge_row(p):
         if p[2] not in EDGE_TAG_IDS:
             raise MeshFormatError(f"unknown boundary tag {p[2]!r}")
-        return (int(p[0]), int(p[1]), EDGE_TAG_IDS[p[2]])
+        return (*map(np.int64, p[:2]), EDGE_TAG_IDS[p[2]])
 
     bed = block("boundary_edges", 3, edge_row)
     if pos != len(lines):
         raise MeshFormatError("trailing content after boundary_edges block")
 
-    tris = np.array(tris, dtype=np.int64)
-    bed = np.array(bed, dtype=np.int64)
+    tris = np.array(tris, dtype=np.int64).reshape(-1, 4)
+    bed = np.array(bed, dtype=np.int64).reshape(-1, 3)
     return MixedMesh(np.array(verts), tris[:, :3], tris[:, 3], bed[:, :2], bed[:, 2])
 
 
@@ -419,6 +426,14 @@ _GMSH_LINE = 1
 _GMSH_POINT = 15
 
 _PHYSICAL_VOCABULARY = {"fluid", "porous", "gamma_f", "gamma_pd", "gamma_pn", "interface"}
+
+
+def _numbers(kind, tokens, record):
+    """``tokens`` converted by ``kind``, or a MeshFormatError naming the record."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError:
+        raise MeshFormatError(f"non-numeric field in record {record!r}") from None
 
 
 def load_gmsh_subset(path):
@@ -465,7 +480,8 @@ def parse_gmsh_subset(text):
         parts = ln.split(None, 2)
         if len(parts) != 3:
             raise MeshFormatError(f"bad physical name record {ln!r}")
-        dim, pid, name = int(parts[0]), int(parts[1]), parts[2].strip().strip('"')
+        dim, pid = _numbers(int, parts[:2], ln)
+        name = parts[2].strip().strip('"')
         if name not in _PHYSICAL_VOCABULARY:
             raise UnknownPhysicalName(
                 f"physical name {name!r} not in {sorted(_PHYSICAL_VOCABULARY)}")
@@ -474,30 +490,40 @@ def parse_gmsh_subset(text):
     node_lines = sections.get("Nodes", [])
     if len(node_lines) < 2:
         raise MeshFormatError("missing or empty $Nodes")
-    ids, coords = [], []
+    nodes = {}
     for ln in node_lines[1:]:
         parts = ln.split()
         if len(parts) < 4:
             raise MeshFormatError(f"bad node record {ln!r}")
-        ids.append(int(parts[0]))
-        x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+        nid = _numbers(int, parts[:1], ln)[0]
+        x, y, z = _numbers(float, parts[1:4], ln)
+        if nid in nodes:
+            raise MeshFormatError(f"node record {ln!r} repeats node id {nid}")
         if abs(z) > 1e-12:
             raise MeshFormatError("nodes must lie in the z=0 plane")
-        coords.append((x, y))
-    order = np.argsort(ids)
-    remap = {ids[k]: r for r, k in enumerate(order)}
-    vertices = np.array(coords)[order]
+        nodes[nid] = (x, y)
+    remap = {nid: r for r, nid in enumerate(sorted(nodes))}
+    vertices = np.array([nodes[nid] for nid in sorted(nodes)])
 
     elem_lines = sections.get("Elements", [])
     if len(elem_lines) < 2:
         raise MeshFormatError("missing or empty $Elements")
 
+    def vertices_of(conn, count, ln):
+        if len(conn) != count:
+            raise MeshFormatError(f"element record {ln!r} has {len(conn)} "
+                                  f"nodes, not {count}")
+        if not all(c in remap for c in conn):
+            raise MeshFormatError(f"element record {ln!r} names a node "
+                                  "that $Nodes does not declare")
+        return [remap[c] for c in conn]
+
     tris, tri_tags = [], []
     bedges, btags = [], []
     tagged_iface = []
     for ln in elem_lines[1:]:
-        parts = [int(p) for p in ln.split()]
-        if len(parts) < 3:
+        parts = _numbers(int, ln.split(), ln)
+        if len(parts) < 3 or parts[2] < 0:
             raise MeshFormatError(f"bad element record {ln!r}")
         etype, ntags = parts[1], parts[2]
         tags = parts[3:3 + ntags]
@@ -512,13 +538,13 @@ def parse_gmsh_subset(text):
         if etype == _GMSH_TRIANGLE:
             if name not in ("fluid", "porous"):
                 raise UnknownPhysicalName(f"triangle tagged {name!r}; expected fluid/porous")
-            tris.append([remap[c] for c in conn])
+            tris.append(vertices_of(conn, 3, ln))
             tri_tags.append(TRI_TAG_IDS[name])
         elif etype == _GMSH_LINE:
             if name == "interface":
-                tagged_iface.append(tuple(sorted(remap[c] for c in conn)))
+                tagged_iface.append(tuple(sorted(vertices_of(conn, 2, ln))))
             elif name in EDGE_TAG_IDS:
-                bedges.append([remap[c] for c in conn])
+                bedges.append(vertices_of(conn, 2, ln))
                 btags.append(EDGE_TAG_IDS[name])
             else:
                 raise UnknownPhysicalName(f"line tagged {name!r}")
@@ -532,7 +558,7 @@ def parse_gmsh_subset(text):
     mesh = MixedMesh(vertices, np.array(tris), np.array(tri_tags),
                      np.array(bedges).reshape(-1, 2), np.array(btags))
 
-    derived = set(map(tuple, mesh.interface_edges))
+    derived = set(map(tuple, mesh.interface_edges.tolist()))
     tagged = set(tagged_iface)
     if tagged != derived:
         raise UnmatchedInterfaceEdge(

@@ -141,8 +141,9 @@ def _check_solution(x, residual, rhs, context):
     relative to its right-hand side (column by column for a 2-D rhs)."""
     if not np.all(np.isfinite(x)):
         raise SingularLinearSystem(f"{context}: non-finite solution")
-    res = np.max(np.linalg.norm(residual, axis=0)
-                 / np.maximum(np.linalg.norm(rhs, axis=0), 1.0))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails
+        res = np.max(np.linalg.norm(residual, axis=0)
+                     / np.maximum(np.linalg.norm(rhs, axis=0), 1.0))
     if res > 1e-7:
         raise SingularLinearSystem(
             f"{context}: linear residual {res:.3e} indicates a singular or "

@@ -1,6 +1,8 @@
 """The benchmark's traced run wraps package functions by name: every name
 its tracer lists must still resolve, or ``perfbench/run.py --trace 1``
-fails on start-up; and one traced execution must run to the end."""
+fails on start-up; and one traced execution must run to the end.  Every
+workload's command line must pass the program's config checks, and every
+config key must be documented."""
 
 import importlib
 import importlib.util
@@ -11,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+from nsdarcy import cli
 from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import build_rectangle_mesh
 
@@ -47,3 +50,24 @@ def test_traced_solve_runs_end_to_end(tmp_path):
     assert metrics["solver.dofs"] == space.num_total_dofs == 39
     assert metrics["fem.CoupledSpace.calls"] == 1
     assert metrics["linalg.splu.calls"] > 0
+
+
+def test_every_workload_invocation_is_accepted(tmp_path, monkeypatch):
+    # load the module only: run.py puts its own directory on sys.path to
+    # import the tracer, and runs nothing unless it is the main program
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", TRACER.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.WORKLOADS
+    for name, argv in run.WORKLOADS.items():
+        # run.py adds --seed and --out to every workload
+        args = cli.build_parser().parse_args(
+            argv + ["--seed", "1", "--out", str(tmp_path / name)])
+        assert cli.load_config(args)["seed"] == 1
+
+
+def test_every_config_key_is_in_the_readme():
+    readme = (TRACER.parents[1] / "README.md").read_text()
+    assert [key for key in cli.KEYS if f"`{key}`" not in readme] == []

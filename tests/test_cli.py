@@ -473,6 +473,78 @@ class TestConfigHandling:
         assert exc.value.code == EXIT_CONFIG
 
 
+class TestKeysACommandReads:
+    """A key set away from its default for a command that does not read it
+    is a config error; a flag the command does not offer is a usage error."""
+
+    @pytest.mark.parametrize("argv, values", [
+        (["solve", "--case", "smooth"],
+         {"nu": 0.5, "K": 3.0, "G": 2.0, "forcing": "small"}),
+        (["verify"], {"G": 5.0}),
+        (["mms", "--case", "smooth"],
+         {"nu": 0.5, "G": 2.0, "sigma": 0.3, "forcing": "small",
+          "c_mult": 9.0})],
+        ids=["solve-case", "verify", "mms"])
+    def test_unread_key_is_a_config_error(self, tmp_path, capsys, argv,
+                                          values):
+        cfg = write_config(tmp_path / "cfg.json", **values)
+        out = tmp_path / "never"
+        assert run(*argv, "--config", cfg, "--mesh", "builtin:2x4",
+                   "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert all(f"{key}={value!r}" in err for key, value in values.items())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["solve", "--levels", "3"],
+                                      ["mesh-info", "--levels", "2"]],
+                             ids=["solve", "mesh-info"])
+    def test_flag_a_command_does_not_offer(self, tmp_path, capsys, argv):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(out))
+        assert exc.value.code == EXIT_CONFIG
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_key_at_its_default_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", G=1, forcing="driven",
+                           velocity_degree=2, dump=False)
+        assert run("verify", "--config", cfg, "--mesh", "builtin:2x4",
+                   "--levels", "1", "--out", str(tmp_path)) == EXIT_OK
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["solve", "--vtk"], {"seed"}),
+        (["solve", "--case", "representable"],
+         {"seed", "nu", "K", "G", "forcing"}),
+        (["verify", "--levels", "1"], set()),
+        (["mms", "--case", "representable", "--levels", "1"], {"seed"}),
+        (["mms", "--levels", "1", "--no-assert"], {"seed"}),
+        (["mesh-info"], {"out", "seed"})],
+        ids=["solve", "solve-case", "verify", "mms-representable",
+             "mms-smooth", "mesh-info"])
+    def test_readers_are_the_keys_each_command_reads(
+            self, tmp_path, monkeypatch, capsys, argv, unread):
+        # each command reads exactly the keys the table names for it;
+        # mesh, out and seed are offered by every command, and some read
+        # out or seed only nominally
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config",
+                            lambda args: Recording(load(args)))
+        assert run(*argv, "--mesh", "builtin:2x4",
+                   "--out", str(tmp_path)) == EXIT_OK
+        command = argv[0]
+        assert read == {key for key, spec in cli.KEYS.items()
+                        if command in spec.readers} - unread
+
+
 class TestSolverFailures:
     def test_equal_order_pair_is_a_solver_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", velocity_degree=1)
@@ -499,6 +571,19 @@ class TestSolverFailures:
         out = tmp_path / "never"
         assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_SOLVER
         assert "solver failure" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("nu", [1e-300, 1e-200, 1e200, 1e300])
+    def test_overflowing_residual_is_a_quiet_solver_failure(self, tmp_path,
+                                                           capsys, nu):
+        cfg = write_config(tmp_path / "cfg.json", nu=nu)
+        out = tmp_path / "never"
+        assert run("solve", "--config", cfg, "--mesh", "builtin:2x4",
+                   "--out", str(out)) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "linear residual inf" in err
+        assert "Warning" not in err
         assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nsdarcy import mesh as M
+from nsdarcy.cli import EXIT_CONFIG, main
 
 
 def independent_edge_count(triangles):
@@ -296,3 +298,117 @@ class TestGmshReader:
         r = M.refine_uniform(M.load_gmsh_subset(p))
         assert r.num_triangles == 16
         assert len(r.interface_edges) == 2
+
+    def test_undeclared_node_is_a_format_error(self):
+        # the interface line names node 9, which $Nodes does not declare
+        bad = GOLDEN_MSH.replace("11 1 2 6 1 3 4", "11 1 2 6 1 3 9")
+        with pytest.raises(M.MeshFormatError, match="11 1 2 6 1 3 9"):
+            M.parse_gmsh_subset(bad)
+
+    @pytest.mark.parametrize("records", [1, 4], ids=["one", "all"])
+    def test_two_node_triangles_are_a_format_error(self, records):
+        # the last node dropped from the first or from every triangle record
+        bad = GOLDEN_MSH
+        for record in ["1 2 2 2 1 1 2 4", "2 2 2 2 1 1 4 3", "3 2 2 1 1 3 4 5",
+                       "4 2 2 1 1 4 6 5"][:records]:
+            bad = bad.replace(record, record[:-2])
+        with pytest.raises(M.MeshFormatError, match="1 2 2 2 1 1 2'"):
+            M.parse_gmsh_subset(bad)
+
+    def test_three_node_line_is_a_format_error(self):
+        bad = GOLDEN_MSH.replace("5 1 2 4 1 1 2", "5 1 2 4 1 1 2 3")
+        with pytest.raises(M.MeshFormatError, match="5 1 2 4 1 1 2 3"):
+            M.parse_gmsh_subset(bad)
+
+    def test_unmatched_interface_prints_plain_integers(self):
+        bad = GOLDEN_MSH.replace("11 1 2 6 1 3 4\n", "")
+        with pytest.raises(M.UnmatchedInterfaceEdge) as exc:
+            M.parse_gmsh_subset(bad)
+        assert "derived-only [(2, 3)]" in str(exc.value)
+
+    @pytest.mark.parametrize("record, bad", [
+        ("11 1 2 6 1 3 4", "11 1 2 6 1 3 9"),
+        ("1 2 2 2 1 1 2 4", "1 2 2 2 1 1 2")], ids=["undeclared", "short"])
+    def test_mesh_info_names_the_bad_record(self, tmp_path, capsys, record,
+                                            bad):
+        path = tmp_path / "bad.msh"
+        path.write_text(GOLDEN_MSH.replace(record, bad))
+        assert main(["mesh-info", "--mesh", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(bad) in err
+        assert "Traceback" not in err
+
+    def test_boundary_edge_with_two_tags_is_rejected(self):
+        # edge 1-3 as gamma_pn and again as gamma_pd
+        bad = GOLDEN_MSH.replace("7 1 2 5 1 1 3", "7 1 2 5 1 1 3\n12 1 2 4 1 1 3")
+        with pytest.raises(M.MeshError, match="more than once"):
+            M.parse_gmsh_subset(bad)
+
+
+def test_triangles_must_have_three_vertices():
+    m = M.build_rectangle_mesh(1, 2, 1.0)
+    with pytest.raises(M.MeshError, match=r"\(nt, 3\)"):
+        M.MixedMesh(m.vertices, m.triangles[:, :2], m.tri_tags,
+                    m.boundary_edges, m.boundary_tags)
+
+
+# -- fuzzed mesh text --------------------------------------------------------
+
+# replacement tokens: non-numeric, fractional, non-finite, negative,
+# undeclared or repeated ids and tags, and an integer beyond int64
+_TOKENS = ["x", "", "1.5", "nan", "-1", "0", "1", "3", "9", "40",
+           "99999999999999999999"]
+
+
+def _records(text, sections):
+    """The lines of ``text``, and the indices of the records inside the
+    named ``$`` sections (all lines when ``sections`` is None)."""
+    lines, inside, records = text.splitlines(), None, []
+    for i, line in enumerate(lines):
+        if sections is not None and line.startswith("$"):
+            inside = None if line.startswith("$End") else line[1:]
+        elif sections is None or inside in sections:
+            records.append(i)
+    return lines, records
+
+
+@st.composite
+def mutated(draw, text, sections=None):
+    """``text`` with one to three records mutated: a token dropped,
+    repeated or replaced, or the whole record dropped or repeated."""
+    lines, records = _records(text, sections)
+    rows = [[line] for line in lines]
+    for _ in range(draw(st.integers(1, 3))):
+        row = rows[draw(st.sampled_from(records))]
+        if not row:
+            continue
+        tokens = row[0].split() or [""]
+        k = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "replace",
+                                   "drop record", "repeat record"]))
+        if op == "drop record":
+            row.clear()
+        elif op == "repeat record":
+            row.append(row[0])
+        else:
+            tokens[k:k + 1] = {"drop": [], "repeat": [tokens[k]] * 2,
+                               "replace": [draw(st.sampled_from(_TOKENS))]}[op]
+            row[0] = " ".join(tokens)
+    return "\n".join(line for row in rows for line in row) + "\n"
+
+
+def _mesh_or_mesh_error(parse, text):
+    try:
+        assert isinstance(parse(text), M.MixedMesh)
+    except M.MeshError:
+        pass
+
+
+@given(mutated(GOLDEN_MSH, ("PhysicalNames", "Nodes", "Elements")))
+def test_fuzzed_gmsh_text_gives_a_mesh_or_a_mesh_error(text):
+    _mesh_or_mesh_error(M.parse_gmsh_subset, text)
+
+
+@given(mutated(M.dump_mesh(M.build_rectangle_mesh(2, 4, 1.0))))
+def test_fuzzed_dump_text_gives_a_mesh_or_a_mesh_error(text):
+    _mesh_or_mesh_error(M.load_mesh, text)
