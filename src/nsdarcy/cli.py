@@ -30,9 +30,9 @@ EXIT_VERIFICATION = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 
-# no inf-sup constant above this many pressure dofs; the sparse eigensolve
-# runs well past it, but lifting the cap gives `solve --mesh builtin:48x96`
-# a beta where its benchmark reference pins null
+# `solve` computes no inf-sup constant above this many pressure dofs; the
+# sparse eigensolve runs well past it, but lifting the cap gives
+# `solve --mesh builtin:48x96` a beta where its benchmark reference pins null
 _INF_SUP_DOF_CAP = 2000
 
 
@@ -324,6 +324,28 @@ def cmd_solve(cfg):
     return EXIT_OK
 
 
+def _spread(values):
+    """Relative spread (max - min) / min of per-level values: None below two
+    levels or at a non-positive minimum, where it measures nothing."""
+    if len(values) < 2 or not min(values) > 0:
+        return None
+    return (max(values) - min(values)) / min(values)
+
+
+def _below(value, limit):
+    return None if value is None else value < limit  # None: could not run
+
+
+def _check(name, details, *criteria, reason=None):
+    """A check passes or fails on its criteria that ran (those not None);
+    with none run it is skipped, "passed" None, and says ``reason``."""
+    ran = [c for c in criteria if c is not None]
+    if ran:
+        return {"name": name, "passed": all(ran), "details": details}
+    return {"name": name, "passed": None,
+            "details": {**details, "status": "skipped", "reason": reason}}
+
+
 # energy-suite datasets: (name, nu, K, forcing)
 _ENERGY_SUITE = (("driven", 1.0, 1.0, "driven"),
                  ("viscous", 0.5, 2.0, "driven"),
@@ -353,47 +375,29 @@ def cmd_verify(cfg):
                                           sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
             state = solver.solve_coupled(space, params, config)
             reports[key] = analysis.verify_energy_estimate(
-                space, params, state, c_mult=c_mult,
-                with_inf_sup=space.num_pressure_dofs <= _INF_SUP_DOF_CAP)
+                space, params, state, c_mult=c_mult)
         return reports[key]
 
     # a priori energy bound, balance equality, and pressure bound per dataset
     suite = {name: [report(level, nu, K, forcing) for level in range(levels)]
              for name, nu, K, forcing in _ENERGY_SUITE}
     every = [rep for reps in suite.values() for rep in reps]
-    ratio_rows = []
-    for name, reps in suite.items():
-        ratios = [rep.bound_ratio for rep in reps]
-        spread = ((max(ratios) - min(ratios)) / min(ratios)
-                  if min(ratios) > 0 else 0.0)
-        ratio_rows.append({"dataset": name, "bound_ratios": ratios,
-                           "spread": spread})
+    ratios = {name: [rep.bound_ratio for rep in reps]
+              for name, reps in suite.items()}
+    ratio_rows = [{"dataset": name, "bound_ratios": r, "spread": _spread(r)}
+                  for name, r in ratios.items()]
     defects = [rep.balance_defect_rel for rep in every]
-    checks = [
-        {"name": "energy_balance", "passed": all(d <= 1e-9 for d in defects),
-         "details": {"max_balance_defect_rel": max([0.0] + defects),
-                     "tolerance": 1e-9}},
-        {"name": "energy_bound",
-         "passed": (all(rep.bound_ok for rep in every)
-                    and all(row["spread"] < 0.10 for row in ratio_rows)),
-         "details": {"c_mult": c_mult, "datasets": ratio_rows}}]
-    # levels above the inf-sup cap have no beta, so no pressure check;
-    # a check that ran on no level is skipped, not passed
     p_ratios = [rep.beta * rep.pressure_norm / max(rep.pressure_dual, 1e-30)
-                for rep in every if np.isfinite(rep.beta)]
-    skipped = sorted({level for reps in suite.values()
-                      for level, rep in enumerate(reps)
-                      if not np.isfinite(rep.beta)})
-    pressure = {"max_ratio": max([0.0] + p_ratios) if p_ratios else None,
-                "c_mult": c_mult}
-    if skipped:
-        pressure["skipped_levels"] = skipped
-    if not p_ratios:
-        pressure.update(status="skipped", reason=f"more than {_INF_SUP_DOF_CAP}"
-                        " pressure dofs on every level, so no inf-sup constant")
-    passed = all(r <= c_mult for r in p_ratios) if p_ratios else None
-    checks.append({"name": "pressure_bound", "passed": passed,
-                   "details": pressure})
+                for rep in every]
+    checks = [
+        _check("energy_balance", {"max_balance_defect_rel": max(defects),
+                                  "tolerance": 1e-9},
+               all(d <= 1e-9 for d in defects)),
+        _check("energy_bound", {"c_mult": c_mult, "datasets": ratio_rows},
+               all(rep.bound_ok for rep in every),
+               *[_below(row["spread"], 0.10) for row in ratio_rows]),
+        _check("pressure_bound", {"max_ratio": max(p_ratios), "c_mult": c_mult},
+               all(r <= c_mult for r in p_ratios))]
 
     # inf-sup sweep over the first three levels; the stable pair reads the
     # beta memoized on each level's space
@@ -401,37 +405,32 @@ def cmd_verify(cfg):
     sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
              if cfg["unstable_pair"] else spaces[:3])
     betas = [analysis.compute_inf_sup(space).beta for space in sweep]
-    spread = ((max(betas) - min(betas)) / min(betas)
-              if min(betas) > 0 else np.inf)
-    infsup_ok = all(b > 0.2 for b in betas) and (len(betas) < 2
-                                                 or spread < 0.10)
-    checks.append({"name": "inf_sup", "passed": bool(infsup_ok),
-                   "details": {"velocity_degree": vdeg, "betas": betas,
-                               "spread": None if np.isinf(spread) else spread}})
+    spread = _spread(betas)
+    checks.append(_check(
+        "inf_sup", {"velocity_degree": vdeg, "betas": betas, "spread": spread},
+        all(b > 0.2 for b in betas), _below(spread, 0.10)))
 
     # compensation refinement sweep on the driven forcing
     residuals = [report(level, cfg["nu"], cfg["K"], "driven")
                  .compensation_residual for level in range(levels)]
-    if levels < 2:
-        checks.append({"name": "compensation", "passed": None,
-                       "details": {"status": "skipped",
-                                   "reason": "a decrease under refinement "
-                                   "needs at least two levels",
-                                   "residuals": residuals}})
-    else:
-        decreasing = all(b <= 1.2 * a for a, b in zip(residuals, residuals[1:]))
-        comp_ok = decreasing and residuals[-1] < residuals[0]
-        checks.append({"name": "compensation", "passed": bool(comp_ok),
-                       "details": {"residuals": residuals}})
+    decreasing = (all(b <= 1.2 * a for a, b in zip(residuals, residuals[1:]))
+                  and residuals[-1] < residuals[0]) if levels > 1 else None
+    checks.append(_check("compensation", {"residuals": residuals}, decreasing,
+                         reason="a decrease under refinement needs at least "
+                         "two levels"))
 
-    # two-start uniqueness on small data
+    # two-start uniqueness on small data, skipped where the premise fails
     g_f, g_p = FORCINGS["small"]
     params = assembly.ModelParams(meshes[0], nu=cfg["nu"], K=cfg["K"],
                                   sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
     unique = analysis.check_uniqueness(spaces[0], params, c_mult=c_mult,
                                        seed=cfg["seed"], config=config)
-    checks.append({"name": "uniqueness", "passed": unique.verdict == "unique",
-                   "details": unique.to_dict()})
+    premise = unique.uniqueness_number * c_mult
+    checks.append(_check(
+        "uniqueness", unique.to_dict(),
+        {"unique": True, "violated": False}.get(unique.verdict),
+        reason=f"uniqueness_number * c_mult = {premise:.4g} >= 1: the "
+               "small-data premise does not hold"))
 
     # a skipped check (passed None) neither passes nor fails the bundle
     bundle = {"command": "verify",

@@ -437,19 +437,16 @@ class CoupledSpace:
 
         # alignment: every interface node must exist on both sides, and a node
         # constrained on one side must be constrained on the other
-        coords = self.node_coords(vd)
-        fluid_set = set(np.unique(self.tri_nodes(vd)[self.fluid_tris]).tolist())
-        porous_set = set(np.unique(self.tri_nodes(vd)[self.porous_tris]).tolist())
-        for n in self.interface_nodes:
-            n = int(n)
-            if n not in fluid_set or n not in porous_set:
-                raise SpaceError(f"interface node {n} at {coords[n]} not shared "
-                                 "by both subdomains")
-            fluid_fixed = self.u_node_dof[n] < 0
-            aux_fixed = self.aux_node_dof[n] < 0
-            if fluid_fixed != aux_fixed:
-                raise SpaceError(f"interface node {n} at {coords[n]} is "
-                                 "constrained on one side only")
+        nodes = self.interface_nodes
+        shared = (np.isin(nodes, self.tri_nodes(vd)[self.fluid_tris])
+                  & np.isin(nodes, self.tri_nodes(vd)[self.porous_tris]))
+        one_sided = (self.u_node_dof[nodes] < 0) != (self.aux_node_dof[nodes] < 0)
+        for bad, why in ((~shared, "not shared by both subdomains"),
+                         (one_sided, "is constrained on one side only")):
+            if bad.any():
+                n = nodes[bad][0]
+                raise SpaceError(f"interface node {n} at "
+                                 f"{self.node_coords(vd)[n]} {why}")
 
     # -- value plumbing -----------------------------------------------------
 

@@ -442,8 +442,9 @@ def load_gmsh_subset(path):
     Supported content: $MeshFormat 2.2, $PhysicalNames drawn from
     {fluid, porous, gamma_f, gamma_pd, gamma_pn, interface}, $Nodes, and
     $Elements with 3-node triangles, 2-node lines and points.  Anything
-    else raises a specific MeshError subclass.  Explicitly tagged interface
-    lines are cross-checked against the fluid/porous adjacency.
+    else raises a specific MeshError subclass.  The interface is derived
+    from the fluid/porous adjacency; interface lines are optional, and
+    where a file tags any, they are cross-checked against it.
     """
     with open(path) as fh:
         text = fh.read()
@@ -558,9 +559,10 @@ def parse_gmsh_subset(text):
     mesh = MixedMesh(vertices, np.array(tris), np.array(tri_tags),
                      np.array(bedges).reshape(-1, 2), np.array(btags))
 
+    # interface lines are optional; those a file has must match exactly
     derived = set(map(tuple, mesh.interface_edges.tolist()))
     tagged = set(tagged_iface)
-    if tagged != derived:
+    if tagged and tagged != derived:
         raise UnmatchedInterfaceEdge(
             f"interface lines disagree with subdomain adjacency: "
             f"tagged-only {sorted(tagged - derived)}, derived-only {sorted(derived - tagged)}")

@@ -99,6 +99,16 @@ class ManufacturedCase:
     # -- discrete problem ----------------------------------------------------
 
     def params(self, mesh, sigma=None):
+        """The case's coefficients and volume sources only.  They are not
+        the whole problem: the case also has its interface loads and, for
+        the representable case, Dirichlet velocity data, so
+        ``solve_coupled(space, case.params(mesh))`` solves another problem
+        (``err_u_h1`` 5.77 for the representable case on 4x8, against
+        3.5e-12), and ``analysis.uniqueness_number`` of these params leaves
+        the interface loads out (3.52 for the smooth case on 4x8, against
+        5.34 from the solve's right-hand side).  Solve with
+        ``case.solve(space)``, or pass ``dirichlet=case.dirichlet`` and
+        ``extra_loads=case.interface_loads(space)``."""
         return assembly.ModelParams(mesh, nu=self.nu, K=self.K, G=self.G,
                                     sigma=sigma, g_f=self.source_fluid,
                                     g_p=self.source_porous)

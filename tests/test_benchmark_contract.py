@@ -1,13 +1,14 @@
 """The benchmark's traced run wraps package functions by name: every name
 its tracer lists must still resolve, or ``perfbench/run.py --trace 1``
 fails on start-up; and one traced execution must run to the end.  Every
-workload's command line must pass the program's config checks, and every
-config key must be documented."""
+workload's command line and every command example of the README must pass
+the program's config checks, and every config key must be documented."""
 
 import importlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -66,6 +67,20 @@ def test_every_workload_invocation_is_accepted(tmp_path, monkeypatch):
         args = cli.build_parser().parse_args(
             argv + ["--seed", "1", "--out", str(tmp_path / name)])
         assert cli.load_config(args)["seed"] == 1
+
+
+def test_every_readme_command_is_accepted():
+    # parse only: each example of the README's command-line block must get
+    # past the parser and the config checks
+    readme = (TRACER.parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("nsdarcy ")]
+    assert len(commands) >= 4
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv[1:])
+        assert cli.load_config(args) is not None
 
 
 def test_every_config_key_is_in_the_readme():

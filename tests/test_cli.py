@@ -93,6 +93,19 @@ class TestSolve:
         assert "SCALARS pressure double 1" in lines
         assert "SCALARS head double 1" in lines
 
+    def test_solve_reports_no_beta_above_the_inf_sup_cap(self, tmp_path,
+                                                         monkeypatch):
+        # 9 pressure dofs on 2x4
+        out = tmp_path / "run"
+        run("solve", "--mesh", "builtin:2x4", "--out", str(out))
+        energy = json.loads((out / "report.json").read_text())["energy"]
+        assert energy["beta"] > 0
+        monkeypatch.setattr(cli, "_INF_SUP_DOF_CAP", 5)
+        assert run("solve", "--mesh", "builtin:2x4",
+                   "--out", str(out)) == EXIT_OK
+        energy = json.loads((out / "report.json").read_text())["energy"]
+        assert energy["beta"] is None
+
     def test_no_convection_finishes_in_one_iteration(self, tmp_path):
         out = tmp_path / "run"
         run("solve", "--no-convection", "--out", str(out))
@@ -126,34 +139,74 @@ class TestVerify:
         assert by_name["inf_sup"]["details"]["velocity_degree"] == 1
         assert "inf_sup" in capsys.readouterr().err
 
-    def test_pressure_bound_lists_levels_above_the_inf_sup_cap(
-            self, tmp_path, monkeypatch):
-        # 9 pressure dofs on 2x4, 25 after one refinement
-        monkeypatch.setattr(cli, "_INF_SUP_DOF_CAP", 10)
-        out = tmp_path / "run"
-        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
-            "--out", str(out))
-        bundle = json.loads((out / "verification.json").read_text())
-        by_name = {c["name"]: c for c in bundle["checks"]}
-        assert by_name["pressure_bound"]["details"]["skipped_levels"] == [1]
-
-    def test_pressure_bound_on_no_level_is_skipped_not_passed(
-            self, tmp_path, monkeypatch, capsys):
-        # 9 pressure dofs on 2x4: above a cap of 5, so no level has a beta
-        monkeypatch.setattr(cli, "_INF_SUP_DOF_CAP", 5)
+    def test_one_level_has_null_spreads_and_still_judges_the_rest(
+            self, tmp_path):
+        # a spread needs two levels: it is null, never a 0.0 that passes,
+        # and the checks pass or fail on the criteria that ran
         out = tmp_path / "run"
         assert run("verify", "--mesh", "builtin:2x4", "--levels", "1",
                    "--out", str(out)) == EXIT_OK
         bundle = json.loads((out / "verification.json").read_text())
         by_name = {c["name"]: c for c in bundle["checks"]}
-        pressure = by_name["pressure_bound"]
-        assert pressure["passed"] is None
-        assert pressure["details"]["status"] == "skipped"
-        assert pressure["details"]["skipped_levels"] == [0]
-        assert pressure["details"]["max_ratio"] is None
-        assert "5" in pressure["details"]["reason"]
-        assert bundle["passed"] is True  # every check that ran passed
-        assert "pressure_bound: skipped" in capsys.readouterr().out
+        bound, infsup = by_name["energy_bound"], by_name["inf_sup"]
+        assert [row["spread"] for row in bound["details"]["datasets"]] == [
+            None, None, None]
+        assert infsup["details"]["spread"] is None
+        assert bound["passed"] is True and infsup["passed"] is True
+
+    def test_pressure_bound_ignores_the_solve_inf_sup_cap(
+            self, tmp_path, monkeypatch):
+        # 9 pressure dofs on 2x4, 25 after one refinement: the bundle
+        # computes beta on every level whatever the cap of `solve` says
+        uncapped = tmp_path / "uncapped"
+        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+            "--out", str(uncapped))
+        monkeypatch.setattr(cli, "_INF_SUP_DOF_CAP", 10)
+        out = tmp_path / "run"
+        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+            "--out", str(out))
+        bundle = json.loads((out / "verification.json").read_text())
+        pressure = {c["name"]: c for c in bundle["checks"]}["pressure_bound"]
+        assert "skipped_levels" not in pressure["details"]
+        assert bundle == json.loads(
+            (uncapped / "verification.json").read_text())
+
+    def test_inconclusive_uniqueness_is_skipped_with_its_reason(
+            self, tmp_path, capsys):
+        # at nu = 0.1 the small-data premise fails: the two starts agree,
+        # but the result does not apply, so the check neither passes nor
+        # fails the bundle
+        cfg = write_config(tmp_path / "cfg.json", nu=0.1)
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--mesh", "builtin:2x4",
+                   "--levels", "1", "--out", str(out)) == EXIT_OK
+        bundle = json.loads((out / "verification.json").read_text())
+        unique = {c["name"]: c for c in bundle["checks"]}["uniqueness"]
+        assert unique["passed"] is None
+        details = unique["details"]
+        assert details["verdict"] == "inconclusive"
+        assert details["status"] == "skipped"
+        assert "uniqueness_number * c_mult" in details["reason"]
+        assert details["uniqueness_number"] * details["c_mult"] >= 1
+        assert bundle["passed"] is True
+        assert "uniqueness: skipped" in capsys.readouterr().out
+
+    def test_violated_uniqueness_fails_the_bundle(self, tmp_path,
+                                                  monkeypatch, capsys):
+        original = analysis.check_uniqueness
+
+        def violated(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs),
+                                       verdict="violated")
+        monkeypatch.setattr(analysis, "check_uniqueness", violated)
+        out = tmp_path / "run"
+        assert run("verify", "--mesh", "builtin:2x4", "--levels", "1",
+                   "--out", str(out)) == EXIT_VERIFICATION
+        bundle = json.loads((out / "verification.json").read_text())
+        unique = {c["name"]: c for c in bundle["checks"]}["uniqueness"]
+        assert unique["passed"] is False
+        assert "status" not in unique["details"]
+        assert "failing checks: uniqueness" in capsys.readouterr().err
 
     def test_one_pass_over_one_chain(self, tmp_path, monkeypatch):
         calls = Counter()

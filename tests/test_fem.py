@@ -2,6 +2,7 @@
 lifting."""
 
 import math
+import re
 from math import factorial
 
 import numpy as np
@@ -13,7 +14,8 @@ from nsdarcy.fem import (CoupledSpace, InterpolationError, LiftingResult,
                          QuadratureRule, SingularLinearSystem, SpaceError,
                          _evaluate, _factor, discrete_lifting,
                          edge_shape_values, shape_ref_grads, shape_values)
-from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
+from nsdarcy.mesh import (FLUID, GAMMA_F, GAMMA_PD, GAMMA_PN, POROUS,
+                          MixedMesh, build_rectangle_mesh, refine_uniform)
 
 
 def reference_monomial_integral(a, b):
@@ -192,6 +194,26 @@ class TestCoupledSpace:
             fluid_free = space.u_node_dof[n] >= 0
             aux_free = space.aux_node_dof[n] >= 0
             assert fluid_free == aux_free == (0 < x < 1)
+
+    def test_interface_node_constrained_on_one_side_is_rejected(self):
+        # 3x3 vertices on [0, 2]^2: the porous wedge (1,0)-(1,1)-(0,1) meets
+        # the left wall only at vertex 3 = (0, 1), where the fluid velocity
+        # is fixed by the gamma_f edges on both sides but the companion,
+        # fixed only on gamma_pd, is free
+        vertices = np.array([(x, y) for y in range(3) for x in range(3)],
+                            dtype=float)
+        triangles = np.array([(0, 1, 3), (1, 4, 3), (1, 2, 5), (1, 5, 4),
+                              (3, 4, 7), (3, 7, 6), (4, 5, 8), (4, 8, 7)])
+        tri_tags = np.array([FLUID, POROUS, POROUS, POROUS,
+                             FLUID, FLUID, FLUID, FLUID])
+        edges = np.array([(0, 1), (0, 3), (3, 6), (6, 7), (7, 8), (5, 8),
+                          (1, 2), (2, 5)])
+        edge_tags = np.array([GAMMA_F] * 6 + [GAMMA_PD, GAMMA_PN])
+        mesh = MixedMesh(vertices, triangles, tri_tags, edges, edge_tags)
+        assert mesh.interface_edges.tolist() == [[1, 3], [3, 4], [4, 5]]
+        with pytest.raises(SpaceError, match=re.escape(
+                "interface node 3 at [0. 1.] is constrained on one side only")):
+            CoupledSpace(mesh)
 
     def test_block_split(self):
         space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))

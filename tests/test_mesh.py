@@ -320,11 +320,20 @@ class TestGmshReader:
         with pytest.raises(M.MeshFormatError, match="5 1 2 4 1 1 2 3"):
             M.parse_gmsh_subset(bad)
 
+    def test_interface_lines_are_optional(self):
+        # the interface follows from the subdomain tags alone
+        golden = M.parse_gmsh_subset(GOLDEN_MSH)
+        untagged = M.parse_gmsh_subset(
+            GOLDEN_MSH.replace("11 1 2 6 1 3 4\n", ""))
+        assert M.dump_mesh(untagged) == M.dump_mesh(golden)
+        assert np.array_equal(untagged.interface_edges, golden.interface_edges)
+
     def test_unmatched_interface_prints_plain_integers(self):
-        bad = GOLDEN_MSH.replace("11 1 2 6 1 3 4\n", "")
+        # an outer fluid edge tagged interface in place of the real one
+        bad = GOLDEN_MSH.replace("11 1 2 6 1 3 4", "11 1 2 6 1 5 6")
         with pytest.raises(M.UnmatchedInterfaceEdge) as exc:
             M.parse_gmsh_subset(bad)
-        assert "derived-only [(2, 3)]" in str(exc.value)
+        assert "tagged-only [(4, 5)], derived-only [(2, 3)]" in str(exc.value)
 
     @pytest.mark.parametrize("record, bad", [
         ("11 1 2 6 1 3 4", "11 1 2 6 1 3 9"),
