@@ -19,8 +19,7 @@ from .solver import (NonConvergence, SolverConfig, _space_blocks,
 __all__ = ["EnergyReport", "CompensationReport", "InfSupResult",
            "UniquenessReport", "dual_norm_fluid", "dual_norm_porous",
            "uniqueness_number", "verify_energy_estimate",
-           "compensation_residual", "aux_flux_agreement", "compute_inf_sup",
-           "check_uniqueness"]
+           "compensation_residual", "compute_inf_sup", "check_uniqueness"]
 
 
 def _riesz(lu, b):
@@ -93,9 +92,9 @@ class _Report:
 
 @dataclass
 class EnergyReport(_Report):
-    """Every quantity of the a priori theory at one discrete solution.
+    """Every quantity of the a priori energy theory at one discrete solution.
 
-    ``e_*`` are the energies (viscous, Darcy, companion, slip), ``dual_g*``
+    ``e_*`` are the energies (viscous, Darcy, slip), ``dual_g*``
     the dual norms of the momentum and head rows of the solve's right-hand
     side b, ``load_work`` the work of b on the solution, ``C_sq`` the
     reference bound ``nu^-1 dual_gf^2 + lambda_min^-1 dual_gp^2``, and
@@ -103,14 +102,13 @@ class EnergyReport(_Report):
     the a priori estimate, flagged against ``c_mult``.
 
     Fields that do not apply are nan (``bound_ok`` None), so null in JSON:
-    with Dirichlet velocity data, ``balance_defect_rel``, ``bound_ratio``,
-    ``bound_ok``, ``e_aux`` and ``compensation_residual``; without the
-    inf-sup eigensolve, ``beta``.
+    with Dirichlet velocity data, ``balance_defect_rel``, ``bound_ratio``
+    and ``bound_ok``.  The companion problem (``compensation_residual``) and
+    the inf-sup constant (``compute_inf_sup``) are reports of their own.
     """
 
     e_fluid: float
     e_darcy: float
-    e_aux: float
     e_bjs: float
     dual_gf: float
     dual_gp: float
@@ -119,9 +117,7 @@ class EnergyReport(_Report):
     uniqueness_number: float
     pressure_norm: float
     pressure_dual: float
-    beta: float
     gamma_term: float
-    compensation_residual: float
     balance_defect_rel: float
     bound_ok: bool  # None where the bound does not apply
     c_mult: float
@@ -133,8 +129,7 @@ class EnergyReport(_Report):
     lambda_max: float
 
 
-def verify_energy_estimate(space, params, state, c_mult=4.0,
-                           with_inf_sup=True):
+def verify_energy_estimate(space, params, state, c_mult=4.0):
     """Check the discrete energy balance and the a priori energy bound at the
     solution ``state``, against the data its solve used.
 
@@ -155,12 +150,9 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     and head rows of b computed by discrete Riesz solves.
 
     Non-homogeneous Dirichlet data add boundary work that neither the
-    balance nor the bound carries, and the companion problem needs a
-    solution trace that vanishes at the interface endpoints: with
-    ``state.dirichlet`` set, ``balance_defect_rel``, ``bound_ratio``,
-    ``e_aux`` and ``compensation_residual`` are nan and ``bound_ok`` is
-    None.  ``with_inf_sup=False`` skips the inf-sup eigensolve, and ``beta``
-    is nan.
+    balance nor the bound carries: with ``state.dirichlet`` set,
+    ``balance_defect_rel`` and ``bound_ratio`` are nan and ``bound_ok`` is
+    None.
     """
     u_raw = state.u_raw(space)
     phi_raw = state.phi_raw(space)
@@ -196,21 +188,17 @@ def verify_energy_estimate(space, params, state, c_mult=4.0,
     ell = -(Bf.T @ state.p + state.F[:space.offset_p])
     _, p_dual = _riesz(_strain_lu(space), ell)
 
-    beta = compute_inf_sup(space).beta if with_inf_sup else np.nan
     if state.dirichlet is None:
-        comp = compensation_residual(space, params, state=state)
-        e_aux, comp_res = comp.energy_aux, comp.residual
         defect, bound_ok = abs(balance) / scale, bool(ratio <= c_mult)
     else:
-        e_aux = comp_res = defect = ratio = np.nan
+        defect = ratio = np.nan
         bound_ok = None
 
     return EnergyReport(
-        e_fluid=e_fluid, e_darcy=darcy, e_aux=e_aux, e_bjs=bjs,
+        e_fluid=e_fluid, e_darcy=darcy, e_bjs=bjs,
         dual_gf=gf, dual_gp=gp, C_sq=c_sq, bound_ratio=ratio,
         uniqueness_number=_uniqueness(params, gf, gp),
-        pressure_norm=p_norm, pressure_dual=p_dual, beta=beta,
-        gamma_term=gamma, compensation_residual=comp_res,
+        pressure_norm=p_norm, pressure_dual=p_dual, gamma_term=gamma,
         balance_defect_rel=defect, bound_ok=bound_ok, c_mult=c_mult,
         load_work=work, h=space.mesh.h, nu=params.nu,
         slip_coefficient=params.G, lambda_min=params.lambda_min,
@@ -261,18 +249,6 @@ def compensation_residual(space, params, state=None, trace=None, wind=None,
         energy_aux=aux.sigma * assembly.strain_energy(space, uph, POROUS),
         wind_flux_defect=(aux.lifting.flux_defect
                           if aux.lifting is not None else np.nan))
-
-
-def aux_flux_agreement(space, aux):
-    """Relative gap between the companion boundary pairing evaluated through
-    the assembled matrix and through independent quadrature of its energy
-    form; a direct check on the companion linear solve."""
-    uph = space.aux_node_values(aux.coeffs)
-    via_matrix = float(aux.coeffs @ (aux.matrix @ aux.coeffs))
-    via_quadrature = (2 * aux.sigma * assembly.strain_energy(space, uph, POROUS)
-                      + assembly.convection_value(space, aux.wind_raw, uph, uph,
-                                                  POROUS, skew=False))
-    return abs(via_matrix - via_quadrature) / max(1.0, abs(via_quadrature))
 
 
 @dataclass

@@ -435,18 +435,15 @@ class CoupledSpace:
 
         self.interface_nodes = np.unique(self.iface_edge_nodes)
 
-        # alignment: every interface node must exist on both sides, and a node
-        # constrained on one side must be constrained on the other
+        # alignment: a node constrained on one side must be constrained on
+        # the other (every interface node lies on both sides, as the mesh
+        # takes its interface edges between fluid and porous triangles)
         nodes = self.interface_nodes
-        shared = (np.isin(nodes, self.tri_nodes(vd)[self.fluid_tris])
-                  & np.isin(nodes, self.tri_nodes(vd)[self.porous_tris]))
         one_sided = (self.u_node_dof[nodes] < 0) != (self.aux_node_dof[nodes] < 0)
-        for bad, why in ((~shared, "not shared by both subdomains"),
-                         (one_sided, "is constrained on one side only")):
-            if bad.any():
-                n = nodes[bad][0]
-                raise SpaceError(f"interface node {n} at "
-                                 f"{self.node_coords(vd)[n]} {why}")
+        if one_sided.any():
+            n = nodes[one_sided][0]
+            raise SpaceError(f"interface node {n} at {self.node_coords(vd)[n]} "
+                             "is constrained on one side only")
 
     # -- value plumbing -----------------------------------------------------
 
@@ -535,14 +532,14 @@ def trace_node_array(space, trace):
     return arr
 
 
-@_per_space
 def _lifting_system(space):
     """The factored lifting saddle matrix [[A_ii, D_i^T], [D_i, 0]], the
     interface columns A_ig and D_g of its two block rows, and the weak
-    divergence pairing D; all belong to the space.  A is the companion
-    strain matrix, i and g are its interior and interface dofs, and the
-    lowest porous vertex leaves the multiplier space (D without its first
-    row)."""
+    divergence pairing D.  A is the companion strain matrix, i and g are
+    its interior and interface dofs, and the lowest porous vertex leaves the
+    multiplier space (D without its first row).  Not memoized: each space
+    runs one lifting per companion solve, and the factor is freed with it
+    before the next factorization is built."""
     from . import assembly
 
     A = assembly._companion_strain(space)

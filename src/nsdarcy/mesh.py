@@ -114,12 +114,6 @@ class MixedMesh:
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise MeshError("one tag per boundary edge required")
 
-        # counterclockwise orientation
-        areas = triangle_areas(self.vertices, self.triangles)
-        flip = areas < 0
-        if np.any(flip):
-            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
-
         self._build_interface(self._validate())
 
     # -- basic quantities --------------------------------------------------
@@ -154,20 +148,31 @@ class MixedMesh:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        """Check the mesh, keep its edge table, and return the two
-        triangles of each edge."""
+        """Check the mesh, orient its triangles counterclockwise, keep its
+        edge table, and return the two triangles of each edge."""
         v, t = self.vertices, self.triangles
         if not np.all(np.isfinite(v)):
             raise MeshError("non-finite vertex coordinates")
-
-        scale = max(1.0, float(np.abs(v).max()))
-        rounded = np.round(v / (1e-12 * scale)).astype(np.int64)
-        if len(np.unique(rounded, axis=0)) != len(v):
+        if len(np.unique(v, axis=0)) != len(v):
             raise MeshError("duplicate vertices")
 
-        areas = triangle_areas(v, t)
-        if np.any(areas <= 1e-14 * scale * scale):
-            raise MeshError("degenerate triangle (non-positive area)")
+        # each triangle is judged on its own scale, its longest edge, so the
+        # checks do not depend on the units of the coordinates
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = triangle_areas(v, t)
+            sides = v[t] - v[t[:, [1, 2, 0]]]
+            longest = np.einsum("tij,tij->ti", sides, sides).max(axis=1)
+        if not (np.all(np.isfinite(areas)) and np.all(np.isfinite(longest))):
+            raise MeshError("triangle area or edge length overflows the "
+                            "floating-point range (coordinates too large)")
+        if np.any(longest < np.finfo(float).tiny):
+            raise MeshError("triangle edge length underflows the "
+                            "floating-point range (coordinates too small)")
+        if np.any(np.abs(areas) <= 1e-14 * longest):
+            raise MeshError("degenerate triangle (area below 1e-14 times "
+                            "its longest edge squared)")
+        flip = areas < 0
+        t[flip] = t[flip][:, [0, 2, 1]]
 
         bad = ~np.isin(self.tri_tags, (FLUID, POROUS))
         if np.any(bad):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from nsdarcy import assembly
 from nsdarcy.fem import CoupledSpace
-from nsdarcy.mesh import MixedMesh, build_rectangle_mesh
+from nsdarcy.mesh import POROUS, MixedMesh, build_rectangle_mesh
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile("nsdarcy", derandomize=True, deadline=None,
@@ -45,3 +46,19 @@ def counted():
         wrapper.calls = 0
         return wrapper
     return wrap
+
+
+@pytest.fixture(scope="session")
+def aux_flux_agreement():
+    """The independent quadrature check of a companion solve: the relative
+    gap between the companion boundary pairing evaluated through the
+    assembled matrix and through quadrature of its energy form."""
+    def gap(space, aux):
+        uph = space.aux_node_values(aux.coeffs)
+        via_matrix = float(aux.coeffs @ (aux.matrix @ aux.coeffs))
+        via_quadrature = (
+            2 * aux.sigma * assembly.strain_energy(space, uph, POROUS)
+            + assembly.convection_value(space, aux.wind_raw, uph, uph, POROUS,
+                                        skew=False))
+        return abs(via_matrix - via_quadrature) / max(1.0, abs(via_quadrature))
+    return gap

@@ -13,9 +13,9 @@ import pytest
 from nsdarcy import assembly as asm
 from nsdarcy import mms
 from nsdarcy import solver as slv
-from nsdarcy.analysis import (aux_flux_agreement, check_uniqueness,
-                              compensation_residual, compute_inf_sup,
-                              uniqueness_number, verify_energy_estimate)
+from nsdarcy.analysis import (check_uniqueness, compensation_residual,
+                              compute_inf_sup, uniqueness_number,
+                              verify_energy_estimate)
 from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
 
@@ -112,7 +112,7 @@ def test_criterion_03_energy_balance(base_space):
     space = base_space
     params = asm.ModelParams(space.mesh, nu=1.0, g_f=small_f, g_p=small_p)
     state = slv.solve_coupled(space, params)
-    rep = verify_energy_estimate(space, params, state, with_inf_sup=False)
+    rep = verify_energy_estimate(space, params, state)
     report(3, "energy balance", state.converged
            and rep.balance_defect_rel <= 1e-9,
            f"relative balance defect {rep.balance_defect_rel:.3e} (tol 1e-9)")
@@ -131,8 +131,7 @@ def test_criterion_04_a_priori_bound():
             space = CoupledSpace(mesh)
             params = asm.ModelParams(mesh, **data)
             state = slv.solve_coupled(space, params)
-            rep = verify_energy_estimate(space, params, state, c_mult=c_mult,
-                                         with_inf_sup=False)
+            rep = verify_energy_estimate(space, params, state, c_mult=c_mult)
             ratios.append(rep.bound_ratio)
             mesh = refine_uniform(mesh)
         spread = (max(ratios) - min(ratios)) / min(ratios)
@@ -171,7 +170,7 @@ def test_criterion_05_compensation(base_space):
            f"divergence-free wind residual {comp.residual:.3e} (tol 1e-12)")
 
 
-def test_criterion_06_aux_energy_identity():
+def test_criterion_06_aux_energy_identity(aux_flux_agreement):
     worst = 0.0
     for name, data in DATASETS:
         mesh = build_rectangle_mesh(4, 8, 1.0)
@@ -214,8 +213,7 @@ def test_criterion_08_uniqueness(base_space):
     for name, data in DATASETS:
         dparams = asm.ModelParams(space.mesh, **data)
         state = slv.solve_coupled(space, dparams)
-        rep = verify_energy_estimate(space, dparams, state,
-                                     with_inf_sup=False)
+        rep = verify_energy_estimate(space, dparams, state)
         worst_p = max(worst_p,
                       beta * rep.pressure_norm / max(rep.pressure_dual, 1e-30))
     report(8, "uniqueness", two_start_ok and worst_p <= 4.0,

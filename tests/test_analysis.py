@@ -3,7 +3,9 @@ a priori bound, interface-transport compensation, the discrete inf-sup
 constant, and the two-start uniqueness experiment."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from nsdarcy import analysis as ana
+from nsdarcy import fem
 from nsdarcy import mms
 from nsdarcy import assembly as asm
 from nsdarcy import solver as slv
@@ -47,6 +50,11 @@ def state(space, params):
 @pytest.fixture(scope="module")
 def report(space, params, state):
     return ana.verify_energy_estimate(space, params, state)
+
+
+@pytest.fixture(scope="module")
+def comp(space, params, state):
+    return ana.compensation_residual(space, params, state=state)
 
 
 class TestDualNorms:
@@ -109,18 +117,18 @@ class TestEnergyReport:
         params = asm.ModelParams(wavy_space.mesh, nu=1.0, g_f=forcing_f,
                                  g_p=forcing_p)
         state = slv.solve_coupled(wavy_space, params)
-        rep = ana.verify_energy_estimate(wavy_space, params, state,
-                                         with_inf_sup=False)
+        rep = ana.verify_energy_estimate(wavy_space, params, state)
         assert rep.balance_defect_rel <= 1e-12
 
     def test_a_priori_bound_with_default_multiplier(self, report):
         assert report.bound_ratio <= report.c_mult
         assert report.bound_ok
 
-    def test_energies_nonnegative_and_reference_positive(self, report):
-        for name in ("e_fluid", "e_darcy", "e_aux", "e_bjs", "dual_gf",
+    def test_energies_nonnegative_and_reference_positive(self, report, comp):
+        for name in ("e_fluid", "e_darcy", "e_bjs", "dual_gf",
                      "dual_gp", "pressure_norm"):
             assert getattr(report, name) >= 0.0
+        assert comp.energy_aux >= 0.0
         assert report.C_sq > 0.0
 
     def test_energy_stable_under_refinement(self):
@@ -131,8 +139,7 @@ class TestEnergyReport:
             local = asm.ModelParams(mesh, nu=1.0, g_f=forcing_f,
                                     g_p=forcing_p)
             state = slv.solve_coupled(space, local)
-            rep = ana.verify_energy_estimate(space, local, state,
-                                             with_inf_sup=False)
+            rep = ana.verify_energy_estimate(space, local, state)
             totals.append(rep.e_fluid + rep.e_darcy)
             mesh = refine_uniform(mesh)
         spread = (max(totals) - min(totals)) / min(totals)
@@ -147,25 +154,25 @@ class TestEnergyReport:
                 g_f=lambda x, y, a=alpha: tuple(a * c for c in forcing_f(x, y)),
                 g_p=lambda x, y, a=alpha: a * forcing_p(x, y))
             state = slv.solve_coupled(space, params, config)
-            rep = ana.verify_energy_estimate(space, params, state,
-                                             with_inf_sup=False)
+            rep = ana.verify_energy_estimate(space, params, state)
             ratios.append(rep.bound_ratio)
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-10)
 
     def test_zero_data_report(self, space):
         quiet = asm.ModelParams(space.mesh, nu=1.0)
         state = slv.solve_coupled(space, quiet)
-        rep = ana.verify_energy_estimate(space, quiet, state,
-                                         with_inf_sup=False)
-        assert rep.e_fluid == rep.e_darcy == rep.e_bjs == rep.e_aux == 0.0
+        rep = ana.verify_energy_estimate(space, quiet, state)
+        comp = ana.compensation_residual(space, quiet, state=state)
+        assert rep.e_fluid == rep.e_darcy == rep.e_bjs == comp.energy_aux == 0.0
         assert rep.C_sq == 0.0 and rep.bound_ratio == 0.0
         assert rep.bound_ok
-        assert rep.compensation_residual == 0.0
+        assert comp.residual == 0.0
 
-    def test_pressure_stability_bound(self, report):
+    def test_pressure_stability_bound(self, space, report):
         # the inf-sup inequality beta ||p|| <= sup (p, div v)/||D(v)|| as an
         # equality check on the recovered supremum
-        assert report.beta * report.pressure_norm <= report.pressure_dual * (
+        beta = ana.compute_inf_sup(space).beta
+        assert beta * report.pressure_norm <= report.pressure_dual * (
             1 + 1e-9)
         assert report.pressure_dual > 0.0
 
@@ -181,27 +188,31 @@ class TestEnergyReport:
             case = mms.get_case(data)
             params = case.params(space.mesh)
             state = case.solve(space)
-        rep = ana.verify_energy_estimate(space, params, state,
-                                         with_inf_sup=False)
+        rep = ana.verify_energy_estimate(space, params, state)
         b = asm.divergence_matrix(space).T @ state.p
         S = csc_matrix(asm.strain_matrix(space))
         dual = np.sqrt(b @ splu(S).solve(b))
         assert rep.pressure_dual == pytest.approx(dual, rel=1e-9)
 
     def test_companion_fields_match_direct_computation(self, space, params,
-                                                       state, report):
+                                                       state, comp):
         aux = slv.solve_auxiliary(space, params, state=state)
         uph = space.aux_node_values(aux.coeffs)
         e_aux = aux.sigma * asm.strain_energy(space, uph, ana.POROUS)
-        assert report.e_aux == pytest.approx(e_aux, rel=1e-12)
-        comp = ana.compensation_residual(space, params, aux=aux)
-        assert report.compensation_residual == pytest.approx(comp.residual,
-                                                             rel=1e-12)
+        assert comp.energy_aux == pytest.approx(e_aux, rel=1e-12)
+        direct = ana.compensation_residual(space, params, aux=aux)
+        assert comp.residual == pytest.approx(direct.residual, rel=1e-12)
 
-    def test_flags_disable_expensive_fields(self, space, params, state):
-        rep = ana.verify_energy_estimate(space, params, state,
-                                         with_inf_sup=False)
-        assert np.isnan(rep.beta)
+    def test_report_runs_neither_companion_nor_eigensolve(
+            self, space, params, state, monkeypatch):
+        # the companion and the inf-sup constant are reports of their own
+        def refuse(*args, **kwargs):
+            raise AssertionError("the energy report ran a companion or "
+                                 "an eigensolve")
+        monkeypatch.setattr(ana, "solve_auxiliary", refuse)
+        monkeypatch.setattr(ana, "compute_inf_sup", refuse)
+        rep = ana.verify_energy_estimate(space, params, state).to_dict()
+        assert not {"beta", "e_aux", "compensation_residual"} & set(rep)
 
     def test_data_are_evaluated_by_the_solves_alone(self, space, counted,
                                                     monkeypatch):
@@ -241,17 +252,18 @@ class TestEnergyReport:
         except slv.NonConvergence:
             return
         rep = ana.verify_energy_estimate(space, case.params(space.mesh),
-                                         state, with_inf_sup=False)
+                                         state)
         assert rep.balance_defect_rel <= 1e-9
 
-    def test_serialization_has_stable_keys(self, report):
+    def test_serialization_has_stable_keys(self, space, report, comp):
         d = report.to_dict()
         assert set(d) == {f.name for f in dataclasses.fields(ana.EnergyReport)}
-        for key in ("e_fluid", "e_darcy", "e_aux", "e_bjs", "dual_gf",
+        for key in ("e_fluid", "e_darcy", "e_bjs", "dual_gf",
                     "dual_gp", "C_sq", "bound_ratio", "uniqueness_number",
-                    "pressure_norm", "beta", "gamma_term",
-                    "compensation_residual"):
+                    "pressure_norm", "gamma_term"):
             assert key in d
+        assert {"energy_aux", "residual"} <= set(comp.to_dict())
+        assert "beta" in ana.compute_inf_sup(space).to_dict()
         assert isinstance(d["bound_ok"], bool)
         json.loads(json.dumps(d))
 
@@ -306,11 +318,33 @@ class TestCompensation:
         assert comp.wind_flux_defect == pytest.approx(
             aux.lifting.flux_defect, rel=1e-12, abs=1e-18)
 
-    def test_companion_flux_agreement(self, space, params, state):
+    def test_lifting_factor_is_freed_with_the_companion(self, params,
+                                                        monkeypatch):
+        # a factorization lives only while something reads it: once the
+        # companion is solved, neither space._cache nor anything else holds
+        # the lifting's factor
+        lifting = []
+        factor = fem._factor
+
+        def recording(A, context, order=None):
+            lu = factor(A, context, order)
+            if context.startswith("lifting"):
+                lifting.append(weakref.ref(lu))
+            return lu
+        monkeypatch.setattr(fem, "_factor", recording)
+        space = CoupledSpace(params.mesh)
+        state = slv.solve_coupled(space, params)
+        ana.compensation_residual(space, params, state=state)
+        gc.collect()
+        assert len(lifting) == 1
+        assert lifting[0]() is None
+
+    def test_companion_flux_agreement(self, space, params, state,
+                                      aux_flux_agreement):
         aux = slv.solve_auxiliary(space, params, state=state)
-        assert ana.aux_flux_agreement(space, aux) <= 1e-10
+        assert aux_flux_agreement(space, aux) <= 1e-10
         other = slv.solve_auxiliary(space, params, state=state, sigma=0.31)
-        assert ana.aux_flux_agreement(space, other) <= 1e-10
+        assert aux_flux_agreement(space, other) <= 1e-10
 
 
 class TestInfSup:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from nsdarcy import analysis, assembly, cli, solver
+from nsdarcy import analysis, assembly, cli, fem, solver
 from nsdarcy import mesh as mesh_module
 from nsdarcy.analysis import EnergyReport
 from nsdarcy.assembly import ModelParams, load_vector
@@ -22,6 +22,12 @@ from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import (FLUID, POROUS, build_rectangle_mesh, load_mesh,
                           refine_uniform)
 from nsdarcy.solver import SolverConfig
+
+
+# the energy block of report.json: the energy report, and the companion
+# fields and the inf-sup constant that `solve` merges into it
+ENERGY_KEYS = ({f.name for f in dataclasses.fields(EnergyReport)}
+               | {"e_aux", "compensation_residual", "beta"})
 
 
 def run(*argv):
@@ -51,8 +57,7 @@ class TestSolve:
         out = tmp_path / "run"
         run("solve", "--out", str(out))
         payload = json.loads((out / "report.json").read_text())
-        assert set(payload["energy"]) == {
-            f.name for f in dataclasses.fields(EnergyReport)}
+        assert set(payload["energy"]) == ENERGY_KEYS
 
     def test_case_run_reports_errors_and_nan_becomes_null(self, tmp_path):
         # the representable case carries inhomogeneous boundary data, so the
@@ -70,7 +75,7 @@ class TestSolve:
         for key in ("e_aux", "compensation_residual", "bound_ok",
                     "bound_ratio", "balance_defect_rel"):
             assert energy[key] is None, key
-        assert set(energy) == {f.name for f in dataclasses.fields(EnergyReport)}
+        assert set(energy) == ENERGY_KEYS
 
     @pytest.mark.parametrize("mesh", ["builtin:4x8", "builtin:16x32"])
     def test_case_balance_closes_with_its_interface_loads(self, tmp_path,
@@ -92,6 +97,24 @@ class TestSolve:
         assert "VECTORS velocity double" in lines
         assert "SCALARS pressure double 1" in lines
         assert "SCALARS head double 1" in lines
+
+    def test_factors_are_built_in_the_order_they_are_read(self, tmp_path,
+                                                          monkeypatch):
+        # the companion's two factors are built, read and freed before the
+        # energy report builds the strain factor that the space keeps
+        contexts = []
+        factor = fem._factor
+
+        def recording(A, context, order=None):
+            contexts.append(context.split(" (")[0].rstrip("0123456789 "))
+            return factor(A, context, order)
+        for module in (fem, solver, analysis):
+            monkeypatch.setattr(module, "_factor", recording)
+        assert run("solve", "--mesh", "builtin:2x4",
+                   "--out", str(tmp_path / "run")) == EXIT_OK
+        assert contexts == 3 * ["coupled iteration"] + [
+            "lifting saddle system", "companion solve", "fluid strain",
+            "Darcy matrix"]
 
     def test_solve_reports_no_beta_above_the_inf_sup_cap(self, tmp_path,
                                                          monkeypatch):
@@ -115,6 +138,22 @@ class TestSolve:
 
 
 class TestVerify:
+    def test_companion_runs_in_the_compensation_sweep_only(self, tmp_path,
+                                                           monkeypatch):
+        # one companion solve per level: the driven dataset at the
+        # configured nu and K, whose residual the compensation check reads
+        spaces = []
+
+        def counting(space, *args, **kwargs):
+            spaces.append(space)
+            return solver.solve_auxiliary(space, *args, **kwargs)
+        monkeypatch.setattr(analysis, "solve_auxiliary", counting)
+        # this coarse base fails the inf-sup spread, which reads no companion
+        assert run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+                   "--out", str(tmp_path / "run")) == EXIT_VERIFICATION
+        assert len(spaces) == 2
+        assert spaces[0] is not spaces[1]
+
     def test_bundle_passes_on_stable_pair(self, tmp_path):
         # the inf-sup spread criterion is calibrated for meshes from 4x8 up;
         # coarser bases are still in the pre-asymptotic regime

@@ -130,6 +130,37 @@ class TestConstructorInvariants:
         with pytest.raises(M.MeshError, match="duplicate|degenerate"):
             M.MixedMesh(verts, m.triangles, m.tri_tags, m.boundary_edges, m.boundary_tags)
 
+    @pytest.mark.parametrize("unit", [1e-13, 1e-100, 1e150])
+    def test_validation_does_not_depend_on_the_units(self, unit):
+        m = M.build_rectangle_mesh(1, 2, 1.0)
+        r = M.MixedMesh(unit * m.vertices, m.triangles, m.tri_tags,
+                        m.boundary_edges, m.boundary_tags)
+        assert r.h == pytest.approx(unit * m.h, rel=1e-15)
+
+    @pytest.mark.parametrize("unit", [1e-100, 1.0, 1e150])
+    def test_degenerate_triangle_rejected_at_any_unit(self, unit):
+        m = M.build_rectangle_mesh(1, 2, 1.0)
+        verts = m.vertices.copy()
+        verts[3] = (0.5, 0.0)  # triangle 0 1 3 collapses onto a segment
+        with pytest.raises(M.MeshError, match="degenerate"):
+            M.MixedMesh(unit * verts, m.triangles, m.tri_tags,
+                        m.boundary_edges, m.boundary_tags)
+
+    def test_coordinates_beyond_the_float_range_name_the_range(self):
+        m = M.build_rectangle_mesh(1, 2, 1.0)
+        huge = M.dump_mesh(m).replace("1.0 2.0", "1e300 2.0")
+
+        def scaled(unit):
+            return lambda: M.MixedMesh(unit * m.vertices, m.triangles,
+                                       m.tri_tags, m.boundary_edges,
+                                       m.boundary_tags)
+        for build, fault in ((scaled(1e200), "overflows"),
+                             (lambda: M.load_mesh(huge), "overflows"),
+                             (scaled(1e-160), "underflows")):
+            with pytest.raises(M.MeshError, match=fault) as info:
+                build()
+            assert "duplicate" not in str(info.value)
+
     def test_boundary_roster_mismatch_rejected(self):
         m = M.build_rectangle_mesh(1, 2, 1.0)
         with pytest.raises(M.MeshError, match="roster"):
