@@ -13,8 +13,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from . import assembly
 from .fem import _factor
 from .mesh import FLUID, POROUS
-from .solver import (NonConvergence, SolverConfig, _space_blocks,
-                     project_zero_mean, solve_auxiliary, solve_coupled)
+from .solver import (NonConvergence, SolverConfig, project_zero_mean,
+                     solve_auxiliary, solve_coupled)
 
 __all__ = ["EnergyReport", "CompensationReport", "InfSupResult",
            "UniquenessReport", "dual_norm_fluid", "dual_norm_porous",
@@ -33,8 +33,7 @@ def _riesz(lu, b):
 def _strain_lu(space):
     """Factor of the fluid strain matrix, computed once per space and shared
     by the fluid dual norm, the pressure dual and the inf-sup eigensolve."""
-    return _factor(assembly.restrict(space, _space_blocks(space)[0],
-                                     "velocity", "velocity"), "fluid strain")
+    return _factor(assembly.strain_matrix(space, FLUID), "fluid strain")
 
 
 def _fluid_dual(space, b):
@@ -184,8 +183,8 @@ def verify_energy_estimate(space, params, state, c_mult=4.0):
     # - G (u.t, v.t) - (phi, v.n) = -(p, div v) - F_u(v), F the residual
     Mp = assembly.pressure_mass_matrix(space)
     p_norm = float(np.sqrt(max(state.p @ (Mp @ state.p), 0.0)))
-    Bf = _space_blocks(space)[3]
-    ell = -(Bf.T @ state.p + state.F[:space.offset_p])
+    B = assembly.divergence_matrix(space)
+    ell = -(B.T @ state.p + state.F[:space.offset_p])
     _, p_dual = _riesz(_strain_lu(space), ell)
 
     if state.dirichlet is None:
@@ -277,7 +276,7 @@ def compute_inf_sup(space):
     tolerance make beta reproducible to the bit.  Computed once per space
     (repeat calls return the same object).
     """
-    B = _space_blocks(space)[3]  # the free-dof divergence
+    B = assembly.divergence_matrix(space)
     m = assembly.pressure_mean_vector(space)
     lu, n, mass = _strain_lu(space), space.num_pressure_dofs, m.sum()
 

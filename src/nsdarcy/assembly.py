@@ -1,13 +1,15 @@
 """Bilinear-form assembly and quadrature-based functionals.
 
-Matrix builders assemble in an *expanded* numbering first: every geometric
-node of the relevant scalar space carries its degrees of freedom (two
-interleaved components for vector fields), whether or not it is free, so
-node n holds positions ``width * n + component``.  The expanded form makes
-inhomogeneous Dirichlet data a plain matrix-vector product.  By default
-builders return the restriction to free dofs; the position of each free dof
-is the ``index`` of its field in the one field table ``CoupledSpace.fields``
-(``expanded_index``).  Pass ``expanded=True`` for the full matrix.
+Each operator has a *form* ``(L, rows, cols)``: its local blocks and the
+dofs they scatter to in the *expanded* numbering, where every geometric
+node of the field's scalar space carries its degrees of freedom (two
+interleaved components for vector fields), free or not, at positions
+``width * node + component``.  Matrix builders sum a form into the
+expanded matrix, which makes inhomogeneous Dirichlet data a plain
+matrix-vector product, and by default restrict it to the free dofs, the
+``index`` of each field in ``CoupledSpace.fields`` (``expanded=True`` keeps
+the full matrix).  The coupled solver scatters the forms into one stored
+pattern per space instead.
 
 Per-node *raw value* arrays -- shape (num_nodes, 2) for vector fields,
 (num_nodes,) for scalars -- are the lingua franca of the functional
@@ -43,7 +45,7 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix
 
 from .mesh import FLUID, POROUS
 from .fem import (QuadratureRule, _evaluate, _per_space, edge_shape_values,
@@ -266,16 +268,10 @@ def _edge_data(space, quad_degree):
             space.iface_lengths[:, None] * rule.weights, points)
 
 
-def expanded_index(space, kind):
-    """Expanded-numbering position of each free dof of a field, read from
-    the field table of the space."""
-    return space.fields[kind].index
-
-
 def restrict(space, A, row_kind, col_kind):
     """Restrict an expanded matrix to the free dofs of the given fields."""
     A = A.tocsr()
-    return A[expanded_index(space, row_kind)][:, expanded_index(space, col_kind)]
+    return A[space.fields[row_kind].index][:, space.fields[col_kind].index]
 
 
 def _vector_dofs(nodes):
@@ -283,64 +279,51 @@ def _vector_dofs(nodes):
     return 2 * nodes[..., None] + np.arange(2)
 
 
-def _scatter(L, rows, cols, shape):
-    """Sum local blocks ``L`` into a sparse matrix; ``rows`` and ``cols``
-    are index arrays that broadcast to ``L.shape``."""
-    rows = np.broadcast_to(rows, L.shape)
-    cols = np.broadcast_to(cols, L.shape)
-    return coo_matrix((L.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=shape).tocsr()
-
-
-def _stored_sum(*mats):
-    """Sum of CSR matrices of one shape that stores every position any of
-    them stores: an exact cancellation stays an explicit zero, where the
-    sparse ``+`` drops it, so the sum's pattern does not follow rounding.
-    Matrices scattered over the same elements store the same pattern, and
-    their sum is the sum of their data arrays."""
-    first = mats[0]
-    if all(np.array_equal(m.indptr, first.indptr)
-           and np.array_equal(m.indices, first.indices) for m in mats[1:]):
-        return csr_matrix((sum(m.data for m in mats), first.indices,
-                           first.indptr), shape=first.shape)
-    coo = [m.tocoo() for m in mats]
-    return _scatter(np.concatenate([c.data for c in coo]),
-                    np.concatenate([c.row for c in coo]),
-                    np.concatenate([c.col for c in coo]), mats[0].shape)
-
-
-def _scatter_vv(L, nodes, dim):
-    """Scatter (ne, nl, 2, nl, 2) local blocks; vector rows x vector cols."""
+def _vv_dofs(nodes):
+    """Rows and columns of (ne, nl, 2, nl, 2) blocks on vector nodes."""
     dofs = _vector_dofs(nodes)
-    return _scatter(L, dofs[:, :, :, None, None], dofs[:, None, None],
-                    (dim, dim))
+    return dofs[:, :, :, None, None], dofs[:, None, None]
 
 
-def _vector_matrix(space, L, nodes, region, expanded):
-    """Scatter (ne, nl, 2, nl, 2) local blocks into the expanded matrix, or
-    into its restriction to the region's vector field (fluid velocity /
-    porous companion velocity)."""
-    A = _scatter_vv(L, nodes, 2 * space.num_nodes(space.velocity_degree))
-    kind = "velocity" if region == FLUID else "aux"
-    return A if expanded else restrict(space, A, kind, kind)
+def _matrix(space, form, row_kind, col_kind, expanded):
+    """Sum ``form`` (its index arrays broadcast to its blocks) into the
+    expanded matrix of two fields, or its restriction to their free dofs."""
+    L, rows, cols = form
+    A = coo_matrix((L.ravel(), (np.broadcast_to(rows, L.shape).ravel(),
+                                np.broadcast_to(cols, L.shape).ravel())),
+                   shape=(space.fields[row_kind].expanded_size,
+                          space.fields[col_kind].expanded_size)).tocsr()
+    return A if expanded else restrict(space, A, row_kind, col_kind)
 
 
 # ---------------------------------------------------------------------------
-# matrix builders
+# forms and matrix builders
 # ---------------------------------------------------------------------------
 
-def strain_matrix(space, region=FLUID, coefficient=1.0, expanded=False):
-    """(D(u), D(v)) over one region, times a constant coefficient, on the
-    natural vector field of the region (fluid / porous companion velocity)."""
+# fields of the vector and divergence forms of a region, read after the
+# form, which rejects an unknown region
+_VECTOR = {FLUID: ("velocity", "velocity"), POROUS: ("aux", "aux")}
+_DIVERGENCE = {FLUID: ("pressure", "velocity"),
+               POROUS: ("porous_vertex", "aux")}
+
+
+def _strain_form(space, region=FLUID):
     tris, _, det, invJT = _geometry(space, region)
     # G[e, c, d, a, b] = det/2 (delta_cd (J^-1 J^-T)_ab + J^-T_da J^-T_cb)
     M = invJT.transpose(0, 2, 1) @ invJT
     G = 0.5 * det[:, None, None, None, None] * (
         np.eye(2)[:, :, None, None] * M[:, None, None]
         + invJT[:, None, :, :, None] * invJT[:, :, None, None, :])
-    L = _contract(G, _reference(space.velocity_degree).strain)
     nodes = space.tri_nodes(space.velocity_degree)[tris]
-    return coefficient * _vector_matrix(space, L, nodes, region, expanded)
+    return (_contract(G, _reference(space.velocity_degree).strain),
+            *_vv_dofs(nodes))
+
+
+def strain_matrix(space, region=FLUID, coefficient=1.0, expanded=False):
+    """(D(u), D(v)) over one region, times a constant coefficient, on the
+    natural vector field of the region (fluid / porous companion velocity)."""
+    return coefficient * _matrix(space, _strain_form(space, region),
+                                 *_VECTOR[region], expanded)
 
 
 @_per_space
@@ -350,32 +333,32 @@ def _companion_strain(space):
     return strain_matrix(space, POROUS)
 
 
-def darcy_matrix(space, params, expanded=False):
-    """(K grad(phi), grad(psi)) over the porous region."""
+def _darcy_form(space, params):
     tris, _, det, invJT = _geometry(space, POROUS)
     G = det[:, None, None] * (invJT.transpose(0, 2, 1) @ params.K_elems @ invJT)
-    L = _contract(G, _reference(space.head_degree).darcy)
     nodes = space.tri_nodes(space.head_degree)[tris]
-    n = space.num_nodes(space.head_degree)
-    A = _scatter(L, nodes[:, :, None], nodes[:, None, :], (n, n))
-    return A if expanded else restrict(space, A, "head", "head")
+    return (_contract(G, _reference(space.head_degree).darcy),
+            nodes[:, :, None], nodes[:, None, :])
+
+
+def darcy_matrix(space, params, expanded=False):
+    """(K grad(phi), grad(psi)) over the porous region."""
+    return _matrix(space, _darcy_form(space, params), "head", "head", expanded)
+
+
+def _divergence_form(space, region=FLUID):
+    tris, _, det, invJT = _geometry(space, region)
+    nodes = space.tri_nodes(space.velocity_degree)[tris]
+    return (_contract(det[:, None, None] * invJT,
+                      _reference(space.velocity_degree).divergence),
+            space.tri_nodes(1)[tris][:, :, None, None],
+            _vector_dofs(nodes)[:, None])
 
 
 def divergence_matrix(space, region=FLUID, expanded=False):
     """(q, div u): P1 scalar rows against vector columns over one region."""
-    tris, _, det, invJT = _geometry(space, region)
-    L = _contract(det[:, None, None] * invJT,
-                  _reference(space.velocity_degree).divergence)
-    nodes = space.tri_nodes(space.velocity_degree)[tris]
-    B = _scatter(L, space.tri_nodes(1)[tris][:, :, None, None],
-                 _vector_dofs(nodes)[:, None],
-                 (space.mesh.num_vertices,
-                  2 * space.num_nodes(space.velocity_degree)))
-    if expanded:
-        return B
-    if region == FLUID:
-        return restrict(space, B, "pressure", "velocity")
-    return restrict(space, B, "porous_vertex", "aux")
+    return _matrix(space, _divergence_form(space, region),
+                   *_DIVERGENCE[region], expanded)
 
 
 def aux_divergence_matrix(space):
@@ -383,40 +366,59 @@ def aux_divergence_matrix(space):
     return divergence_matrix(space, region=POROUS)
 
 
-def convection_matrix(space, wind, region=FLUID, skew=True, expanded=False):
-    """((w . grad) u, v), plus the skew stabilization 1/2 (div w, u . v).
-
-    ``wind`` is a raw per-node value array of shape (num_nodes, 2).
-    """
+def _convection_form(space, wind, region=FLUID, skew=True):
     tris, _, det, invJT = _geometry(space, region)
     nodes = space.tri_nodes(space.velocity_degree)[tris]
     wn = np.asarray(wind)[nodes]
     ref = _reference(space.velocity_degree)
     T = ref.convection + 0.5 * ref.skew if skew else ref.convection
     # G[e, k, a] = det sum_j w_kj J^-T_ja
-    L = _contract(det[:, None, None] * (wn @ invJT), T)
-    return _vector_matrix(space, L, nodes, region, expanded)
+    return _contract(det[:, None, None] * (wn @ invJT), T), *_vv_dofs(nodes)
 
 
-def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
-    """((u . grad) w, v) + 1/2 (div u, w . v): the extra Newton block."""
+def convection_matrix(space, wind, region=FLUID, skew=True, expanded=False):
+    """((w . grad) u, v), plus the skew stabilization 1/2 (div w, u . v).
+
+    ``wind`` is a raw per-node value array of shape (num_nodes, 2).
+    """
+    return _matrix(space, _convection_form(space, wind, region, skew),
+                   *_VECTOR[region], expanded)
+
+
+def _newton_form(space, wind, region=FLUID):
     tris, _, det, invJT = _geometry(space, region)
     nodes = space.tri_nodes(space.velocity_degree)[tris]
     wn = np.asarray(wind)[nodes]
     # X[e, k, c, d, a] = det w_kc J^-T_da
     X = (det[:, None, None] * wn)[:, :, :, None, None] * invJT[:, None, None]
-    L = _contract(X, _reference(space.velocity_degree).newton)
-    return _vector_matrix(space, L, nodes, region, expanded)
+    return (_contract(X, _reference(space.velocity_degree).newton),
+            *_vv_dofs(nodes))
+
+
+def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
+    """((u . grad) w, v) + 1/2 (div u, w . v): the extra Newton block."""
+    return _matrix(space, _newton_form(space, wind, region), *_VECTOR[region],
+                   expanded)
+
+
+def _bjs_form(space):
+    sv, _, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    tau = space.iface_tangents
+    return (np.einsum('eq,qa,qb,ec,ed->eacbd', W, sv, sv, tau, tau),
+            *_vv_dofs(space.iface_edge_nodes))
 
 
 def bjs_matrix(space, coefficient=1.0, expanded=False):
     """coefficient * (u . tau, v . tau) over the interface."""
-    sv, _, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
-    tau = space.iface_tangents
-    L = coefficient * np.einsum('eq,qa,qb,ec,ed->eacbd', W, sv, sv, tau, tau)
-    A = _scatter_vv(L, space.iface_edge_nodes,
-                    2 * space.num_nodes(space.velocity_degree))
-    return A if expanded else restrict(space, A, "velocity", "velocity")
+    return coefficient * _matrix(space, _bjs_form(space), "velocity",
+                                 "velocity", expanded)
+
+
+def _coupling_form(space):
+    sv, sh, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
+    return (np.einsum('eq,qa,qb,ec->eacb', W, sv, sh, space.iface_normals),
+            _vector_dofs(space.iface_edge_nodes)[..., None],
+            space.iface_edge_head_nodes[:, None, None, :])
 
 
 def interface_coupling_matrix(space, expanded=False):
@@ -426,23 +428,16 @@ def interface_coupling_matrix(space, expanded=False):
     exact transpose with a minus sign, which keeps the pairing
     algebraically skew-symmetric.
     """
-    sv, sh, W, _ = _edge_data(space, EDGE_OPERATOR_DEGREE)
-    L = np.einsum('eq,qa,qb,ec->eacb', W, sv, sh, space.iface_normals)
-    A = _scatter(L, _vector_dofs(space.iface_edge_nodes)[..., None],
-                 space.iface_edge_head_nodes[:, None, None, :],
-                 (2 * space.num_nodes(space.velocity_degree),
-                  space.num_nodes(space.head_degree)))
-    return A if expanded else restrict(space, A, "velocity", "head")
+    return _matrix(space, _coupling_form(space), "velocity", "head", expanded)
 
 
 def pressure_mass_matrix(space, expanded=False):
     """(p, q) over the fluid region, P1 x P1."""
     tris, _, det, _ = _geometry(space, FLUID)
-    L = _contract(det[:, None], _reference(1).mass)
     rnodes = space.tri_nodes(1)[tris]
-    nv = space.mesh.num_vertices
-    M = _scatter(L, rnodes[:, :, None], rnodes[:, None, :], (nv, nv))
-    return M if expanded else restrict(space, M, "pressure", "pressure")
+    return _matrix(space, (_contract(det[:, None], _reference(1).mass),
+                           rnodes[:, :, None], rnodes[:, None, :]),
+                   "pressure", "pressure", expanded)
 
 
 def pressure_mean_vector(space):
@@ -450,20 +445,19 @@ def pressure_mean_vector(space):
     tris, _, det, _ = _geometry(space, FLUID)
     m = np.zeros(space.mesh.num_vertices)
     np.add.at(m, space.tri_nodes(1)[tris], _contract(det[:, None], _reference(1).mean))
-    return m[expanded_index(space, "pressure")]
+    return m[space.fields["pressure"].index]
 
 
 # ---------------------------------------------------------------------------
 # load vectors
 # ---------------------------------------------------------------------------
 
-def _coupled_vector(space, fu, fh):
-    """Coupled free-dof vector from expanded velocity rows (num_nodes, 2)
-    and head rows; pressure rows are zero."""
-    b = np.zeros(space.num_total_dofs)
-    b[:space.offset_p] = fu.ravel()[expanded_index(space, "velocity")]
-    b[space.offset_phi:] = fh[expanded_index(space, "head")]
-    return b
+def _coupled_vector(space, fu, fh, fp=None):
+    """Coupled free-dof vector from expanded velocity rows (num_nodes, 2),
+    head rows and pressure rows (zero when not given)."""
+    if fp is None:
+        fp = np.zeros(space.mesh.num_vertices)
+    return np.concatenate([np.ravel(fu), fp, fh])[space.coupled_index]
 
 
 def _expanded_loads(space, params):

@@ -311,13 +311,15 @@ def _evaluate(func, points, shape=()):
 class Field(NamedTuple):
     """Numbering of one discrete field: ``node_dof[n]`` is the first of the
     ``width`` dofs of node n (-1 for a node without dofs), ``index[d]`` is
-    the expanded position ``width * node + component`` of dof d, and
-    ``fixed`` lists the constrained nodes of the field's region."""
+    the expanded position ``width * node + component`` of dof d,
+    ``fixed`` lists the constrained nodes of the field's region, and
+    ``expanded_size`` is ``width`` times the number of nodes."""
 
     node_dof: np.ndarray
     width: int
     index: np.ndarray
     fixed: np.ndarray
+    expanded_size: int
 
 
 class CoupledSpace:
@@ -334,8 +336,11 @@ class CoupledSpace:
     multiplier space of the lifting ("porous_vertex", every porous vertex).
     Blocks of the coupled system, in order: velocity, pressure, head.  The
     companion velocity has its own numbering and is not part of the coupled
-    block vector.  ``node_values`` turns free coefficients of any field into
-    per-node values.  The P2 node of mesh edge e is ``num_vertices + e``.
+    block vector; ``coupled_index`` places its dofs in the expanded
+    velocity, pressure and head numberings laid end to end
+    (``num_expanded_dofs`` long).  ``node_values`` turns free coefficients
+    of any field into per-node values.  The P2 node of mesh edge e is
+    ``num_vertices + e``.
 
     Parameters
     ----------
@@ -384,6 +389,11 @@ class CoupledSpace:
         self.offset_p = self.num_velocity_dofs
         self.offset_phi = self.offset_p + self.num_pressure_dofs
         self.num_total_dofs = self.offset_phi + self.num_head_dofs
+        coupled = [self.fields[k] for k in ("velocity", "pressure", "head")]
+        starts = np.cumsum([0] + [f.expanded_size for f in coupled])
+        self.num_expanded_dofs = int(starts[-1])
+        self.coupled_index = np.concatenate(
+            [f.index + start for f, start in zip(coupled, starts)])
 
         self._build_interface_data()
         self._cache = {}
@@ -416,7 +426,7 @@ class CoupledSpace:
         node_dof = np.full(len(on), -1, dtype=np.int64)
         node_dof[free] = width * np.arange(len(free))
         return Field(node_dof, width, (width * free[:, None] + np.arange(width)).ravel(),
-                     nodes[on[nodes]])
+                     nodes[on[nodes]], width * len(on))
 
     def _build_interface_data(self):
         mesh = self.mesh
@@ -452,7 +462,7 @@ class CoupledSpace:
         (nn, 2) for a vector field, (nn,) for a scalar one, zero at nodes
         without dofs."""
         field = self.fields[kind]
-        vals = np.zeros(field.width * len(field.node_dof))
+        vals = np.zeros(field.expanded_size)
         vals[field.index] = coeffs
         return vals.reshape(-1, 2) if field.width == 2 else vals
 

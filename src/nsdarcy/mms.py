@@ -293,7 +293,6 @@ def consistency_residual(space, case):
     """
     params = case.params(space.mesh)
     b = assembly.load_vector(space, params) + case.interface_loads(space)
-    R = b.copy()
 
     vd = space.velocity_degree
     nodes, vals, grads, W = assembly._pointwise(space, FLUID, vd,
@@ -309,14 +308,11 @@ def consistency_residual(space, case):
            + np.einsum('eq,eq,eqlc->elc', W, P, grads))
     fu = np.zeros((space.num_nodes(vd), 2))
     np.add.at(fu, nodes, loc)
-    R[:space.offset_p] += fu.ravel()[assembly.expanded_index(space, "velocity")]
 
     pnodes, vals1, _ = assembly._element_data(space, FLUID, 1, _ERROR_DEGREE)
     locp = -np.einsum('eq,eq,qr->er', W, GU[0, 0] + GU[1, 1], vals1)
     fp = np.zeros(space.mesh.num_vertices)
     np.add.at(fp, pnodes, locp)
-    R[space.offset_p:space.offset_phi] += fp[
-        assembly.expanded_index(space, "pressure")]
 
     hd = space.head_degree
     nodes_h, _, grads_h, Wp = assembly._pointwise(space, POROUS, hd,
@@ -326,7 +322,7 @@ def consistency_residual(space, case):
     loch = -np.einsum('eq,eqj,eqlj->el', Wp, KG, grads_h)
     fh = np.zeros(space.num_nodes(hd))
     np.add.at(fh, nodes_h, loch)
-    R[space.offset_phi:] += fh[assembly.expanded_index(space, "head")]
+    R = b + assembly._coupled_vector(space, fu, fh, fp)
 
     # interface terms of the weak form, subtracted through the same edge
     # quadrature the load path uses: -(phi, v.n) - G (u.tau, v.tau) on the

@@ -3,8 +3,8 @@
 The coupled block system couples fluid velocity/pressure with the porous
 head through a skew-symmetric interface pairing and the slip (friction)
 term.  Convection is assembled in skew-stabilized form.  Each iteration is
-a correction step J d = -F(x), x <- x + alpha d, where the velocity block
-V + C(u), assembled once per iterate, gives both F(x) and J.  Picard
+a correction step J d = -F(x), x <- x + alpha d, where the operator with
+the convection assembled once per iterate gives both F(x) and J.  Picard
 freezes the wind in J (the Oseen map of the existence proof); Newton adds
 the derivative of the convection in its wind.  Damping and the
 Picard-to-Newton switch are fixed: DAMPING_FACTOR = 0.7 after
@@ -22,17 +22,18 @@ length, which fixes the head; m . z is nonzero exactly when the bordered
 system is nonsingular.
 
 Every linear system is solved by sparse LU (``fem._factor``) with diagonal
-pivoting in a symmetric fill-reducing order.  The coupled operator has a
-zero pressure block, so its order is a saddle order: minimum degree, with
-every pressure moved to just after its last velocity neighbour, where
-elimination has filled its diagonal in.  It is computed once per space, from
-the Picard Jacobian at zero wind; every Jacobian, Picard or Newton, of every
-iterate and dataset stores that pattern (exact cancellations stay as
-explicit zeros), so the fill does not depend on rounding.
+pivoting in a symmetric fill-reducing order.  Each space stores the pattern
+of the coupled operator once: the position of every local entry of its
+forms (``assembly``), its free-dof part, and the saddle order of that part
+(minimum degree, with every pressure moved to just after its last velocity
+neighbour, where elimination has filled its diagonal in).  F(x) and every
+Jacobian of every iterate and dataset are data on that pattern, summed from
+local blocks through those positions (``np.add.at``), so the fill does not
+depend on rounding.
 """
 
 import numpy as np
-from scipy.sparse import bmat
+from scipy.sparse import coo_matrix, csc_matrix, csr_array, csr_matrix
 
 from . import assembly
 from .fem import (SingularLinearSystem, _evaluate, _factor, discrete_lifting,
@@ -158,110 +159,116 @@ def _linear_solve(A, rhs, context, order=None):
     return x
 
 
-@assembly._per_space
-def _space_blocks(space):
-    """Blocks of the coupled operator that depend on the space alone,
-    assembled and restricted once: the expanded unit-coefficient fluid
-    strain S, divergence B and interface coupling Cup, and the free-dof
-    divergence Bf and coupling Cf, as (S, B, Cup, Bf, Cf)."""
-    B = assembly.divergence_matrix(space, FLUID, expanded=True)
-    Cup = assembly.interface_coupling_matrix(space, expanded=True)
-    return (assembly.strain_matrix(space, FLUID, expanded=True), B, Cup,
-            assembly.restrict(space, B, "pressure", "velocity"),
-            assembly.restrict(space, Cup, "velocity", "head"))
+def _zero_wind_forms(space, params):
+    """Forms of the coupled operator at zero wind, in the expanded velocity,
+    pressure and head numberings laid end to end: 2 nu strain first (the
+    convection and Newton forms share its layout), G BJS, +-B, +-C, Darcy."""
+    op = space.fields["velocity"].expanded_size
+    oh = op + space.fields["pressure"].expanded_size
+    S, rs, cs = assembly._strain_form(space, FLUID)
+    S *= 2 * params.nu
+    T, rt, ct = assembly._bjs_form(space)
+    B, rb, cb = assembly._divergence_form(space, FLUID)
+    C, rc, cc = assembly._coupling_form(space)
+    D, rd, cd = assembly._darcy_form(space, params)
+    return [(S, rs, cs), (params.G * T, rt, ct),
+            (B, rb + op, cb), (-B, cb, rb + op),
+            (C, rc, cc + oh), (-C, cc + oh, rc), (D, rd + oh, cd + oh)]
+
+
+def _coupled_layout(space, forms):
+    """The pattern of the expanded operator (CSR), the int32 position there
+    of each local entry of each form, and the free-dof pattern (CSC, whose
+    data are positions in the first) with its saddle order."""
+    n = space.num_expanded_dofs
+    rows, cols = (np.concatenate([np.broadcast_to(f[k], f[0].shape).ravel()
+                                  for f in forms], dtype=np.int32)
+                  for k in (1, 2))
+    # one COO -> CSR of int8 ones sorts the pattern and sums its duplicates
+    A = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                   shape=(n, n)).tocsr()
+    position = csr_array((np.arange(A.nnz, dtype=np.int32), A.indices,
+                          A.indptr), shape=(n, n))
+    maps = np.split(position[rows, cols],
+                    np.cumsum([f[0].size for f in forms[:-1]]))
+    del rows, cols
+    free = position[space.coupled_index][:, space.coupled_index].tocsc()
+    return A, maps, free, saddle_order(free)
 
 
 class _System:
-    """Expanded blocks of the coupled operator on one space, and the
-    free-dof blocks that stay fixed over the iteration."""
+    """The coupled operator of one dataset: its zero-wind data ``A0`` on
+    the stored pattern of the space, the right-hand side and the gauge."""
 
     def __init__(self, space, params, config, dirichlet, extra_loads):
         self.space = space
         self.params = params
         self.config = config
-        self.dirichlet = dirichlet
-        S, self.B, self.Cup, self.Bf, self.Cf = _space_blocks(space)
-        # stored on the pattern of S, which the convection blocks share
-        self.V = assembly._stored_sum(
-            2 * params.nu * S,
-            assembly.bjs_matrix(space, coefficient=params.G, expanded=True))
-        self.Adar = assembly.darcy_matrix(space, params, expanded=True)
-        self.Df = assembly.restrict(space, self.Adar, "head", "head")
-        self.iu = assembly.expanded_index(space, "velocity")
-        self.ip = assembly.expanded_index(space, "pressure")
-        self.iphi = assembly.expanded_index(space, "head")
+        forms = _zero_wind_forms(space, params)
+        if "coupled_layout" not in space._cache:
+            space._cache["coupled_layout"] = _coupled_layout(space, forms)
+        self.pattern, self.maps, self.free, self.order = (
+            space._cache["coupled_layout"])
+        self.A0 = np.zeros(self.pattern.nnz)
+        for (L, _, _), entry_map in zip(forms, self.maps):
+            np.add.at(self.A0, entry_map, L.ravel())
         self.b = assembly.load_vector(space, params)
         if extra_loads is not None:
             self.b = self.b + extra_loads
         self.mean_vec = assembly.pressure_mean_vector(space)
-        self.u_dir = space.velocity_node_values(
+        self.n_vel = space.fields["velocity"].expanded_size
+        self.x_dir = np.zeros(space.num_expanded_dofs)
+        self.x_dir[:self.n_vel] = space.velocity_node_values(
             np.zeros(space.num_velocity_dofs), dirichlet).ravel()
-        # every Jacobian on the space stores the zero-wind Picard pattern
-        self.order = space._cache.get("coupled_order")
-        if self.order is None:
-            self.order = space._cache["coupled_order"] = saddle_order(
-                self.jacobian(self.V, None, newton=False))
+
+    def _product(self, data, xe):
+        """The expanded operator with ``data`` times ``xe``, in free dofs."""
+        A = csr_matrix((data, self.pattern.indices, self.pattern.indptr),
+                       shape=self.pattern.shape)
+        return (A @ xe)[self.space.coupled_index]
 
     def expand(self, x):
-        """Expanded velocity (Dirichlet values included), pressure and head
-        of the coupled vector ``x``."""
-        space = self.space
-        u, p, phi = space.split_state(x)
-        return (space.velocity_node_values(u).ravel() + self.u_dir,
-                space.pressure_node_values(p), space.head_node_values(phi))
+        """Expanded coupled vector of ``x``, Dirichlet values included."""
+        xe = self.x_dir.copy()
+        xe[self.space.coupled_index] = x
+        return xe
 
     def linearize(self, x):
-        """Velocity block V + C(u) at x, assembled once (storing every
-        position of C, zeros included), and the nonlinear residual F(x) in
-        free dofs.
-
-        The continuity equation holds against mean-free pressure tests only
-        (a constant test function pairs with the net interface flux, which
-        need not vanish), so the component of the continuity rows along the
-        mean vector is removed.
-        """
-        ue, pe, fe = self.expand(x)
-        Auu = self.V
-        if self.config.include_convection:
-            wind = ue.reshape(-1, 2)
-            Auu = assembly._stored_sum(
-                Auu, assembly.convection_matrix(self.space, wind,
-                                                expanded=True))
-        Fu = (Auu @ ue - self.B.T @ pe + self.Cup @ fe)[self.iu]
-        Fp = (self.B @ ue)[self.ip]
+        """Operator data at x, the convection assembled once, and the
+        residual F(x) in free dofs.  The continuity rows hold against
+        mean-free pressure tests only (a constant test pairs with the net
+        interface flux, which need not vanish), so their component along the
+        mean vector is removed."""
+        xe = self.expand(x)
+        data = self.A0.copy()
+        if self.config.include_convection:  # laid out as the strain
+            np.add.at(data, self.maps[0], assembly._convection_form(
+                self.space, xe[:self.n_vel].reshape(-1, 2))[0].ravel())
+        F = self._product(data, xe)
+        Fp = F[self.space.offset_p:self.space.offset_phi]
         m = self.mean_vec
-        Fp = Fp - m * ((m @ Fp) / (m @ m))
-        Fphi = (self.Adar @ fe - self.Cup.T @ ue)[self.iphi]
-        return Auu, np.concatenate([Fu, Fp, Fphi]) - self.b
+        Fp -= m * ((m @ Fp) / (m @ m))
+        return data, F - self.b
 
     def residual_scale(self):
         """Magnitude of the problem data: loads plus the linear-operator
         image of the Dirichlet values, so boundary-driven problems (zero
         loads) still get a meaningful relative tolerance."""
-        scale = np.linalg.norm(self.b)
-        if self.dirichlet is not None:
-            scale = max(scale,
-                        np.linalg.norm((self.V @ self.u_dir)[self.iu]),
-                        np.linalg.norm((self.B @ self.u_dir)[self.ip]),
-                        np.linalg.norm((self.Cup.T @ self.u_dir)[self.iphi]))
-        return scale
+        lifted = self.space.split_state(self._product(self.A0, self.x_dir))
+        return max(map(np.linalg.norm, [self.b, *lifted]))
 
-    def jacobian(self, Auu, x, newton):
+    def jacobian(self, data, x, newton):
         """Free-dof operator J of the correction step J d = -F(x), without
-        the gauge, from the velocity block ``Auu`` that ``linearize(x)``
-        returned: the frozen-wind (Picard) operator, or with ``newton`` the
-        Jacobian, which adds the derivative of the convection in its wind.
-        Its stored pattern does not depend on the iterate."""
-        space = self.space
+        the gauge, from the ``data`` of ``linearize(x)``: the frozen-wind
+        (Picard) operator, or with ``newton`` the Jacobian, which adds the
+        derivative of the convection in its wind, on the stored pattern."""
         if newton:
-            wind = self.expand(x)[0].reshape(-1, 2)
-            Auu = assembly._stored_sum(
-                Auu, assembly.newton_convection_matrix(space, wind,
-                                                       expanded=True))
-        Auu_f = assembly.restrict(space, Auu, "velocity", "velocity")
-        return bmat([[Auu_f, -self.Bf.T, self.Cf],
-                     [self.Bf, None, None],
-                     [-self.Cf.T, None, self.Df]], format="csr")
+            wind = self.expand(x)[:self.n_vel].reshape(-1, 2)
+            data = data.copy()
+            np.add.at(data, self.maps[0],
+                      assembly._newton_form(self.space, wind)[0].ravel())
+        return csc_matrix((data[self.free.data], self.free.indices,
+                           self.free.indptr), shape=self.free.shape)
 
     def gauge_and_solve(self, A, rhs, context):
         """Solve the bordered system [[A, m], [m^T, 0]] [x, lam] = [rhs, 0]
@@ -282,6 +289,18 @@ class _System:
         return x
 
 
+def _coupled_input(space, name, value):
+    """A float copy of a coupled vector argument, which must be finite and
+    of length num_total_dofs."""
+    x, n = np.array(value, dtype=float), space.num_total_dofs
+    bad = np.count_nonzero(~np.isfinite(x))
+    if x.shape != (n,) or bad:
+        raise ValueError(f"{name} must be a finite vector of length "
+                         f"num_total_dofs = {n}, got shape {x.shape} with "
+                         f"{bad} non-finite entries")
+    return x
+
+
 def solve_coupled(space, params, config=None, dirichlet=None,
                   initial_state=None, extra_loads=None):
     """Solve the coupled system; returns a CoupledState.
@@ -299,20 +318,22 @@ def solve_coupled(space, params, config=None, dirichlet=None,
         Additional right-hand side in free-dof numbering (e.g. interface
         consistency loads of a manufactured solution).
 
-    Raises NonConvergence if the iteration stalls and SingularLinearSystem
-    if a linear solve fails.
+    Raises ValueError if ``initial_state`` or ``extra_loads`` is not a
+    finite vector of length num_total_dofs, NonConvergence if the iteration
+    stalls and SingularLinearSystem if a linear solve fails.
     """
     config = config or SolverConfig()
-    sys = _System(space, params, config, dirichlet, extra_loads)
-
     x = np.zeros(space.num_total_dofs)
     if initial_state is not None:
-        src = initial_state
-        if isinstance(src, CoupledState):
-            src = np.concatenate([src.u, src.p, src.phi])
-        x = np.array(src, dtype=float)
+        if isinstance(initial_state, CoupledState):
+            initial_state = np.concatenate(
+                [initial_state.u, initial_state.p, initial_state.phi])
+        x = _coupled_input(space, "initial_state", initial_state)
         u, p, phi = space.split_state(x)
         p[:] = project_zero_mean(space, p)
+    if extra_loads is not None:
+        extra_loads = _coupled_input(space, "extra_loads", extra_loads)
+    sys = _System(space, params, config, dirichlet, extra_loads)
 
     scale = max(sys.residual_scale(), 1e-300)
     transcript = []
@@ -323,12 +344,12 @@ def solve_coupled(space, params, config=None, dirichlet=None,
     if not config.include_convection:
         scheme = "picard"  # single linear solve
 
-    Auu, F = sys.linearize(x)
+    data, F = sys.linearize(x)
     for it in range(1, config.max_iter + 1):
-        J = sys.jacobian(Auu, x, newton=scheme == "newton")
+        J = sys.jacobian(data, x, newton=scheme == "newton")
         step = sys.gauge_and_solve(J, -F, f"coupled iteration {it}")
         x = x + alpha * step
-        Auu, F = sys.linearize(x)
+        data, F = sys.linearize(x)
         res = np.linalg.norm(F)
         transcript.append({"iteration": it, "scheme": scheme,
                            "residual": float(res), "alpha": float(alpha)})

@@ -355,7 +355,7 @@ class TestPressureHelpers:
     def test_mean_vector_integrates_p1_fields(self, space):
         q = space.mesh.vertices[:, 0].copy()
         m = asm.pressure_mean_vector(space)
-        qf = q[asm.expanded_index(space, "pressure")]
+        qf = q[space.fields["pressure"].index]
         assert m @ qf == pytest.approx(0.5, abs=1e-12)  # int of x over the strip
 
 
@@ -449,7 +449,7 @@ def oracle_pressure_mean(space):
     rnodes, vals1, _, W = _oracle_data(space, FLUID, 1)
     m = np.zeros(space.mesh.num_vertices)
     np.add.at(m, rnodes, np.einsum('ql,eq->el', vals1, W))
-    return m[asm.expanded_index(space, "pressure")]
+    return m[space.fields["pressure"].index]
 
 
 def anisotropic_K(x, y):
@@ -479,8 +479,8 @@ class TestTensorOperatorsMatchQuadrature:
 
     def test_aux_divergence(self, any_space):
         full = oracle_divergence(any_space, POROUS)
-        rows = asm.expanded_index(any_space, "porous_vertex")
-        cols = asm.expanded_index(any_space, "aux")
+        rows = any_space.fields["porous_vertex"].index
+        cols = any_space.fields["aux"].index
         assert_close(asm.aux_divergence_matrix(any_space),
                      full[rows][:, cols])
 

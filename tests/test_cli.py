@@ -270,6 +270,18 @@ class TestVerify:
         # solves, plus the two uniqueness starts; one inf-sup per level
         assert calls == {"refine": 1, "space": 2, "solve": 8, "eigsh": 2}
 
+    def test_one_coupled_layout_per_level(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("_coupled_layout", "saddle_order"):
+            def counted(*args, _name=name, _original=getattr(solver, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(solver, name, counted)
+        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+            "--out", str(tmp_path / "run"))
+        # every dataset and iterate of a level fills the one pattern
+        assert calls == {"_coupled_layout": 2, "saddle_order": 2}
+
     def test_strain_matrices_are_assembled_once_per_space(self, tmp_path,
                                                           monkeypatch):
         calls = Counter()

@@ -1,12 +1,12 @@
 """Property tests of the numbering on generated meshes: every field of a
-CoupledSpace expands its free coefficients to per-node values and restricts
-them back exactly, and the P2 node of each mesh edge is its midpoint."""
+CoupledSpace, and the coupled vector, expands its free coefficients to
+per-node values and restricts them back exactly, and the P2 node of each
+mesh edge is its midpoint."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nsdarcy import assembly
 from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import MeshError, build_rectangle_mesh, refine_uniform
 
@@ -45,7 +45,7 @@ def test_every_field_round_trips_its_coefficients(wavy_map, spec, vd, hd,
         coeffs = rng.standard_normal(counts[kind])
         vals = space.node_values(kind, coeffs)
         assert np.array_equal(
-            vals.ravel()[assembly.expanded_index(space, kind)], coeffs)
+            vals.ravel()[field.index], coeffs)
         per_node = vals.reshape(len(field.node_dof), field.width)
         assert np.array_equal(
             per_node[free],
@@ -54,6 +54,15 @@ def test_every_field_round_trips_its_coefficients(wavy_map, spec, vd, hd,
         assert not np.isin(field.fixed, free).any()
         if kind in expanders:
             assert np.array_equal(expanders[kind](coeffs), vals)
+    # the coupled dofs sit in the expanded velocity, pressure and head
+    # numberings laid end to end
+    x = rng.standard_normal(space.num_total_dofs)
+    expanded = np.concatenate([
+        space.node_values(kind, part).ravel()
+        for kind, part in zip(("velocity", "pressure", "head"),
+                              space.split_state(x))])
+    assert len(expanded) == space.num_expanded_dofs
+    assert np.array_equal(expanded[space.coupled_index], x)
 
 
 @given(spec=MESHES, picks=st.lists(st.integers(0, 10**6), min_size=1,

@@ -6,7 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.sparse import bmat, csc_matrix
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import bmat, coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import spilu, splu
 
 from nsdarcy import assembly as asm
@@ -32,6 +33,11 @@ def lid(x, y):
 @pytest.fixture(scope="module")
 def space():
     return CoupledSpace(build_rectangle_mesh(4, 8, 1.0))
+
+
+@pytest.fixture(scope="module")
+def p2_head_space():
+    return CoupledSpace(build_rectangle_mesh(2, 4, 1.0), head_degree=2)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +69,8 @@ class TestLinearRegime:
     def test_no_convection_equals_direct_linear_solve(self, space, params):
         config = slv.SolverConfig(include_convection=False)
         state = slv.solve_coupled(space, params, config)
-        direct = _bordered_reference(space, *_picard_system(space, params))
+        direct = _bordered_reference(space,
+                                     *_direct_system(space, params)[:2])
         stacked = np.concatenate([state.u, state.p, state.phi])
         assert np.allclose(stacked, direct, rtol=0.0, atol=1e-13)
 
@@ -167,6 +174,26 @@ class TestNonlinearIteration:
         with pytest.raises(ValueError):
             slv.SolverConfig(max_iter=0)
 
+    @pytest.mark.parametrize("argument, length, fill", [
+        ("initial_state", lambda n: 5, 0.0),
+        ("initial_state", lambda n: n + 3, 0.0),
+        ("initial_state", lambda n: n, np.nan),
+        ("extra_loads", lambda n: 3, 0.0),
+        ("extra_loads", lambda n: n, np.inf),
+    ], ids=["short-start", "long-start", "nan-start", "short-loads",
+            "inf-loads"])
+    def test_bad_coupled_vectors_are_named(self, argument, length, fill):
+        """A start or extra load of the wrong length, or with non-finite
+        entries, is a ValueError that names it."""
+        space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))
+        params = asm.ModelParams(space.mesh, nu=1.0, g_f=forcing_f)
+        n, m = space.num_total_dofs, length(space.num_total_dofs)
+        message = (f"{argument} must be a finite vector of length "
+                   f"num_total_dofs = {n}, got shape \\({m},\\) with "
+                   f"{m if m == n else 0} non-finite entries")
+        with pytest.raises(ValueError, match=message):
+            slv.solve_coupled(space, params, **{argument: np.full(m, fill)})
+
 
 def _bordered_reference(space, A, rhs):
     """Mean-gauge solution from the explicitly bordered system
@@ -179,33 +206,51 @@ def _bordered_reference(space, A, rhs):
     return splu(bordered).solve(np.append(rhs, 0.0))[:n]
 
 
-def _picard_system(space, params, x=None, dirichlet=None):
-    """Direct form of one Picard step, built from the assembly builders: the
-    free-dof operator with the wind of x frozen (Stokes-Darcy when x is
-    None), and the loads less the operator image of the Dirichlet values.
-    Its mean-gauge solution is the next iterate."""
+def _direct_system(space, params, x=None, dirichlet=None, newton=False):
+    """Direct form of one step at x, built from the public assembly builders
+    (expanded, then restricted and stacked by ``bmat``): the free-dof
+    operator J with the wind of x frozen (Stokes-Darcy when x is None), with
+    ``newton`` plus the derivative of the convection in its wind; the loads
+    less the operator image of the Dirichlet values, whose mean-gauge
+    solution against the Picard J is the next iterate; and the residual
+    F(x) (None when x is None)."""
     zero = np.zeros(space.num_velocity_dofs)
     u_dir = space.velocity_node_values(zero, dirichlet).ravel()
     Auu = (asm.strain_matrix(space, expanded=True, coefficient=2 * params.nu)
            + asm.bjs_matrix(space, coefficient=params.G, expanded=True))
+    Juu = Auu
     if x is not None:
-        u, _, _ = space.split_state(x)
+        u, p, phi = space.split_state(x)
         wind = space.velocity_node_values(u, dirichlet)
         Auu = Auu + asm.convection_matrix(space, wind, expanded=True)
+        Juu = Auu
+        if newton:
+            Juu = Auu + asm.newton_convection_matrix(space, wind,
+                                                     expanded=True)
     B = asm.divergence_matrix(space, expanded=True)
     Cup = asm.interface_coupling_matrix(space, expanded=True)
     D = asm.darcy_matrix(space, params, expanded=True)
     Bf = asm.restrict(space, B, "pressure", "velocity")
     Cf = asm.restrict(space, Cup, "velocity", "head")
-    A = bmat([[asm.restrict(space, Auu, "velocity", "velocity"), -Bf.T, Cf],
+    A = bmat([[asm.restrict(space, Juu, "velocity", "velocity"), -Bf.T, Cf],
               [Bf, None, None],
               [-Cf.T, None, asm.restrict(space, D, "head", "head")]],
              format="csc")
-    lifted = np.concatenate([
-        (Auu @ u_dir)[asm.expanded_index(space, "velocity")],
-        (B @ u_dir)[asm.expanded_index(space, "pressure")],
-        -(Cup.T @ u_dir)[asm.expanded_index(space, "head")]])
-    return A, asm.load_vector(space, params) - lifted
+    iu, ip, ih = (space.fields[kind].index
+                  for kind in ("velocity", "pressure", "head"))
+    b = asm.load_vector(space, params)
+    lifted = np.concatenate([(Auu @ u_dir)[iu], (B @ u_dir)[ip],
+                             -(Cup.T @ u_dir)[ih]])
+    F = None
+    if x is not None:
+        ue = wind.ravel()
+        pe, fe = space.pressure_node_values(p), space.head_node_values(phi)
+        m = asm.pressure_mean_vector(space)
+        Fp = (B @ ue)[ip]
+        F = np.concatenate([(Auu @ ue - B.T @ pe + Cup @ fe)[iu],
+                            Fp - m * ((m @ Fp) / (m @ m)),
+                            (D @ fe - Cup.T @ ue)[ih]]) - b
+    return A, b - lifted, F
 
 
 class TestCorrectionStep:
@@ -223,15 +268,15 @@ class TestCorrectionStep:
         Auu, F = sys.linearize(x0)
         x1 = x0 + sys.gauge_and_solve(sys.jacobian(Auu, x0, False), -F,
                                       "correction")
-        ref = _bordered_reference(space, *_picard_system(space, params, x0,
-                                                         lid))
+        ref = _bordered_reference(space, *_direct_system(space, params, x0,
+                                                         lid)[:2])
         assert np.linalg.norm(x1 - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("problem", ["default", "representable"])
     def test_convection_assembled_once_per_iterate(self, space, params,
                                                    monkeypatch, problem):
         calls = Counter()
-        for name in ("convection_matrix", "newton_convection_matrix"):
+        for name in ("_convection_form", "_newton_form"):
             def counting(*args, _name=name, _build=getattr(asm, name),
                          **kwargs):
                 calls[_name] += 1
@@ -244,8 +289,69 @@ class TestCorrectionStep:
         newton_rows = sum(row["scheme"] == "newton"
                           for row in state.transcript)
         assert newton_rows > 0
-        assert calls["convection_matrix"] == state.iterations + 1
-        assert calls["newton_convection_matrix"] == newton_rows
+        assert calls["_convection_form"] == state.iterations + 1
+        assert calls["_newton_form"] == newton_rows
+
+
+class TestStoredPattern:
+    """Each iterate's F(x) and Jacobian are data on the stored pattern of
+    the space, against the public builders."""
+
+    @pytest.mark.parametrize("mesh", ["space", "wavy_space", "p2_head"])
+    @pytest.mark.parametrize("newton", [False, True], ids=["picard", "newton"])
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-2, 1e2),
+           driven=st.booleans())
+    def test_residual_and_jacobian_match_the_builders(
+            self, space, wavy_space, p2_head_space, mesh, newton, seed, scale,
+            driven):
+        """At a random iterate (its wind included), with the forcing or
+        with the representable case's Dirichlet data, on the rectangle, the
+        wavy interface and a P2 head."""
+        sp = {"space": space, "wavy_space": wavy_space,
+              "p2_head": p2_head_space}[mesh]
+        if driven:
+            dirichlet = None
+            params = asm.ModelParams(sp.mesh, nu=0.7, K=[[2.0, 0.5],
+                                                         [0.5, 1.0]],
+                                     G=1.3, g_f=forcing_f, g_p=forcing_p)
+        else:
+            case = mms.representable_case()
+            dirichlet, params = case.dirichlet, case.params(sp.mesh)
+        sys = slv._System(sp, params, slv.SolverConfig(), dirichlet, None)
+        x = scale * np.random.default_rng(seed).standard_normal(
+            sp.num_total_dofs)
+        data, F = sys.linearize(x)
+        J = sys.jacobian(data, x, newton)
+        J_ref, _, F_ref = _direct_system(sp, params, x, dirichlet, newton)
+        assert abs(J - J_ref).max() <= 1e-12 * abs(J_ref).max()
+        assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
+
+    def test_an_iterate_rebuilds_no_pattern(self, space, params,
+                                            monkeypatch):
+        sys = slv._System(space, params, slv.SolverConfig(), lid, None)
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+
+        for module in (asm, slv, fem):
+            for name in ("coo_matrix", "bmat", "restrict"):
+                if hasattr(module, name):
+                    count(module, name)
+        for matrix in (coo_matrix, csc_matrix, csr_matrix):
+            count(matrix, "tocsr")
+        x = 0.1 * np.random.default_rng(8).standard_normal(
+            space.num_total_dofs)
+        for newton in (False, True):
+            data, _ = sys.linearize(x)
+            sys.jacobian(data, x, newton)
+        assert calls == {}
 
 
 class TestMeanGauge:
@@ -299,16 +405,28 @@ class TestMeanGauge:
         with pytest.raises(SingularLinearSystem, match="mean-pressure"):
             sys.gauge_and_solve(A, rhs, "zero mean")
 
-    def test_space_blocks_are_shared_and_bit_equal(self, space, params):
+    def test_systems_share_one_layout_and_sum_the_builders(self, space,
+                                                           params):
         config = slv.SolverConfig()
         first = slv._System(space, params, config, None, None)
         other = asm.ModelParams(space.mesh, nu=0.3, G=2.0)
         second = slv._System(space, other, config, None, None)
-        assert second.B is first.B and second.Cup is first.Cup
-        direct = (asm.strain_matrix(space, expanded=True,
-                                     coefficient=2 * other.nu)
-                  + asm.bjs_matrix(space, coefficient=2.0, expanded=True))
-        assert (second.V != direct).nnz == 0
+        assert all(a is b for a, b in zip(
+            (second.pattern, second.maps, second.free, second.order),
+            (first.pattern, first.maps, first.free, first.order)))
+        A0 = csr_matrix((second.A0, second.pattern.indices,
+                         second.pattern.indptr), shape=second.pattern.shape)
+        B = asm.divergence_matrix(space, expanded=True)
+        Cup = asm.interface_coupling_matrix(space, expanded=True)
+        direct = bmat([[asm.strain_matrix(space, expanded=True,
+                                          coefficient=2 * other.nu)
+                        + asm.bjs_matrix(space, coefficient=2.0,
+                                         expanded=True), -B.T, Cup],
+                       [B, None, None],
+                       [-Cup.T, None, asm.darcy_matrix(space, other,
+                                                       expanded=True)]])
+        gap = abs(A0 - direct).max()
+        assert gap <= 1e-14 * abs(direct).max()
 
 
 @pytest.fixture(scope="module")
