@@ -20,7 +20,7 @@ import numpy as np
 from . import assembly
 from .fem import _evaluate
 from .mesh import FLUID, POROUS, build_rectangle_mesh, refinement_chain
-from .solver import solve_coupled
+from .solver import SolverConfig, solve_coupled
 
 __all__ = ["ManufacturedCase", "smooth_case", "representable_case",
            "get_case", "CASE_NAMES", "convergence_study", "solution_errors",
@@ -44,11 +44,13 @@ class ManufacturedCase:
     callable contract of ``assembly.ModelParams`` (component axes leading
     for coordinate arrays).  The derived sources and defects below follow
     it too.  ``dirichlet`` is the velocity trace on gamma_f, or None when
-    the field vanishes there.
+    the field vanishes there.  ``tol``, when given, is the relative
+    nonlinear tolerance the case's own gate needs: ``solve`` tightens a
+    looser ``SolverConfig.tol`` to it.
     """
 
     def __init__(self, name, nu, K, G, u, grad_u, lap_u, p, grad_p,
-                 phi, grad_phi, hess_phi, dirichlet=None):
+                 phi, grad_phi, hess_phi, dirichlet=None, tol=None):
         self.name = name
         self.nu = float(nu)
         self.K = np.asarray(K, dtype=float)
@@ -62,6 +64,7 @@ class ManufacturedCase:
         self.grad_phi = grad_phi
         self.hess_phi = hess_phi
         self.dirichlet = dirichlet
+        self.tol = tol
 
     # -- derived sources and interface defects ------------------------------
 
@@ -119,6 +122,10 @@ class ManufacturedCase:
             r_tangential=self.r_tangential)
 
     def solve(self, space, config=None):
+        config = config or SolverConfig()
+        if self.tol is not None and self.tol < config.tol:
+            config = SolverConfig(self.tol, config.max_iter, config.scheme,
+                                  config.include_convection)
         return solve_coupled(space, self.params(space.mesh), config,
                              dirichlet=self.dirichlet,
                              extra_loads=self.interface_loads(space))
@@ -190,6 +197,13 @@ def representable_case(nu=1.0, head_amplitude=1.0, K=1.0, G=1.0):
 
     Stream function x^2 (y - 1) + y^2 x, pressure x - 1/2 (mean-free), head
     B y.
+
+    The solve is tightened to ``tol`` = 1e-13 so that the errors stay below
+    ``REPRODUCTION_TOL`` (1e-9, absolute).  The residual scale grows by
+    about sqrt(2) per level (55 on 4x8, 152 on 32x64) and the errors are
+    5-11 times the final absolute residual, so the default tol 1e-10 stops
+    16x32 at errors up to 3.7e-8.  Newton passes 1e-13 on every level up
+    to 64x128, with errors at most 2.1e-12.
     """
     B = head_amplitude
     K = np.asarray(K, dtype=float)
@@ -224,7 +238,8 @@ def representable_case(nu=1.0, head_amplitude=1.0, K=1.0, G=1.0):
         return ((0.0, 0.0), (0.0, 0.0))
 
     return ManufacturedCase("representable", nu, K, G, u, grad_u, lap_u,
-                            p, grad_p, phi, grad_phi, hess_phi, dirichlet=u)
+                            p, grad_p, phi, grad_phi, hess_phi, dirichlet=u,
+                            tol=1e-13)
 
 
 _CASES = {"smooth": smooth_case, "representable": representable_case}

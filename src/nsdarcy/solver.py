@@ -11,29 +11,45 @@ Picard-to-Newton switch are fixed: DAMPING_FACTOR = 0.7 after
 DAMPING_TRIGGER = 2 residual increases, NEWTON_SWITCH_TOL = 1e-3.
 
 The pressure is determined only up to a constant.  A Lagrange multiplier
-imposes zero mean, which reproduces the Galerkin solution in the mean-free
-pressure space exactly.  The multiplier is eliminated instead of being
-appended as a dense row and column (which would wreck the fill-reducing
-ordering of the factorization): the unbordered operator A is factored once
-and solved for the right-hand side and for the mean vector m, giving y and
-z, and the solution is y - lam z with lam = (m . y) / (m . z).  A is
+lam imposes zero mean, which reproduces the Galerkin solution in the
+mean-free pressure space exactly.  The bordered system
+[[J, m], [m^T, 0]] [x, lam] = [r, s] is never formed (a dense row and
+column would wreck the fill-reducing ordering of the factorization):
+from one factor of the unbordered J and z = J^-1 m, its solution is
+x = y - lam z with y = J^-1 r and lam = (m . y - s) / (m . z).  J is
 invertible because mesh validation requires gamma_pd to have positive
 length, which fixes the head; m . z is nonzero exactly when the bordered
 system is nonsingular.
 
-Every linear system is solved by sparse LU (``fem._factor``) with diagonal
-pivoting in a symmetric fill-reducing order.  Each space stores the pattern
-of the coupled operator once: the position of every local entry of its
-forms (``assembly``), its free-dof part, and the saddle order of that part
-(minimum degree, with every pressure moved to just after its last velocity
-neighbour, where elimination has filled its diagonal in).  F(x) and every
-Jacobian of every iterate and dataset are data on that pattern, summed from
-local blocks through those positions (``np.add.at``), so the fill does not
-depend on rounding.
+One solve factors one Jacobian.  The first correction step factors its J
+by sparse LU (``fem._factor``) and solves by that elimination.  Within a
+solve the Jacobians differ only by the convection in the wind, so that
+bordered inverse is a near-exact preconditioner for the later steps: each
+solves the bordered system of its own J by left-preconditioned GMRES (an
+inexact Newton-Krylov method with a lagged preconditioner), started from
+the preconditioned right-hand side, until the true bordered residual is
+KRYLOV_RTOL = 1e-12 times the norm of that right-hand side, in at most
+KRYLOV_MAX_ITER = 30 iterations in all.  A run that misses, or returns a
+non-finite x or one whose bordered residual fails the check of every
+direct solve, falls back to factoring the step's own J, which then
+preconditions the steps after it.  The factor lives only as long as the
+solve.
+
+Every factorization uses diagonal pivoting in a symmetric fill-reducing
+order.  Each space stores the pattern of the coupled operator once: the
+position of every local entry of its forms (``assembly``), its free-dof
+part, and the saddle order of that part (minimum degree, with every
+pressure moved to just after its last velocity neighbour, where
+elimination has filled its diagonal in).  F(x) and every Jacobian of every
+iterate and dataset are data on that pattern, summed from local blocks
+through those positions (``np.add.at``), so the fill does not depend on
+rounding and the structural rank of the first Jacobian is that of every
+later one.
 """
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_array, csr_matrix
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import assembly
 from .fem import (SingularLinearSystem, _evaluate, _factor, discrete_lifting,
@@ -48,6 +64,9 @@ __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
 DAMPING_FACTOR = 0.7
 DAMPING_TRIGGER = 2
 NEWTON_SWITCH_TOL = 1e-3
+# the lagged-factor GMRES of every correction step after the first
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX_ITER = 30
 
 
 class NonConvergence(Exception):
@@ -153,10 +172,12 @@ def _check_solution(x, residual, rhs, context):
 
 def _linear_solve(A, rhs, context, order=None):
     """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
-    with one factorization of A (in ``order``, see ``fem._factor``)."""
-    x = _factor(A, context, order).solve(rhs)
+    with one factorization of A (in ``order``, see ``fem._factor``);
+    returns x (one row per column of rhs) and the factor."""
+    lu = _factor(A, context, order)
+    x = lu.solve(rhs)
     _check_solution(x, A @ x - rhs, rhs, context)
-    return x
+    return x.T, lu
 
 
 def _zero_wind_forms(space, params):
@@ -216,6 +237,7 @@ class _System:
         if extra_loads is not None:
             self.b = self.b + extra_loads
         self.mean_vec = assembly.pressure_mean_vector(space)
+        self.factor = None  # _GaugeFactor of the last factored step
         self.n_vel = space.fields["velocity"].expanded_size
         self.x_dir = np.zeros(space.num_expanded_dofs)
         self.x_dir[:self.n_vel] = space.velocity_node_values(
@@ -270,23 +292,75 @@ class _System:
         return csc_matrix((data[self.free.data], self.free.indices,
                            self.free.indptr), shape=self.free.shape)
 
-    def gauge_and_solve(self, A, rhs, context):
-        """Solve the bordered system [[A, m], [m^T, 0]] [x, lam] = [rhs, 0]
-        by eliminating lam."""
-        m = np.zeros(A.shape[0])
+    def gauge_and_solve(self, J, rhs, context):
+        """Solve the bordered system [[J, m], [m^T, 0]] [x, lam] = [rhs, 0]
+        for x: by GMRES preconditioned by the factor of an earlier step of
+        this system, or, for the first step and for a step whose GMRES
+        misses, by eliminating lam with the factor of J."""
+        b = np.append(rhs, 0.0)
+        if self.factor is not None:
+            try:
+                return self._krylov_solve(J, b, context)
+            except SingularLinearSystem:
+                pass  # GMRES missed: factor this J instead
+        m = np.zeros(J.shape[0])
         m[self.space.offset_p:self.space.offset_phi] = self.mean_vec
-        y, z = _linear_solve(A, np.column_stack([rhs, m]), context,
-                             self.order).T
-        my, mz = m @ y, m @ z
-        if mz == 0 or not np.isfinite(my / mz):
+        self.factor = None  # free the lagged factor before the new one
+        (y, z), lu = _linear_solve(J, np.column_stack([rhs, m]), context,
+                                   self.order)
+        self.factor = _GaugeFactor(lu, m, z, context)
+        x = self.factor.eliminate(y, 0.0)
+        _check_solution(x, self.factor.bordered(J, x) - b, b, context)
+        return x[:-1]
+
+    def _krylov_solve(self, J, b, context):
+        """x of the bordered system of J with right-hand side b, by GMRES
+        left-preconditioned by the stored factor; raises
+        SingularLinearSystem if GMRES misses or x fails the check."""
+        n = len(b)
+        K = LinearOperator((n, n), dtype=float,
+                           matvec=lambda v: self.factor.bordered(J, v))
+        M = LinearOperator((n, n), dtype=float, matvec=self.factor.solve)
+        # with the legacy callback type, maxiter counts iterations over all
+        # restarts rather than restart cycles
+        x, info = gmres(K, b, x0=self.factor.solve(b), rtol=KRYLOV_RTOL,
+                        atol=0.0, restart=KRYLOV_MAX_ITER,
+                        maxiter=KRYLOV_MAX_ITER, M=M,
+                        callback=lambda _: None, callback_type="legacy")
+        if info != 0:
+            raise SingularLinearSystem(
+                f"{context}: GMRES missed {KRYLOV_RTOL:.0e} in "
+                f"{KRYLOV_MAX_ITER} iterations")
+        _check_solution(x, self.factor.bordered(J, x) - b, b, context)
+        return x[:-1]
+
+
+class _GaugeFactor:
+    """The exact inverse of a bordered system [[A, m], [m^T, 0]], from a
+    factor ``lu`` of A and z = A^-1 m."""
+
+    def __init__(self, lu, m, z, context):
+        self.lu = lu
+        self.m = m
+        self.z = z
+        self.mz = m @ z
+        if self.mz == 0 or not np.isfinite(self.mz):
             raise SingularLinearSystem(
                 f"{context}: singular mean-pressure constraint "
-                f"(m . A^-1 m = {mz:.3e})")
-        lam = my / mz
-        x = y - lam * z
-        _check_solution(x, np.append(A @ x + lam * m - rhs, m @ x), rhs,
-                        context)
-        return x
+                f"(m . A^-1 m = {self.mz:.3e})")
+
+    def eliminate(self, y, s):
+        """[x, lam] for the right-hand side [r, s], from y = A^-1 r."""
+        lam = (self.m @ y - s) / self.mz
+        return np.append(y - lam * self.z, lam)
+
+    def solve(self, r):
+        """[x, lam] with [[A, m], [m^T, 0]] [x, lam] = r."""
+        return self.eliminate(self.lu.solve(r[:-1]), r[-1])
+
+    def bordered(self, J, v):
+        """[[J, m], [m^T, 0]] v, the border of this factor on J."""
+        return np.append(J @ v[:-1] + v[-1] * self.m, self.m @ v[:-1])
 
 
 def _coupled_input(space, name, value):
@@ -422,7 +496,7 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
 
     Aii = A[interior][:, interior]
     rhs = -(A[interior][:, iface_mask] @ g[iface_mask])
-    xi = _linear_solve(Aii, rhs, "companion solve")
+    xi, _ = _linear_solve(Aii, rhs, "companion solve")
     coeffs = g.copy()
     coeffs[interior] = xi
     return AuxResult(coeffs, float(sigma), wind_raw, lifting, A, iface_mask)

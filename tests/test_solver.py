@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import bmat, coo_matrix, csc_matrix, csr_matrix
-from scipy.sparse.linalg import spilu, splu
+from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from nsdarcy import assembly as asm
 from nsdarcy import fem, mms
@@ -48,6 +48,18 @@ def params(space):
 @pytest.fixture(scope="module")
 def solution(space, params):
     return slv.solve_coupled(space, params)
+
+
+def _count_factors(monkeypatch):
+    """Count the factors built through ``solver._factor``, by context."""
+    calls = Counter()
+    factor = slv._factor
+
+    def counting(A, context, order=None):
+        calls[context.split(" (")[0].rstrip("0123456789 ")] += 1
+        return factor(A, context, order)
+    monkeypatch.setattr(slv, "_factor", counting)
+    return calls
 
 
 class TestLinearRegime:
@@ -155,9 +167,11 @@ class TestNonlinearIteration:
         ((16, 32), 2.0, 0.05, 7),
     ])
     def test_large_data_converges_with_a_fixed_switch_point(
-            self, cells, amplitude, nu, picard_steps):
+            self, cells, amplitude, nu, picard_steps, monkeypatch):
         # uniqueness numbers 110-159, far from small data: the regime of
-        # the a priori estimate without a smallness condition
+        # the a priori estimate without a smallness condition, where the
+        # first step's factor still preconditions the later steps
+        calls = _count_factors(monkeypatch)
         space = CoupledSpace(build_rectangle_mesh(*cells, 1.0))
         g_f, g_p = (_scaled(fn, amplitude) for fn in FORCINGS["driven"])
         params = asm.ModelParams(space.mesh, nu=nu, g_f=g_f, g_p=g_p)
@@ -165,6 +179,7 @@ class TestNonlinearIteration:
         assert state.converged
         assert ([row["scheme"] for row in state.transcript]
                 == ["picard"] * picard_steps + ["newton"] * 2)
+        assert 1 <= calls["coupled iteration"] < state.iterations
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -372,7 +387,7 @@ class TestMeanGauge:
         _, p, _ = space.split_state(x)
         assert abs(sys.mean_vec @ p) <= 1e-13
 
-    def test_factors_the_unbordered_operator_once_per_iteration(
+    def test_factors_the_unbordered_operator_once_per_solve(
             self, params, monkeypatch):
         shapes = {"spilu": [], "splu": []}
 
@@ -388,13 +403,13 @@ class TestMeanGauge:
         n = space.num_total_dofs
         state = slv.solve_coupled(space, params)
         # the ordering (an incomplete factorization) of the space, then one
-        # factor per iteration
-        assert shapes == {"spilu": [(n, n)],
-                          "splu": [(n, n)] * state.iterations}
+        # factor for the first iteration, which preconditions the others
+        assert state.iterations > 1
+        assert shapes == {"spilu": [(n, n)], "splu": [(n, n)]}
         shapes["spilu"].clear()
         shapes["splu"].clear()
         state = slv.solve_coupled(space, params)
-        assert shapes == {"spilu": [], "splu": [(n, n)] * state.iterations}
+        assert shapes == {"spilu": [], "splu": [(n, n)]}
 
     def test_zero_mean_vector_is_a_singular_constraint(self, space, params):
         sys = slv._System(space, params, slv.SolverConfig(), None, None)
@@ -427,6 +442,70 @@ class TestMeanGauge:
                                                        expanded=True)]])
         gap = abs(A0 - direct).max()
         assert gap <= 1e-14 * abs(direct).max()
+
+
+class TestLaggedFactor:
+    """Every correction step after the first is GMRES on the bordered
+    system of its own Jacobian, preconditioned by the first step's factor;
+    a step whose GMRES misses factors its own Jacobian."""
+
+    @pytest.mark.parametrize("mesh", ["space", "wavy_space"])
+    @pytest.mark.parametrize("newton", [False, True], ids=["picard", "newton"])
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-2, 3.0))
+    def test_lagged_step_equals_the_direct_bordered_solve(
+            self, space, wavy_space, mesh, newton, seed, scale):
+        """At two random iterates (winds) with the representable case's
+        Dirichlet data, the second step is solved without a new factor."""
+        sp = {"space": space, "wavy_space": wavy_space}[mesh]
+        case = mms.representable_case()
+        sys = slv._System(sp, case.params(sp.mesh), slv.SolverConfig(),
+                          case.dirichlet, None)
+        first, second = scale * np.random.default_rng(seed).standard_normal(
+            (2, sp.num_total_dofs))
+        data, F = sys.linearize(first)
+        sys.gauge_and_solve(sys.jacobian(data, first, newton), -F, "first")
+        factor = sys.factor
+        data, F = sys.linearize(second)
+        J = sys.jacobian(data, second, newton)
+        x = sys.gauge_and_solve(J, -F, "lagged")
+        assert sys.factor is factor
+        ref = _bordered_reference(sp, J, -F)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        _, p, _ = sp.split_state(x)
+        assert abs(sys.mean_vec @ p) <= 1e-14 * np.linalg.norm(x)
+
+    @staticmethod
+    def _same_iteration(state, reference):
+        assert state.iterations == reference.iterations
+        assert ([row["scheme"] for row in state.transcript]
+                == [row["scheme"] for row in reference.transcript])
+        residuals, expected = (np.array([row["residual"]
+                                         for row in s.transcript])
+                               for s in (state, reference))
+        assert np.abs(residuals - expected).max() <= 1e-12 * expected.max()
+
+    def test_a_missed_cycle_factors_its_own_jacobian(self, space, params,
+                                                     solution, monkeypatch):
+        calls = _count_factors(monkeypatch)
+        monkeypatch.setattr(slv, "KRYLOV_MAX_ITER", 1)
+        state = slv.solve_coupled(space, params)
+        assert calls == {"coupled iteration": state.iterations}
+        self._same_iteration(state, solution)
+        assert {row["scheme"] for row in state.transcript} == {"picard",
+                                                               "newton"}
+
+    def test_a_non_finite_product_factors_its_own_jacobian(
+            self, space, params, solution, monkeypatch):
+        def nan_gmres(A, b, **kwargs):
+            nan = LinearOperator(A.shape, dtype=float,
+                                 matvec=lambda v: np.full(len(v), np.nan))
+            return gmres(nan, b, **kwargs)
+        calls = _count_factors(monkeypatch)
+        monkeypatch.setattr(slv, "gmres", nan_gmres)
+        state = slv.solve_coupled(space, params)
+        assert calls == {"coupled iteration": state.iterations}
+        self._same_iteration(state, solution)
 
 
 @pytest.fixture(scope="module")
