@@ -165,7 +165,7 @@ def verify_energy_estimate(space, params, state, c_mult=4.0):
     b = state.b
     work = float(space.velocity_node_values(b[:space.offset_p]).ravel()
                  @ u_raw.ravel()
-                 + space.head_node_values(b[space.offset_phi:]) @ phi_raw)
+                 + space.node_values("head", b[space.offset_phi:]) @ phi_raw)
 
     balance = 2 * params.nu * strain + darcy + bjs + gamma - work
     scale = max(abs(work), 2 * params.nu * strain + darcy + bjs, 1e-30)
@@ -217,8 +217,7 @@ class CompensationReport(_Report):
     wind_flux_defect: float
 
 
-def compensation_residual(space, params, state=None, trace=None, wind=None,
-                          sigma=None, aux=None):
+def compensation_residual(space, params, state=None, trace=None, wind=None):
     """How exactly the companion problem cancels the interface transport.
 
     The fluid-side term ``t_fluid = 1/2 int_Gamma |u_ph|^2 (w . n_f)``
@@ -231,10 +230,8 @@ def compensation_residual(space, params, state=None, trace=None, wind=None,
     ``|t_fluid + t_porous| / max(1, |t_fluid|)`` shrinks under refinement
     for the weakly divergence-free lifting wind.
     """
-    if aux is None:
-        aux = solve_auxiliary(space, params, state=state, trace=trace,
-                              wind=wind, sigma=sigma)
-    uph = space.aux_node_values(aux.coeffs)
+    aux = solve_auxiliary(space, params, state=state, trace=trace, wind=wind)
+    uph = space.node_values("aux", aux.coeffs)
     t_fluid = 0.5 * assembly.interface_uv_flux(space, uph, uph, aux.wind_raw)
     t_porous = assembly.convection_value(space, aux.wind_raw, uph, uph,
                                          POROUS, skew=False)
@@ -316,13 +313,13 @@ class UniquenessReport(_Report):
 
 def _energy_norm(space, params, du, dphi):
     u_raw = space.velocity_node_values(du)
-    phi_raw = space.head_node_values(dphi)
+    phi_raw = space.node_values("head", dphi)
     return float(np.sqrt(params.nu * assembly.strain_energy(space, u_raw, FLUID)
                          + assembly.darcy_energy(space, phi_raw, params)))
 
 
 def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
-                     dirichlet=None, extra_loads=None):
+                     extra_loads=None):
     """Two-start uniqueness experiment.
 
     Solves once from the zero initial state and once from a seeded random
@@ -335,8 +332,7 @@ def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
     ``extra_loads`` included.
     """
     config = config or SolverConfig()
-    s0 = solve_coupled(space, params, config, dirichlet=dirichlet,
-                       extra_loads=extra_loads)
+    s0 = solve_coupled(space, params, config, extra_loads=extra_loads)
     num = _uniqueness(params, _fluid_dual(space, s0.b),
                       _porous_dual(space, params, s0.b))
 
@@ -347,8 +343,8 @@ def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
         space, space.velocity_node_values(u0), FLUID))
     if nrm > 0:
         u0 /= nrm
-    s1 = solve_coupled(space, params, config, dirichlet=dirichlet,
-                       initial_state=x0, extra_loads=extra_loads)
+    s1 = solve_coupled(space, params, config, initial_state=x0,
+                       extra_loads=extra_loads)
 
     dist = _energy_norm(space, params, s0.u - s1.u, s0.phi - s1.phi)
     size = max(_energy_norm(space, params, s0.u, s0.phi), 1e-30)

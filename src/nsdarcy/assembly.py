@@ -562,9 +562,7 @@ def convection_value(space, w_raw, u_raw, v_raw, region=FLUID, skew=True):
     wgu = np.einsum('eqcj,eqj->eqc', _point_grads(u_raw, nodes, g), wq)
     out = np.einsum('eqc,eqc,eq->', wgu, vq, W)
     if skew:
-        divw = np.einsum('elc,eqlc->eq', np.asarray(w_raw)[nodes], g)
-        uq = _point_values(u_raw, nodes, vals)
-        out += 0.5 * np.einsum('eq,eqc,eqc,eq->', divw, uq, vq, W)
+        out += 0.5 * divdot_value(space, w_raw, u_raw, v_raw, region)
     return float(out)
 
 

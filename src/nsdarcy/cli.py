@@ -278,18 +278,15 @@ def cmd_solve(cfg):
                          head_degree=cfg["head_degree"])
     case = mms.get_case(cfg["case"]) if cfg["case"] else None
     if case is not None:
+        # the case sets up its own solve; its params serve the reports
         params = case.params(mesh, sigma=cfg["sigma"])
-        extra = case.interface_loads(space)
-        dirichlet = case.dirichlet
+        state = case.solve(space, _solver_config(cfg))
     else:
         g_f, g_p = FORCINGS[cfg["forcing"]]
         params = assembly.ModelParams(mesh, nu=cfg["nu"], K=cfg["K"],
                                       G=cfg["G"], sigma=cfg["sigma"],
                                       g_f=g_f, g_p=g_p)
-        extra, dirichlet = None, None
-
-    state = solver.solve_coupled(space, params, _solver_config(cfg),
-                                 dirichlet=dirichlet, extra_loads=extra)
+        state = solver.solve_coupled(space, params, _solver_config(cfg))
     # the companion runs first, so its factors are freed before the energy
     # report factors the strain matrix; it needs a solution trace that
     # vanishes at the interface endpoints, which Dirichlet data need not

@@ -477,15 +477,6 @@ class CoupledSpace:
             vals[fixed] = _evaluate(dirichlet, coords, (2,)).T
         return vals
 
-    def aux_node_values(self, coeffs):
-        return self.node_values("aux", coeffs)
-
-    def head_node_values(self, coeffs):
-        return self.node_values("head", coeffs)
-
-    def pressure_node_values(self, coeffs):
-        return self.node_values("pressure", coeffs)
-
     def aux_interface_values(self, trace_vals):
         """Companion coefficients holding ``trace_vals`` (aligned with
         ``interface_nodes``) on the free interface dofs and zero elsewhere,

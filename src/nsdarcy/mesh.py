@@ -247,42 +247,38 @@ class MixedMesh:
         self.interface_fluid_tri = np.where(fluid_first, t0, t1)
         self.interface_porous_tri = np.where(fluid_first, t1, t0)
 
-        normals = np.empty((len(self.interface_edges), 2))
-        for k, (a, b) in enumerate(self.interface_edges):
-            tvec = self.vertices[b] - self.vertices[a]
-            n = np.array([tvec[1], -tvec[0]]) / np.linalg.norm(tvec)
-            mid = 0.5 * (self.vertices[a] + self.vertices[b])
-            centroid = self.vertices[self.triangles[self.interface_fluid_tri[k]]].mean(axis=0)
-            if np.dot(n, mid - centroid) < 0:
-                n = -n
-            normals[k] = n
-        self.interface_normals = normals  # unit normal out of the fluid side
+        # the unit normal of each edge, turned away from its fluid centroid
+        a, b = np.moveaxis(self.vertices[self.interface_edges], 1, 0)
+        t = b - a
+        n = t[:, ::-1] * [1.0, -1.0] / np.linalg.norm(t, axis=1)[:, None]
+        fluid = self.vertices[self.triangles[self.interface_fluid_tri]]
+        inward = np.einsum('ec,ec->e', n, 0.5 * (a + b) - fluid.mean(axis=1)) < 0
+        self.interface_normals = np.where(inward[:, None], -n, n)
 
 
-def build_rectangle_mesh(nx, ny, split_y, bounds=(0.0, 1.0, 0.0, 2.0)):
+def build_rectangle_mesh(nx, ny, split_y):
     """Structured crossed-triangle mesh of a stacked rectangle geometry.
 
-    The rectangle [x0, x1] x [y0, y1] is divided into nx-by-ny cells, each
+    The rectangle [0, 1] x [0, 2] is divided into nx-by-ny cells, each
     split into two triangles with checkerboard-alternating diagonals.  Cells
     above y = split_y are tagged FLUID, cells below POROUS, so split_y must
     lie on a horizontal grid line strictly inside the rectangle.
 
-    Boundary classification: y = y1 and the side walls above the split form
-    GAMMA_F; y = y0 is GAMMA_PD; the side walls below the split are GAMMA_PN.
+    Boundary classification: y = 2 and the side walls above the split form
+    GAMMA_F; y = 0 is GAMMA_PD; the side walls below the split are GAMMA_PN.
     """
-    x0, x1, y0, y1 = map(float, bounds)
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be positive")
-    dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
-    jrow = (split_y - y0) / dy
+    dx, dy = 1.0 / nx, 2.0 / ny
+    jrow = split_y / dy
     if abs(jrow - round(jrow)) > 1e-12 * max(1.0, abs(split_y)):
         raise MeshError(f"split_y={split_y} does not lie on a horizontal grid line")
     jrow = int(round(jrow))
     if not 1 <= jrow <= ny - 1:
         raise MeshError("split_y must be strictly inside the rectangle")
 
-    xs = x0 + dx * np.arange(nx + 1)
-    ys = y0 + dy * np.arange(ny + 1)
+    xs = dx * np.arange(nx + 1)
+    ys = dy * np.arange(ny + 1)
     vx, vy = np.meshgrid(xs, ys)
     vertices = np.column_stack([vx.ravel(), vy.ravel()])
 

@@ -18,7 +18,7 @@ exactly.
 import numpy as np
 
 from . import assembly
-from .fem import _evaluate
+from .fem import CoupledSpace, _evaluate
 from .mesh import FLUID, POROUS, build_rectangle_mesh, refinement_chain
 from .solver import SolverConfig, solve_coupled
 
@@ -131,6 +131,17 @@ class ManufacturedCase:
                              extra_loads=self.interface_loads(space))
 
 
+def _diagonal_permeability(name, K):
+    """K as a 2x2 matrix, which the ``name`` case accepts if diagonal."""
+    K = np.asarray(K, dtype=float)
+    if K.ndim == 0:
+        K = K * np.eye(2)
+    if abs(K[0, 1]) > 0 or abs(K[1, 0]) > 0:
+        raise ValueError(f"{name} case requires diagonal permeability so the "
+                         "lateral no-flux condition stays exact")
+    return K
+
+
 def smooth_case(nu=1.0, amplitude=0.4, head_amplitude=0.15,
                 pressure_amplitude=2.0, K=1.0, G=1.0):
     """Trigonometric divergence-free velocity, outer data exactly zero.
@@ -147,12 +158,7 @@ def smooth_case(nu=1.0, amplitude=0.4, head_amplitude=0.15,
     """
     A, B, C = amplitude, head_amplitude, pressure_amplitude
     pi = np.pi
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 0:
-        K = K * np.eye(2)
-    if abs(K[0, 1]) > 0 or abs(K[1, 0]) > 0:
-        raise ValueError("smooth case requires diagonal permeability so the "
-                         "lateral no-flux condition stays exact")
+    K = _diagonal_permeability("smooth", K)
 
     def u(x, y):
         return (-2 * A * np.sin(pi * x) ** 2 * (2 - y),
@@ -206,12 +212,7 @@ def representable_case(nu=1.0, head_amplitude=1.0, K=1.0, G=1.0):
     to 64x128, with errors at most 2.1e-12.
     """
     B = head_amplitude
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 0:
-        K = K * np.eye(2)
-    if abs(K[0, 1]) > 0 or abs(K[1, 0]) > 0:
-        raise ValueError("representable case requires diagonal permeability "
-                         "so the lateral no-flux condition stays exact")
+    K = _diagonal_permeability("representable", K)
 
     def u(x, y):
         return (x ** 2 + 2 * x * y, -2 * x * (y - 1) - y ** 2)
@@ -398,7 +399,6 @@ class StudyResult:
 def convergence_study(case, num_levels=4, base=(4, 8), config=None,
                       velocity_degree=2, head_degree=1):
     """Solve the case on a refinement chain and collect the error norms."""
-    from .fem import CoupledSpace
     chain = refinement_chain(build_rectangle_mesh(base[0], base[1], 1.0),
                              num_levels)
     rows = []

@@ -132,10 +132,10 @@ class CoupledState:
         return space.velocity_node_values(self.u, self.dirichlet)
 
     def p_raw(self, space):
-        return space.pressure_node_values(self.p)
+        return space.node_values("pressure", self.p)
 
     def phi_raw(self, space):
-        return space.head_node_values(self.phi)
+        return space.node_values("head", self.phi)
 
 
 class AuxResult:
@@ -387,7 +387,8 @@ def solve_coupled(space, params, config=None, dirichlet=None,
     config : SolverConfig, optional
     dirichlet : callable (x, y) -> (2,), optional
         Inhomogeneous velocity data on gamma_f.
-    initial_state : CoupledState or array, optional
+    initial_state : array of length num_total_dofs, optional
+        The first iterate; its pressure is shifted to zero mean.
     extra_loads : array of length num_total_dofs, optional
         Additional right-hand side in free-dof numbering (e.g. interface
         consistency loads of a manufactured solution).
@@ -399,9 +400,6 @@ def solve_coupled(space, params, config=None, dirichlet=None,
     config = config or SolverConfig()
     x = np.zeros(space.num_total_dofs)
     if initial_state is not None:
-        if isinstance(initial_state, CoupledState):
-            initial_state = np.concatenate(
-                [initial_state.u, initial_state.p, initial_state.phi])
         x = _coupled_input(space, "initial_state", initial_state)
         u, p, phi = space.split_state(x)
         p[:] = project_zero_mean(space, p)
@@ -454,15 +452,15 @@ def solve_coupled(space, params, config=None, dirichlet=None,
                            b=sys.b))
 
 
-def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
-                    wind=None):
+def solve_auxiliary(space, params, state=None, trace=None, wind=None):
     """Solve the porous companion problem for given interface data.
 
     The companion velocity equals the fluid-velocity interface trace on the
     interface nodes, vanishes on the outer porous boundary, and satisfies
-    the Oseen equations (viscosity ``sigma``, default nu * h) with plain
-    convection against the wind field inside the porous region.  The default
-    wind is the divergence-constrained lifting of the same trace.
+    the Oseen equations (viscosity ``params.effective_sigma()``: sigma, or
+    nu * h by default) with plain convection against the wind field inside
+    the porous region.  The default wind is the divergence-constrained
+    lifting of the same trace.
 
     ``trace`` may be a callable or a per-interface-node array; it is
     ignored when ``state`` is given.  ``wind`` may be a raw per-node value
@@ -479,14 +477,13 @@ def solve_auxiliary(space, params, state=None, trace=None, sigma=None,
     lifting = None
     if wind is None:
         lifting = discrete_lifting(space, trace_vals)
-        wind_raw = space.aux_node_values(lifting.coeffs)
+        wind_raw = space.node_values("aux", lifting.coeffs)
     elif callable(wind):
         wind_raw = _evaluate(wind, space.node_coords(space.velocity_degree), (2,)).T
     else:
         wind_raw = np.asarray(wind, dtype=float)
 
-    if sigma is None:
-        sigma = params.effective_sigma()
+    sigma = params.effective_sigma()
     A = (2 * sigma * assembly._companion_strain(space)
          + assembly.convection_matrix(space, wind_raw, region=POROUS,
                                       skew=False))

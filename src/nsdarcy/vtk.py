@@ -16,7 +16,7 @@ def _fmt(x):
     return f"{float(x)!r}"
 
 
-def write_legacy_vtk(path, space, state, title="coupled fields"):
+def write_legacy_vtk(path, space, state):
     """Write mesh, region tags, velocity, pressure, and head to ``path``."""
     mesh = space.mesh
     u_raw = state.u_raw(space)[:mesh.num_vertices]
@@ -25,7 +25,7 @@ def write_legacy_vtk(path, space, state, title="coupled fields"):
     if space.head_degree != 1:
         phi_vertex = phi_vertex[:mesh.num_vertices]
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "coupled fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.num_vertices} double"]
     for x, y in mesh.vertices:

@@ -54,7 +54,7 @@ def aux_flux_agreement():
     gap between the companion boundary pairing evaluated through the
     assembled matrix and through quadrature of its energy form."""
     def gap(space, aux):
-        uph = space.aux_node_values(aux.coeffs)
+        uph = space.node_values("aux", aux.coeffs)
         via_matrix = float(aux.coeffs @ (aux.matrix @ aux.coeffs))
         via_quadrature = (
             2 * aux.sigma * assembly.strain_energy(space, uph, POROUS)

@@ -226,8 +226,8 @@ class TestConvection:
             dof = space.aux_node_dof[n]
             if dof >= 0:
                 co[dof:dof + 2] = 0.0
-        v = space.aux_node_values(co)
-        w = space.aux_node_values(rng.standard_normal(space.num_aux_dofs))
+        v = space.node_values("aux", co)
+        w = space.node_values("aux", rng.standard_normal(space.num_aux_dofs))
         lhs = asm.convection_value(space, w, v, v, POROUS, skew=False)
         rhs = -0.5 * asm.divdot_value(space, w, v, v, POROUS)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -275,7 +275,7 @@ class TestInterface:
         rng = np.random.default_rng(9)
         for sp in (space, wavy_space):
             u = random_velocity(sp, rng)
-            phi = sp.head_node_values(rng.standard_normal(sp.num_head_dofs))
+            phi = sp.node_values("head", rng.standard_normal(sp.num_head_dofs))
             Cup = asm.interface_coupling_matrix(sp, expanded=True)
             assert u.ravel() @ (Cup @ phi) == pytest.approx(
                 asm.interface_head_flux(sp, u, phi), rel=1e-12, abs=1e-13)
@@ -308,7 +308,7 @@ class TestLoads:
         x = rng.standard_normal(space.num_total_dofs)
         u, press, phi = space.split_state(x)
         val = asm.load_value(space, p, space.velocity_node_values(u),
-                             space.head_node_values(phi))
+                             space.node_values("head", phi))
         assert b @ x == pytest.approx(val, rel=1e-12)
         assert np.all(load[space.offset_p:space.offset_phi] == 0.0)
 
@@ -322,7 +322,7 @@ class TestLoads:
             x = rng.standard_normal(sp.num_total_dofs)
             u, _, phi = sp.split_state(x)
             u_raw = sp.velocity_node_values(u)
-            phi_raw = sp.head_node_values(phi)
+            phi_raw = sp.node_values("head", phi)
             # independent edge quadrature of the defining integrals
             rule = QuadratureRule.edge(11)
             sv = edge_shape_values(sp.velocity_degree, rule.points)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from nsdarcy import analysis, assembly, cli, fem, solver
+from nsdarcy import analysis, assembly, cli, fem, mms, solver
 from nsdarcy import mesh as mesh_module
 from nsdarcy.analysis import EnergyReport
 from nsdarcy.assembly import ModelParams, load_vector
@@ -76,6 +76,30 @@ class TestSolve:
                     "bound_ratio", "balance_defect_rel"):
             assert energy[key] is None, key
         assert set(energy) == ENERGY_KEYS
+
+    def test_representable_case_reproduces_its_fields_on_16x32(self,
+                                                                tmp_path):
+        # the case's own tolerance, 1e-13, holds for the command too: at
+        # the default 1e-10 this mesh stops at err_u_h1 = 3.7e-8
+        out = tmp_path / "run"
+        assert run("solve", "--case", "representable", "--mesh",
+                   "builtin:16x32", "--out", str(out)) == EXIT_OK
+        errors = json.loads((out / "report.json").read_text())["errors"]
+        assert all(errors[k] <= mms.REPRODUCTION_TOL for k in errors), errors
+
+    def test_a_case_is_solved_by_its_own_solve(self, tmp_path, monkeypatch):
+        # one way to set a manufactured case up: the command and the rate
+        # study both solve it through ManufacturedCase.solve
+        calls = []
+        solve = mms.ManufacturedCase.solve
+
+        def counting(case, *args, **kwargs):
+            calls.append(case.name)
+            return solve(case, *args, **kwargs)
+        monkeypatch.setattr(mms.ManufacturedCase, "solve", counting)
+        assert run("solve", "--case", "smooth",
+                   "--out", str(tmp_path / "run")) == EXIT_OK
+        assert calls == ["smooth"]
 
     @pytest.mark.parametrize("mesh", ["builtin:4x8", "builtin:16x32"])
     def test_case_balance_closes_with_its_interface_loads(self, tmp_path,

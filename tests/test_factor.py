@@ -51,7 +51,7 @@ def _matrices(space):
     _, on_iface = space.aux_interface_values(
         np.zeros((len(space.interface_nodes), 2)))
     i = ~on_iface
-    wind = space.aux_node_values(rng.standard_normal(space.num_aux_dofs))
+    wind = space.node_values("aux", rng.standard_normal(space.num_aux_dofs))
     companion = (0.1 * A + asm.convection_matrix(space, wind, region=POROUS,
                                                  skew=False))
     return {

@@ -263,7 +263,7 @@ class TestDiscreteLifting:
         trace = lambda x, y: (x * (1 - x), 0.0)
         res = discrete_lifting(self.space, trace)
         assert isinstance(res, LiftingResult)
-        raw = self.space.aux_node_values(res.coeffs)
+        raw = self.space.node_values("aux", res.coeffs)
         coords = self.space.node_coords(2)[self.space.interface_nodes]
         exact = np.array([trace(x, y) for x, y in coords])
         assert np.abs(raw[self.space.interface_nodes] - exact).max() == 0.0

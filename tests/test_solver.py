@@ -259,7 +259,8 @@ def _direct_system(space, params, x=None, dirichlet=None, newton=False):
     F = None
     if x is not None:
         ue = wind.ravel()
-        pe, fe = space.pressure_node_values(p), space.head_node_values(phi)
+        pe = space.node_values("pressure", p)
+        fe = space.node_values("head", phi)
         m = asm.pressure_mean_vector(space)
         Fp = (B @ ue)[ip]
         F = np.concatenate([(Auu @ ue - B.T @ pe + Cup @ fe)[iu],
@@ -517,12 +518,12 @@ class TestCompanionSolve:
 
     def test_trace_matches_fluid_solution_exactly(self, space, solution, aux):
         u_raw = solution.u_raw(space)
-        aux_raw = space.aux_node_values(aux.coeffs)
+        aux_raw = space.node_values("aux", aux.coeffs)
         for node in space.interface_nodes:
             assert np.array_equal(aux_raw[node], u_raw[node])
 
     def test_zero_on_outer_porous_boundary(self, space, aux):
-        aux_raw = space.aux_node_values(aux.coeffs)
+        aux_raw = space.node_values("aux", aux.coeffs)
         coords = space.node_coords(space.velocity_degree)
         porous = np.unique(space.tri_nodes(space.velocity_degree)
                            [space.porous_tris])
@@ -540,8 +541,9 @@ class TestCompanionSolve:
 
     def test_sigma_defaults_to_nu_times_h(self, space, params, aux):
         assert aux.sigma == pytest.approx(params.nu * space.mesh.h)
-        other = slv.solve_auxiliary(space, params, trace=lambda x, y:
-                                    (x * (1 - x), 0.0), sigma=0.37)
+        explicit = asm.ModelParams(space.mesh, nu=1.0, sigma=0.37)
+        other = slv.solve_auxiliary(space, explicit, trace=lambda x, y:
+                                    (x * (1 - x), 0.0))
         assert other.sigma == 0.37
 
     def test_wind_callable_and_array_agree(self, space, params):
