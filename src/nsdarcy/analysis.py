@@ -19,7 +19,8 @@ from .solver import (NonConvergence, SolverConfig, project_zero_mean,
 __all__ = ["EnergyReport", "CompensationReport", "InfSupResult",
            "UniquenessReport", "dual_norm_fluid", "dual_norm_porous",
            "uniqueness_number", "verify_energy_estimate",
-           "compensation_residual", "compute_inf_sup", "check_uniqueness"]
+           "compensation_residual", "compute_inf_sup", "check_uniqueness",
+           "strain_factor"]
 
 
 def _riesz(lu, b):
@@ -30,7 +31,7 @@ def _riesz(lu, b):
 
 
 @assembly._per_space
-def _strain_lu(space):
+def strain_factor(space):
     """Factor of the fluid strain matrix, computed once per space and shared
     by the fluid dual norm, the pressure dual and the inf-sup eigensolve."""
     return _factor(assembly.strain_matrix(space, FLUID), "fluid strain")
@@ -41,7 +42,7 @@ def _fluid_dual(space, b):
     on the discrete fluid velocity space; 0 when they vanish."""
     if not b[:space.offset_p].any():
         return 0.0
-    return _riesz(_strain_lu(space), b[:space.offset_p])[1]
+    return _riesz(strain_factor(space), b[:space.offset_p])[1]
 
 
 def _porous_dual(space, params, b):
@@ -185,7 +186,7 @@ def verify_energy_estimate(space, params, state, c_mult=4.0):
     p_norm = float(np.sqrt(max(state.p @ (Mp @ state.p), 0.0)))
     B = assembly.divergence_matrix(space)
     ell = -(B.T @ state.p + state.F[:space.offset_p])
-    _, p_dual = _riesz(_strain_lu(space), ell)
+    _, p_dual = _riesz(strain_factor(space), ell)
 
     if state.dirichlet is None:
         defect, bound_ok = abs(balance) / scale, bool(ratio <= c_mult)
@@ -275,7 +276,7 @@ def compute_inf_sup(space):
     """
     B = assembly.divergence_matrix(space)
     m = assembly.pressure_mean_vector(space)
-    lu, n, mass = _strain_lu(space), space.num_pressure_dofs, m.sum()
+    lu, n, mass = strain_factor(space), space.num_pressure_dofs, m.sum()
 
     def schur(q):  # P^T S P q + (2 / mass) m (m . q)
         y = B @ lu.solve(B.T @ (q - (m @ q) / mass))

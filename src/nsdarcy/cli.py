@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 solver failure,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from .fem import CoupledSpace, InterpolationError, SingularLinearSystem, SpaceEr
 from .mesh import (MeshError, build_rectangle_mesh, dump_mesh, load_gmsh_subset,
                    load_mesh, refinement_chain, FLUID, POROUS)
 from .vtk import write_legacy_vtk
+from .workers import WorkerLost, run_jobs
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -180,16 +182,22 @@ def load_config(args):
         raise ConfigError(f"unknown forcing {cfg['forcing']!r}; "
                           f"available: {', '.join(sorted(FORCINGS))}")
     command = args.command
-    fixed = (("nu", "K", "G", "forcing")  # a manufactured case fixes them
-             if command == "solve" and cfg["case"] else ())
+    fixed = ()
+    if command == "solve" and cfg["case"]:
+        # a manufactured case fixes its data; sigma is read by the
+        # companion only, which a case with Dirichlet data does not run
+        fixed = ("nu", "K", "G", "forcing")
+        if mms.get_case(cfg["case"]).dirichlet is not None:
+            fixed += ("sigma",)
     unread = [key for key, spec in KEYS.items() if cfg[key] != spec.default
               and (command not in spec.readers or key in fixed)]
     if unread:
         why = ("; verify checks the Taylor-Hood pair with a P1 head (the "
                "equal-order control is --unstable-pair)" if command ==
                "verify" and "degree" in "".join(unread) else "")
+        who = f"solve --case {cfg['case']}" if fixed else command
         raise ConfigError(
-            f"{'solve --case' if fixed else command} does not read "
+            f"{who} does not read "
             f"{', '.join(f'{key}={cfg[key]!r}' for key in unread)}{why}")
     return cfg
 
@@ -278,28 +286,42 @@ def cmd_solve(cfg):
                          head_degree=cfg["head_degree"])
     case = mms.get_case(cfg["case"]) if cfg["case"] else None
     if case is not None:
-        # the case sets up its own solve; its params serve the reports
         params = case.params(mesh, sigma=cfg["sigma"])
-        state = case.solve(space, _solver_config(cfg))
+        state = case.solve(space, params, _solver_config(cfg))
     else:
         g_f, g_p = FORCINGS[cfg["forcing"]]
         params = assembly.ModelParams(mesh, nu=cfg["nu"], K=cfg["K"],
                                       G=cfg["G"], sigma=cfg["sigma"],
                                       g_f=g_f, g_p=g_p)
         state = solver.solve_coupled(space, params, _solver_config(cfg))
-    # the companion runs first, so its factors are freed before the energy
-    # report factors the strain matrix; it needs a solution trace that
-    # vanishes at the interface endpoints, which Dirichlet data need not
+    c_mult = cfg["c_mult"]
+
+    # the checks read only the solved state, so they run as jobs, the
+    # companion (the largest) first; inline, its factors are freed before
+    # the energy report factors the strain matrix
+    def companion():
+        comp = analysis.compensation_residual(space, params, state=state)
+        return {"e_aux": comp.energy_aux,
+                "compensation_residual": comp.residual}
+
+    def report():
+        part = analysis.verify_energy_estimate(space, params, state,
+                                               c_mult=c_mult).to_dict()
+        if space.num_pressure_dofs <= _INF_SUP_DOF_CAP:
+            part["beta"] = analysis.compute_inf_sup(space).beta
+        return part
+
+    def errors():
+        return mms.solution_errors(space, case, state)
+
+    # the companion needs a solution trace that vanishes at the interface
+    # endpoints, which Dirichlet data need not
+    energy_jobs = ([companion] if state.dirichlet is None else []) + [report]
+    parts = run_jobs(energy_jobs + ([errors] if case is not None else []))
     energy = {"e_aux": np.nan, "compensation_residual": np.nan,
               "beta": np.nan}
-    if state.dirichlet is None:
-        comp = analysis.compensation_residual(space, params, state=state)
-        energy.update(e_aux=comp.energy_aux,
-                      compensation_residual=comp.residual)
-    energy.update(analysis.verify_energy_estimate(
-        space, params, state, c_mult=cfg["c_mult"]).to_dict())
-    if space.num_pressure_dofs <= _INF_SUP_DOF_CAP:
-        energy["beta"] = analysis.compute_inf_sup(space).beta
+    for part in parts[:len(energy_jobs)]:
+        energy.update(part)
 
     payload = {
         "command": "solve",
@@ -318,7 +340,7 @@ def cmd_solve(cfg):
         "energy": energy,
     }
     if case is not None:
-        payload["errors"] = mms.solution_errors(space, case, state)
+        payload["errors"] = parts[-1]
 
     out = _outdir(cfg)
     report_path = os.path.join(out, "report.json")
@@ -360,15 +382,23 @@ _ENERGY_SUITE = (("driven", 1.0, 1.0, "driven"),
 
 
 def cmd_verify(cfg):
-    """Run the verification bundle in one pass over one mesh hierarchy:
-    the base mesh is refined ``levels - 1`` times, and each level's space,
-    strain factorization and inf-sup constant are computed once and shared
-    by every check.  Solves are memoized per (level, nu, K, forcing), so the
-    compensation sweep reuses a suite dataset's solve; the companion problem
-    runs in that sweep only.  The bundle checks the Taylor-Hood pair with a
-    P1 head only."""
+    """Run the verification bundle over one mesh hierarchy: the base mesh is
+    refined ``levels - 1`` times, and each level's space, coupled layout
+    and strain factorization are built once, before the independent parts
+    run as jobs (``workers.run_jobs``): one per energy-suite dataset, the
+    driven one also running the compensation sweep; one for the inf-sup
+    constant of every level and the inf-sup sweep; one for the uniqueness
+    experiment.  Other per-space results (an inf-sup constant, a lifting)
+    are computed once within the process that needs them and shared by the
+    checks that process runs, not across the bundle.  Solves are memoized
+    per (level, nu, K, forcing) within a process, so the compensation
+    sweep reuses the driven dataset's solves at the default nu and K; the
+    companion problem runs in that sweep only.  The bundle checks the
+    Taylor-Hood pair with a P1 head only."""
     levels = cfg["levels"] or 3
     c_mult = cfg["c_mult"]
+    nu, K, sigma, seed = cfg["nu"], cfg["K"], cfg["sigma"], cfg["seed"]
+    unstable = cfg["unstable_pair"]
     meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)
     spaces = [CoupledSpace(mesh) for mesh in meshes]
     config = _solver_config(cfg)
@@ -380,23 +410,63 @@ def cmd_verify(cfg):
             space = spaces[level]
             g_f, g_p = FORCINGS[forcing]
             params = assembly.ModelParams(space.mesh, nu=nu, K=K,
-                                          sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
+                                          sigma=sigma, g_f=g_f, g_p=g_p)
             solves[key] = (space, params,
                            solver.solve_coupled(space, params, config))
         return solves[key]
 
+    def dataset(name, data_nu, data_K, forcing):
+        """The dataset's energy reports per level and, for the driven one,
+        the compensation residuals of the configured nu and K."""
+        reports = [analysis.verify_energy_estimate(
+                       *solved(level, data_nu, data_K, forcing),
+                       c_mult=c_mult) for level in range(levels)]
+        if name != "driven":
+            return reports, None
+        return reports, [analysis.compensation_residual(
+                             *solved(level, nu, K, "driven")).residual
+                         for level in range(levels)]
+
+    def inf_sup():
+        """beta on every level, and on the first three levels of the
+        checked pair (P1-P1 with --unstable-pair)."""
+        betas = [analysis.compute_inf_sup(space).beta for space in spaces]
+        sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
+                 if unstable else spaces[:3])
+        return betas, [analysis.compute_inf_sup(space).beta
+                       for space in sweep]
+
+    def uniqueness():
+        """Two starts on small data."""
+        g_f, g_p = FORCINGS["small"]
+        params = assembly.ModelParams(meshes[0], nu=nu, K=K, sigma=sigma,
+                                      g_f=g_f, g_p=g_p)
+        return analysis.check_uniqueness(spaces[0], params, c_mult=c_mult,
+                                         seed=seed, config=config)
+
+    # the suite's jobs all read each level's coupled layout and strain
+    # factor: built here, before the jobs fork, no worker builds them again
+    for space in spaces:
+        solver.coupled_layout(space, assembly.ModelParams(space.mesh, nu=nu,
+                                                          K=K))
+        analysis.strain_factor(space)
+
+    # the driven dataset with its compensation sweep is the largest job
+    *outcomes, (level_betas, betas), unique = run_jobs(
+        [functools.partial(dataset, *row) for row in _ENERGY_SUITE]
+        + [inf_sup, uniqueness])
+    residuals = outcomes[0][1]
+
     # a priori energy bound, balance equality, and pressure bound per dataset
-    suite = {name: [analysis.verify_energy_estimate(
-                        *solved(level, nu, K, forcing), c_mult=c_mult)
-                    for level in range(levels)]
-             for name, nu, K, forcing in _ENERGY_SUITE}
+    suite = {row[0]: reports for row, (reports, _) in zip(_ENERGY_SUITE,
+                                                          outcomes)}
     every = [rep for reps in suite.values() for rep in reps]
     ratios = {name: [rep.bound_ratio for rep in reps]
               for name, reps in suite.items()}
     ratio_rows = [{"dataset": name, "bound_ratios": r, "spread": _spread(r)}
                   for name, r in ratios.items()]
     defects = [rep.balance_defect_rel for rep in every]
-    p_ratios = [analysis.compute_inf_sup(spaces[level]).beta
+    p_ratios = [level_betas[level]
                 * rep.pressure_norm / max(rep.pressure_dual, 1e-30)
                 for reps in suite.values() for level, rep in enumerate(reps)]
     checks = [
@@ -409,21 +479,14 @@ def cmd_verify(cfg):
         _check("pressure_bound", {"max_ratio": max(p_ratios), "c_mult": c_mult},
                all(r <= c_mult for r in p_ratios))]
 
-    # inf-sup sweep over the first three levels; the stable pair reads the
-    # beta memoized on each level's space
-    vdeg = 1 if cfg["unstable_pair"] else 2
-    sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
-             if cfg["unstable_pair"] else spaces[:3])
-    betas = [analysis.compute_inf_sup(space).beta for space in sweep]
+    # inf-sup sweep over the first three levels
     spread = _spread(betas)
     checks.append(_check(
-        "inf_sup", {"velocity_degree": vdeg, "betas": betas, "spread": spread},
+        "inf_sup", {"velocity_degree": 1 if unstable else 2, "betas": betas,
+                    "spread": spread},
         all(b > 0.2 for b in betas), _below(spread, 0.10)))
 
     # compensation refinement sweep on the driven forcing
-    residuals = [analysis.compensation_residual(
-                     *solved(level, cfg["nu"], cfg["K"], "driven")).residual
-                 for level in range(levels)]
     decreasing = (all(b <= 1.2 * a for a, b in zip(residuals, residuals[1:]))
                   and residuals[-1] < residuals[0]) if levels > 1 else None
     checks.append(_check("compensation", {"residuals": residuals}, decreasing,
@@ -431,11 +494,6 @@ def cmd_verify(cfg):
                          "two levels"))
 
     # two-start uniqueness on small data, skipped where the premise fails
-    g_f, g_p = FORCINGS["small"]
-    params = assembly.ModelParams(meshes[0], nu=cfg["nu"], K=cfg["K"],
-                                  sigma=cfg["sigma"], g_f=g_f, g_p=g_p)
-    unique = analysis.check_uniqueness(spaces[0], params, c_mult=c_mult,
-                                       seed=cfg["seed"], config=config)
     premise = unique.uniqueness_number * c_mult
     checks.append(_check(
         "uniqueness", unique.to_dict(),
@@ -567,8 +625,8 @@ def main(argv=None):
             ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (solver.NonConvergence, SingularLinearSystem,
-            InterpolationError) as exc:
+    except (solver.NonConvergence, SingularLinearSystem, InterpolationError,
+            WorkerLost) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -15,12 +15,15 @@ use constant diagonal permeability so the lateral no-flux condition holds
 exactly.
 """
 
+import functools
+
 import numpy as np
 
 from . import assembly
 from .fem import CoupledSpace, _evaluate
 from .mesh import FLUID, POROUS, build_rectangle_mesh, refinement_chain
 from .solver import SolverConfig, solve_coupled
+from .workers import run_jobs
 
 __all__ = ["ManufacturedCase", "smooth_case", "representable_case",
            "get_case", "CASE_NAMES", "convergence_study", "solution_errors",
@@ -110,7 +113,8 @@ class ManufacturedCase:
         3.5e-12), and ``analysis.uniqueness_number`` of these params leaves
         the interface loads out (3.52 for the smooth case on 4x8, against
         5.34 from the solve's right-hand side).  Solve with
-        ``case.solve(space)``, or pass ``dirichlet=case.dirichlet`` and
+        ``case.solve(space, params)``, or pass
+        ``dirichlet=case.dirichlet`` and
         ``extra_loads=case.interface_loads(space)``."""
         return assembly.ModelParams(mesh, nu=self.nu, K=self.K, G=self.G,
                                     sigma=sigma, g_f=self.source_fluid,
@@ -121,12 +125,14 @@ class ManufacturedCase:
             space, r_mass=self.r_mass, r_normal=self.r_normal,
             r_tangential=self.r_tangential)
 
-    def solve(self, space, config=None):
+    def solve(self, space, params, config=None):
+        """Solve for the case on ``space`` with ``params`` (from
+        ``self.params``), its interface loads and Dirichlet data."""
         config = config or SolverConfig()
         if self.tol is not None and self.tol < config.tol:
             config = SolverConfig(self.tol, config.max_iter, config.scheme,
                                   config.include_convection)
-        return solve_coupled(space, self.params(space.mesh), config,
+        return solve_coupled(space, params, config,
                              dirichlet=self.dirichlet,
                              extra_loads=self.interface_loads(space))
 
@@ -398,15 +404,20 @@ class StudyResult:
 
 def convergence_study(case, num_levels=4, base=(4, 8), config=None,
                       velocity_degree=2, head_degree=1):
-    """Solve the case on a refinement chain and collect the error norms."""
+    """Solve the case on a refinement chain and collect the error norms;
+    each level is a job of ``workers.run_jobs``."""
     chain = refinement_chain(build_rectangle_mesh(base[0], base[1], 1.0),
                              num_levels)
-    rows = []
-    for level, mesh in enumerate(chain):
+
+    def level(index):
+        mesh = chain[index]
         space = CoupledSpace(mesh, velocity_degree=velocity_degree,
                              head_degree=head_degree)
-        state = case.solve(space, config)
-        errs = solution_errors(space, case, state)
-        rows.append({"level": level, "h": mesh.h,
-                     "iterations": state.iterations, **errs})
-    return StudyResult(case.name, rows)
+        state = case.solve(space, case.params(mesh), config)
+        return {"level": index, "h": mesh.h, "iterations": state.iterations,
+                **solution_errors(space, case, state)}
+
+    # one job per level, the finest (the largest) first
+    rows = run_jobs([functools.partial(level, index)
+                     for index in reversed(range(num_levels))])
+    return StudyResult(case.name, rows[::-1])

@@ -58,7 +58,7 @@ from .mesh import FLUID, POROUS
 
 __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
            "SingularLinearSystem", "solve_coupled", "solve_auxiliary",
-           "project_zero_mean"]
+           "project_zero_mean", "coupled_layout"]
 
 # fixed iteration settings, see SolverConfig
 DAMPING_FACTOR = 0.7
@@ -217,6 +217,16 @@ def _coupled_layout(space, forms):
     return A, maps, free, saddle_order(free)
 
 
+def coupled_layout(space, params):
+    """``_coupled_layout`` of ``space``, built on first use and kept on the
+    space: the pattern does not depend on the data, so the forms of any
+    ``params`` on its mesh serve."""
+    if "coupled_layout" not in space._cache:
+        space._cache["coupled_layout"] = _coupled_layout(
+            space, _zero_wind_forms(space, params))
+    return space._cache["coupled_layout"]
+
+
 class _System:
     """The coupled operator of one dataset: its zero-wind data ``A0`` on
     the stored pattern of the space, the right-hand side and the gauge."""
@@ -226,10 +236,8 @@ class _System:
         self.params = params
         self.config = config
         forms = _zero_wind_forms(space, params)
-        if "coupled_layout" not in space._cache:
-            space._cache["coupled_layout"] = _coupled_layout(space, forms)
-        self.pattern, self.maps, self.free, self.order = (
-            space._cache["coupled_layout"])
+        self.pattern, self.maps, self.free, self.order = coupled_layout(
+            space, params)
         self.A0 = np.zeros(self.pattern.nnz)
         for (L, _, _), entry_map in zip(forms, self.maps):
             np.add.at(self.A0, entry_map, L.ravel())

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -34,6 +36,13 @@ def wavy_map():
 def wavy_space():
     """The 6x12 rectangle under the wavy vertex map (``wavy_map``)."""
     return CoupledSpace(_wavy(build_rectangle_mesh(6, 12, 1.0)))
+
+
+@pytest.fixture
+def inline_jobs(monkeypatch):
+    """``workers.run_jobs`` runs every job in the calling process, as on one
+    CPU: for tests that observe a command's work in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @pytest.fixture

@@ -187,7 +187,7 @@ class TestEnergyReport:
         else:
             case = mms.get_case(data)
             params = case.params(space.mesh)
-            state = case.solve(space)
+            state = case.solve(space, params)
         rep = ana.verify_energy_estimate(space, params, state)
         b = asm.divergence_matrix(space).T @ state.p
         S = csc_matrix(asm.strain_matrix(space))
@@ -250,12 +250,12 @@ class TestEnergyReport:
         # the work; a solve that does not converge is the one allowed failure
         case = mms.smooth_case(nu, amplitude, head_amplitude,
                                pressure_amplitude, K=np.diag(K), G=G)
+        params = case.params(space.mesh)
         try:
-            state = case.solve(space)
+            state = case.solve(space, params)
         except slv.NonConvergence:
             return
-        rep = ana.verify_energy_estimate(space, case.params(space.mesh),
-                                         state)
+        rep = ana.verify_energy_estimate(space, params, state)
         assert rep.balance_defect_rel <= 1e-9
 
     def test_serialization_has_stable_keys(self, space, report, comp):

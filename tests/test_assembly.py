@@ -550,7 +550,7 @@ def test_gradient_arrays_are_built_only_by_pointwise_evaluators(wavy_map):
     sp = CoupledSpace(wavy_map(build_rectangle_mesh(2, 4, 1.0)))
     case = mms.representable_case()
     params = case.params(sp.mesh)
-    state = case.solve(sp)
+    state = case.solve(sp, params)
     wind = state.u_raw(sp)
     for region in (FLUID, POROUS):
         asm.strain_matrix(sp, region)

@@ -101,6 +101,19 @@ class TestSolve:
                    "--out", str(tmp_path / "run")) == EXIT_OK
         assert calls == ["smooth"]
 
+    def test_a_case_builds_its_params_once(self, tmp_path, monkeypatch):
+        # the params that solve the case also serve the reports
+        calls = []
+        init = ModelParams.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(ModelParams, "__init__", counting)
+        assert run("solve", "--case", "smooth", "--mesh", "builtin:2x4",
+                   "--out", str(tmp_path / "run")) == EXIT_OK
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("mesh", ["builtin:4x8", "builtin:16x32"])
     def test_case_balance_closes_with_its_interface_loads(self, tmp_path,
                                                           mesh):
@@ -122,6 +135,7 @@ class TestSolve:
         assert "SCALARS pressure double 1" in lines
         assert "SCALARS head double 1" in lines
 
+    @pytest.mark.usefixtures("inline_jobs")
     def test_factors_are_built_in_the_order_they_are_read(self, tmp_path,
                                                           monkeypatch):
         # the companion's two factors are built, read and freed before the
@@ -271,6 +285,7 @@ class TestVerify:
         assert "status" not in unique["details"]
         assert "failing checks: uniqueness" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("inline_jobs")
     def test_one_pass_over_one_chain(self, tmp_path, monkeypatch):
         calls = Counter()
 
@@ -633,6 +648,24 @@ class TestKeysACommandReads:
         assert "config error" in err
         assert all(f"{key}={value!r}" in err for key, value in values.items())
         assert not out.exists()
+
+    def test_sigma_is_fixed_by_a_case_with_dirichlet_data(self, tmp_path,
+                                                          capsys):
+        # the representable case skips the companion, the only reader of
+        # sigma, so a sigma set for it would be silently ignored
+        out = tmp_path / "never"
+        assert run("solve", "--case", "representable", "--sigma", "0.3",
+                   "--mesh", "builtin:2x4", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "solve --case representable does not read sigma=0.3" in err
+        assert not out.exists()
+
+    def test_sigma_is_read_by_a_case_without_dirichlet_data(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("solve", "--case", "smooth", "--sigma", "0.3",
+                   "--mesh", "builtin:2x4", "--out", str(out)) == EXIT_OK
+        energy = json.loads((out / "report.json").read_text())["energy"]
+        assert energy["compensation_residual"] is not None
 
     @pytest.mark.parametrize("argv", [["solve", "--levels", "3"],
                                       ["mesh-info", "--levels", "2"]],

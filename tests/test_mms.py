@@ -127,7 +127,7 @@ class TestArrayEvaluation:
 
     def test_fields_called_once_per_evaluation_site(self, case, counted):
         space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))
-        state = case.solve(space)
+        state = case.solve(space, case.params(space.mesh))
         fresh = mms.get_case(case.name)
         for name in self.FIELDS:
             setattr(fresh, name, counted(getattr(fresh, name)))
@@ -155,7 +155,7 @@ class TestRepresentableReproduction:
     def test_nodal_values_reproduced(self):
         case = mms.representable_case()
         space = CoupledSpace(build_rectangle_mesh(4, 8, 1.0))
-        state = case.solve(space)
+        state = case.solve(space, case.params(space.mesh))
         coords = space.node_coords(space.velocity_degree)
         u_raw = state.u_raw(space)
         fluid = np.unique(space.tri_nodes(space.velocity_degree)

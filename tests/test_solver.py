@@ -301,7 +301,8 @@ class TestCorrectionStep:
         if problem == "default":
             state = slv.solve_coupled(space, params)
         else:
-            state = mms.representable_case().solve(space)
+            case = mms.representable_case()
+            state = case.solve(space, case.params(space.mesh))
         newton_rows = sum(row["scheme"] == "newton"
                           for row in state.transcript)
         assert newton_rows > 0
