@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import assembly
-from .fem import _factor
+from .fem import _factor, _per_space
 from .mesh import FLUID, POROUS
 from .solver import (NonConvergence, SolverConfig, project_zero_mean,
                      solve_auxiliary, solve_coupled)
@@ -30,7 +30,7 @@ def _riesz(lu, b):
     return z, float(np.sqrt(max(float(b @ z), 0.0)))
 
 
-@assembly._per_space
+@_per_space
 def strain_factor(space):
     """Factor of the fluid strain matrix, computed once per space and shared
     by the fluid dual norm, the pressure dual and the inf-sup eigensolve."""
@@ -259,7 +259,7 @@ class InfSupResult(_Report):
     h: float
 
 
-@assembly._per_space
+@_per_space
 def compute_inf_sup(space):
     """Discrete inf-sup constant of the velocity/pressure pairing.
 

@@ -106,7 +106,7 @@ KEYS = {
     "c_mult": Key(4.0, float, _SV, "multiplier for generic-constant checks"),
     "seed": Key(0, int, _ALL, "seed for randomized checks"),
     "out": Key(".", str, _ALL, "output directory"),
-    "no_convection": Key(False, bool, _SOLVES, "linear Stokes-Darcy problem"),
+    "no_convection": Key(False, bool, _SV, "linear Stokes-Darcy problem"),
     "vtk": Key(False, bool, ("solve",), "also write fields.vtk"),
     "velocity_degree": Key(2, int, ("solve", "mms")),
     "head_degree": Key(1, int, ("solve", "mms")),
@@ -184,9 +184,9 @@ def load_config(args):
     command = args.command
     fixed = ()
     if command == "solve" and cfg["case"]:
-        # a manufactured case fixes its data; sigma is read by the
-        # companion only, which a case with Dirichlet data does not run
-        fixed = ("nu", "K", "G", "forcing")
+        # a manufactured case fixes its data, convection included; sigma is
+        # read by the companion only, which no case with Dirichlet data runs
+        fixed = ("nu", "K", "G", "forcing", "no_convection")
         if mms.get_case(cfg["case"]).dirichlet is not None:
             fixed += ("sigma",)
     unread = [key for key, spec in KEYS.items() if cfg[key] != spec.default
@@ -226,10 +226,10 @@ def resolve_mesh(spec):
         raise ConfigError(f"bad mesh file {spec!r}: {exc}") from exc
 
 
-def _solver_config(cfg):
+def _solver_config(cfg, include_convection):
     return solver.SolverConfig(
         tol=cfg["tol"], max_iter=cfg["max_iter"], scheme=cfg["scheme"],
-        include_convection=not cfg["no_convection"])
+        include_convection=include_convection)
 
 
 def _sanitize(obj):
@@ -285,15 +285,16 @@ def cmd_solve(cfg):
     space = CoupledSpace(mesh, velocity_degree=cfg["velocity_degree"],
                          head_degree=cfg["head_degree"])
     case = mms.get_case(cfg["case"]) if cfg["case"] else None
+    config = _solver_config(cfg, case is not None or not cfg["no_convection"])
     if case is not None:
         params = case.params(mesh, sigma=cfg["sigma"])
-        state = case.solve(space, params, _solver_config(cfg))
+        state = case.solve(space, params, config)
     else:
         g_f, g_p = FORCINGS[cfg["forcing"]]
         params = assembly.ModelParams(mesh, nu=cfg["nu"], K=cfg["K"],
                                       G=cfg["G"], sigma=cfg["sigma"],
                                       g_f=g_f, g_p=g_p)
-        state = solver.solve_coupled(space, params, _solver_config(cfg))
+        state = solver.solve_coupled(space, params, config)
     c_mult = cfg["c_mult"]
 
     # the checks read only the solved state, so they run as jobs, the
@@ -332,7 +333,7 @@ def cmd_solve(cfg):
             "converged": state.converged,
             "iterations": state.iterations,
             "residual": state.residual,
-            "include_convection": not cfg["no_convection"],
+            "include_convection": config.include_convection,
             "scheme": cfg["scheme"],
             "pressure_gauge": "mean",
         },
@@ -401,7 +402,7 @@ def cmd_verify(cfg):
     unstable = cfg["unstable_pair"]
     meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)
     spaces = [CoupledSpace(mesh) for mesh in meshes]
-    config = _solver_config(cfg)
+    config = _solver_config(cfg, not cfg["no_convection"])
     solves = {}
 
     def solved(level, nu, K, forcing):
@@ -535,7 +536,7 @@ def cmd_mms(cfg):
 
     study = mms.convergence_study(case, num_levels=levels,
                                   base=_builtin_size(cfg["mesh"]),
-                                  config=_solver_config(cfg),
+                                  config=_solver_config(cfg, True),
                                   velocity_degree=cfg["velocity_degree"],
                                   head_degree=cfg["head_degree"])
 

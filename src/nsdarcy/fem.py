@@ -21,10 +21,6 @@ from scipy.sparse.linalg import spilu, splu
 
 from .mesh import GAMMA_F, GAMMA_PD
 
-# net interface flux of a lifting, relative to its data, above which the
-# lifting carries a warning
-LIFTING_FLUX_TOL = 1e-10
-
 # SuperLU keeps a diagonal pivot unless it is below this share of the
 # largest entry in its column
 PIVOT_THRESHOLD = 1e-3
@@ -126,6 +122,43 @@ def _factor(A, context, order=None):
                                    **_SUPERLU_OPTIONS), order)
     except RuntimeError as exc:
         raise SingularLinearSystem(f"{context}: {exc}") from exc
+
+
+def _check_solution(x, residual, rhs, context):
+    """Reject a non-finite solution, or one whose residual is not <= 1e-7
+    relative to its right-hand side (column by column for a 2-D rhs), both
+    norms in units of the column's largest |rhs| entry."""
+    if not np.all(np.isfinite(x)):
+        raise SingularLinearSystem(f"{context}: non-finite solution")
+    unit = np.maximum(abs(rhs).max(axis=0, initial=0), np.finfo(float).tiny)
+    with np.errstate(over="ignore"):  # only a huge residual overflows: fails
+        res = np.max(np.linalg.norm(residual / unit, axis=0)
+                     / np.maximum(np.linalg.norm(rhs / unit, axis=0), 1 / unit))
+    if not res <= 1e-7:
+        raise SingularLinearSystem(
+            f"{context}: linear residual {res:.3e} indicates a singular or "
+            "severely ill-conditioned system")
+
+
+def _linear_solve(A, rhs, context, order=None):
+    """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
+    with one factorization of A (in ``order``, see ``_factor``); returns x
+    (one row per column of rhs) and the factor."""
+    lu = _factor(A, context, order)
+    x = lu.solve(rhs)
+    _check_solution(x, A @ x - rhs, rhs, context)
+    return x.T, lu
+
+
+def _prescribed_solve(M, values, known, context):
+    """x with ``x[known] = values[known]`` whose other rows of ``M x``
+    vanish, by one checked solve of ``M[:, free][free]``; ``M`` is CSC, so
+    the column slices come first and build no row-major copy."""
+    free = ~known
+    x = np.array(values, dtype=float)
+    rhs = -(M[:, known] @ x[known])[free]
+    x[free] = _linear_solve(M[:, free][free], rhs, context)[0]
+    return x
 
 
 def _per_space(fn):
@@ -506,19 +539,17 @@ class LiftingResult:
     coeffs : (num_aux_dofs,) array
         Companion-space coefficients with the prescribed interface values.
     flux_defect : float
-        Net interface flux of the data; the weak-divergence constraint can
-        only hold against mean-free test functions when this is nonzero.
+        Net interface flux of the data (reported as ``wind_flux_defect``);
+        the constraint holds against mean-free test functions only.
     constraint_residual : float
         Largest weak-divergence pairing against the constrained multiplier
         basis (solver roundoff).
-    warnings : list of str
     """
 
-    def __init__(self, coeffs, flux_defect, constraint_residual, warnings):
+    def __init__(self, coeffs, flux_defect, constraint_residual):
         self.coeffs = coeffs
         self.flux_defect = flux_defect
         self.constraint_residual = constraint_residual
-        self.warnings = warnings
 
 
 def trace_node_array(space, trace):
@@ -533,29 +564,6 @@ def trace_node_array(space, trace):
     return arr
 
 
-def _lifting_system(space):
-    """The factored lifting saddle matrix [[A_ii, D_i^T], [D_i, 0]], the
-    interface columns A_ig and D_g of its two block rows, and the weak
-    divergence pairing D.  A is the companion strain matrix, i and g are
-    its interior and interface dofs, and the lowest porous vertex leaves the
-    multiplier space (D without its first row).  Not memoized: each space
-    runs one lifting per companion solve, and the factor is freed with it
-    before the next factorization is built."""
-    from . import assembly
-
-    A = assembly._companion_strain(space)
-    D = assembly.aux_divergence_matrix(space)
-    Dt = D[1:]
-    on_iface = space.aux_interface_values(
-        np.zeros((len(space.interface_nodes), 2)))[1]
-    interior = ~on_iface
-    Ai, Di = A[interior], Dt[:, interior]
-    K = bmat([[Ai[:, interior], Di.T], [Di, None]], format="csc")
-    lu = _factor(K, "lifting saddle system (the porous triangulation may be "
-                 "too coarse)")
-    return lu, Ai[:, on_iface], Dt[:, on_iface], D
-
-
 def discrete_lifting(space, trace):
     """Extend interface velocity data into the porous companion space.
 
@@ -565,9 +573,9 @@ def discrete_lifting(space, trace):
     zero values on the outer porous boundary.  ``trace`` is a callable
     ``(x, y) -> (2,)`` or an array aligned with ``space.interface_nodes``;
     it must vanish at interface endpoints (nodes shared with the outer
-    porous boundary).  Net flux above ``LIFTING_FLUX_TOL`` relative to the
-    data is reported as a warning on the result, not an error: the
-    constraint then holds against mean-free test functions only.
+    porous boundary).  The saddle system of the companion strain matrix
+    and the pairing without its pinned row is solved with the interface
+    dofs prescribed, and its factor freed before the next is built.
     """
     from . import assembly
 
@@ -580,19 +588,18 @@ def discrete_lifting(space, trace):
             f"interface data must vanish at interface endpoints "
             f"(max |v| = {worst:.3e})")
 
-    lu, Ag, Dg, D = _lifting_system(space)
+    A = assembly._companion_strain(space)
+    D = assembly.aux_divergence_matrix(space)
     g, on_iface = space.aux_interface_values(vals)
-    gv = g[on_iface]
-    sol = lu.solve(-np.concatenate([Ag @ gv, Dg @ gv]))
-    if not np.all(np.isfinite(sol)):
-        raise SingularLinearSystem("lifting solve produced non-finite values")
-
-    coeffs = g.copy()
-    coeffs[~on_iface] = sol[:Ag.shape[0]]
+    pad = (0, D.shape[0] - 1)  # the multipliers, unknown, after velocity
+    coeffs = _prescribed_solve(
+        bmat([[A, D[1:].T], [D[1:], None]], format="csc"),
+        np.pad(g, pad), np.pad(on_iface, pad),
+        "lifting saddle system (the porous triangulation may be too coarse)"
+    )[:len(g)]
 
     pair = (D @ coeffs)[1:]
     constraint_residual = float(np.abs(pair).max(initial=0.0))
-    A = assembly._companion_strain(space)
     sys_scale = max(1.0, float(np.abs(A @ coeffs).max(initial=0.0)))
     if constraint_residual > 1e-6 * sys_scale:
         raise SingularLinearSystem(
@@ -600,9 +607,4 @@ def discrete_lifting(space, trace):
             "indicates an unreliable saddle solve")
 
     flux = float(np.asarray(D.sum(axis=0)).ravel() @ coeffs)
-    warnings = []
-    if abs(flux) > LIFTING_FLUX_TOL * scale:
-        warnings.append(
-            f"interface data carries net flux {flux:.3e}; weak divergence "
-            "constraint relaxed to mean-free test functions")
-    return LiftingResult(coeffs, flux, constraint_residual, warnings)
+    return LiftingResult(coeffs, flux, constraint_residual)

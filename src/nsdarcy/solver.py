@@ -52,7 +52,8 @@ from scipy.sparse import coo_matrix, csc_matrix, csr_array, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import assembly
-from .fem import (SingularLinearSystem, _evaluate, _factor, discrete_lifting,
+from .fem import (SingularLinearSystem, _check_solution, _evaluate,
+                  _linear_solve, _prescribed_solve, discrete_lifting,
                   saddle_order, trace_node_array)
 from .mesh import FLUID, POROUS
 
@@ -154,30 +155,6 @@ def project_zero_mean(space, p):
     """Shift pressure coefficients to zero mean over the fluid region."""
     m = assembly.pressure_mean_vector(space)
     return p - (m @ p) / m.sum()
-
-
-def _check_solution(x, residual, rhs, context):
-    """Reject a non-finite solution, or one whose residual exceeds 1e-7
-    relative to its right-hand side (column by column for a 2-D rhs)."""
-    if not np.all(np.isfinite(x)):
-        raise SingularLinearSystem(f"{context}: non-finite solution")
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails
-        res = np.max(np.linalg.norm(residual, axis=0)
-                     / np.maximum(np.linalg.norm(rhs, axis=0), 1.0))
-    if res > 1e-7:
-        raise SingularLinearSystem(
-            f"{context}: linear residual {res:.3e} indicates a singular or "
-            "severely ill-conditioned system")
-
-
-def _linear_solve(A, rhs, context, order=None):
-    """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
-    with one factorization of A (in ``order``, see ``fem._factor``);
-    returns x (one row per column of rhs) and the factor."""
-    lu = _factor(A, context, order)
-    x = lu.solve(rhs)
-    _check_solution(x, A @ x - rhs, rhs, context)
-    return x.T, lu
 
 
 def _zero_wind_forms(space, params):
@@ -497,11 +474,5 @@ def solve_auxiliary(space, params, state=None, trace=None, wind=None):
                                       skew=False))
 
     g, iface_mask = space.aux_interface_values(trace_vals)
-    interior = ~iface_mask
-
-    Aii = A[interior][:, interior]
-    rhs = -(A[interior][:, iface_mask] @ g[iface_mask])
-    xi, _ = _linear_solve(Aii, rhs, "companion solve")
-    coeffs = g.copy()
-    coeffs[interior] = xi
+    coeffs = _prescribed_solve(A.tocsc(), g, iface_mask, "companion solve")
     return AuxResult(coeffs, float(sigma), wind_raw, lifting, A, iface_mask)

@@ -146,7 +146,7 @@ class TestSolve:
         def recording(A, context, order=None):
             contexts.append(context.split(" (")[0].rstrip("0123456789 "))
             return factor(A, context, order)
-        for module in (fem, solver, analysis):
+        for module in (fem, analysis):
             monkeypatch.setattr(module, "_factor", recording)
         assert run("solve", "--mesh", "builtin:2x4",
                    "--out", str(tmp_path / "run")) == EXIT_OK
@@ -166,6 +166,19 @@ class TestSolve:
                    "--out", str(out)) == EXIT_OK
         energy = json.loads((out / "report.json").read_text())["energy"]
         assert energy["beta"] is None
+
+    def test_a_huge_sigma_is_solved(self, tmp_path):
+        # at sigma = 1e200 the norms of the companion's right-hand side and
+        # residual overflow, and the residual check must still hold
+        residuals = []
+        for sigma in (1e150, 1e200):
+            cfg = write_config(tmp_path / "cfg.json", sigma=sigma)
+            out = tmp_path / repr(sigma)
+            assert run("solve", "--config", cfg, "--mesh", "builtin:2x4",
+                       "--out", str(out)) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            residuals.append(report["energy"]["compensation_residual"])
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-12)
 
     def test_no_convection_finishes_in_one_iteration(self, tmp_path):
         out = tmp_path / "run"
@@ -660,6 +673,30 @@ class TestKeysACommandReads:
         assert "solve --case representable does not read sigma=0.3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["smooth", "representable"])
+    def test_no_convection_is_fixed_by_a_case(self, tmp_path, capsys, case):
+        # a case's sources hold (u . grad) u, so without the convection the
+        # run would solve another problem
+        out = tmp_path / "never"
+        assert run("solve", "--case", case, "--no-convection",
+                   "--mesh", "builtin:2x4", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"solve --case {case} does not read no_convection=True" in err
+        assert not out.exists()
+
+    def test_mms_does_not_read_no_convection(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", no_convection=True)
+        out = tmp_path / "never"
+        assert run("mms", "--config", cfg, "--mesh", "builtin:2x4",
+                   "--levels", "1", "--out", str(out)) == EXIT_CONFIG
+        assert "mms does not read no_convection=True" in \
+            capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("mms", "--no-convection", "--out", str(out))
+        assert exc.value.code == EXIT_CONFIG
+        assert "--no-convection" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sigma_is_read_by_a_case_without_dirichlet_data(self, tmp_path):
         out = tmp_path / "run"
         assert run("solve", "--case", "smooth", "--sigma", "0.3",
@@ -687,7 +724,7 @@ class TestKeysACommandReads:
     @pytest.mark.parametrize("argv, unread", [
         (["solve", "--vtk"], {"seed"}),
         (["solve", "--case", "representable"],
-         {"seed", "nu", "K", "G", "forcing"}),
+         {"seed", "nu", "K", "G", "forcing", "no_convection"}),
         (["verify", "--levels", "1"], set()),
         (["mms", "--case", "representable", "--levels", "1"], {"seed"}),
         (["mms", "--levels", "1", "--no-assert"], {"seed"}),

@@ -1,5 +1,5 @@
 """Quadrature, shape functions, dof bookkeeping, the guarded LU factor,
-lifting."""
+the checked and the prescribed-value solve, lifting."""
 
 import math
 import re
@@ -7,13 +7,15 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.sparse import bmat, csc_matrix
 from scipy.sparse.linalg import spilu, splu
 
-from nsdarcy import assembly, fem
+from nsdarcy import assembly, fem, solver
 from nsdarcy.fem import (CoupledSpace, InterpolationError, LiftingResult,
                          QuadratureRule, SingularLinearSystem, SpaceError,
-                         _evaluate, _factor, discrete_lifting,
-                         edge_shape_values, shape_ref_grads, shape_values)
+                         _check_solution, _evaluate, _factor,
+                         discrete_lifting, edge_shape_values, shape_ref_grads,
+                         shape_values)
 from nsdarcy.mesh import (FLUID, GAMMA_F, GAMMA_PD, GAMMA_PN, POROUS,
                           MixedMesh, build_rectangle_mesh, refine_uniform)
 
@@ -254,6 +256,14 @@ class TestFactor:
                            match="^rank one: Factor is exactly singular"):
             _factor(np.ones((2, 2)), "rank one")
 
+    def test_residual_check_fails_when_both_norms_overflow(self):
+        # the residual equals the right-hand side: a relative residual of 1,
+        # although the norm of either overflows
+        rhs = np.full(4, 1e300)
+        with pytest.raises(SingularLinearSystem,
+                           match="^huge: linear residual 1.000e"):
+            _check_solution(np.ones(4), -rhs, rhs, "huge")
+
 
 class TestDiscreteLifting:
     def setup_method(self):
@@ -297,7 +307,6 @@ class TestDiscreteLifting:
         pair = D @ res.coeffs
         assert np.abs(pair[1:]).max() < 1e-12  # all but the pinned vertex
         assert res.constraint_residual < 1e-12
-        assert res.warnings == []
         assert abs(res.flux_defect) < 1e-12
 
     def test_zero_outside_closure_of_interface_support(self):
@@ -314,11 +323,9 @@ class TestDiscreteLifting:
         combo = 2 * r1.coeffs - 3 * r2.coeffs
         assert np.abs(r12.coeffs - combo).max() < 1e-10
 
-    def test_net_flux_warning(self):
+    def test_net_flux_is_reported(self):
         res = discrete_lifting(self.space, lambda x, y: (0.0, -x * (1 - x)))
         assert res.flux_defect == pytest.approx(-1 / 6, abs=1e-12)
-        assert len(res.warnings) == 1
-        assert "net flux" in res.warnings[0]
 
     def test_nonzero_endpoint_rejected(self):
         with pytest.raises(InterpolationError):
@@ -328,3 +335,66 @@ class TestDiscreteLifting:
         tiny = CoupledSpace(build_rectangle_mesh(1, 2, 1.0))
         with pytest.raises(SingularLinearSystem):
             discrete_lifting(tiny, lambda x, y: (x * (1 - x), 0.0))
+
+
+def _interface_trace(x, y):
+    # vanishes at the interface endpoints and carries no net flux
+    return (x * (1 - x), x * (1 - x) * (x - 0.5))
+
+
+class TestPrescribedSolve:
+    """The lifting and the companion solve against the block formulation
+    that the prescribed-value solve replaces: the interior block of each
+    system, factored with plain splu, against the interface columns times
+    the prescribed values."""
+
+    @pytest.fixture(params=["rectangle", "wavy"])
+    def space(self, request, wavy_space):
+        if request.param == "wavy":
+            return wavy_space
+        return CoupledSpace(build_rectangle_mesh(4, 8, 1.0))
+
+    @staticmethod
+    def _close(x, ref):
+        return np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_lifting_matches_the_interior_saddle_block(self, space):
+        g, known = space.aux_interface_values(
+            fem.trace_node_array(space, _interface_trace))
+        inner = ~known
+        A = assembly.strain_matrix(space, POROUS)
+        D = assembly.aux_divergence_matrix(space)[1:]
+        K = bmat([[A[inner][:, inner], D[:, inner].T], [D[:, inner], None]],
+                 format="csc")
+        rhs = -np.concatenate([A[inner][:, known] @ g[known],
+                               D[:, known] @ g[known]])
+        ref = g.copy()
+        ref[inner] = splu(K).solve(rhs)[:np.count_nonzero(inner)]
+        coeffs = discrete_lifting(space, _interface_trace).coeffs
+        assert np.array_equal(coeffs[known], g[known])
+        assert self._close(coeffs, ref)
+
+    def test_companion_matches_the_interior_block(self, space):
+        params = assembly.ModelParams(space.mesh, nu=1.0)
+        aux = solver.solve_auxiliary(space, params, trace=_interface_trace)
+        g, known = space.aux_interface_values(
+            fem.trace_node_array(space, _interface_trace))
+        inner = ~known
+        A = aux.matrix
+        ref = g.copy()
+        ref[inner] = splu(csc_matrix(A[inner][:, inner])).solve(
+            -(A[inner][:, known] @ g[known]))
+        assert np.array_equal(aux.iface_mask, known)
+        assert np.array_equal(aux.coeffs[known], g[known])
+        assert self._close(aux.coeffs, ref)
+
+    def test_non_finite_lifting_is_a_singular_saddle_system(self, space,
+                                                            monkeypatch):
+        class NonFinite:
+            def solve(self, b):
+                return np.full(np.shape(b), np.nan)
+
+        monkeypatch.setattr(fem, "_factor", lambda *args: NonFinite())
+        with pytest.raises(SingularLinearSystem,
+                           match="^lifting saddle system"):
+            discrete_lifting(space, _interface_trace)

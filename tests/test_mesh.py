@@ -452,3 +452,52 @@ def test_fuzzed_gmsh_text_gives_a_mesh_or_a_mesh_error(text):
 @given(mutated(M.dump_mesh(M.build_rectangle_mesh(2, 4, 1.0))))
 def test_fuzzed_dump_text_gives_a_mesh_or_a_mesh_error(text):
     _mesh_or_mesh_error(M.load_mesh, text)
+
+
+# -- round trips of generated meshes ---------------------------------------
+
+def _msh_text(m):
+    """``m`` as MSH 2.2 text: nodes numbered from 1 in vertex order,
+    physical ids 1 and 2 for the subdomains (the triangle tags), 3, 4 and 5
+    for the boundary tags (2 + the tag) and 6 for the interface lines."""
+    names = [(2, M.TRI_TAG_NAMES[M.FLUID]), (2, M.TRI_TAG_NAMES[M.POROUS])]
+    names += [(1, M.EDGE_TAG_NAMES[t]) for t in (M.GAMMA_F, M.GAMMA_PD,
+                                                 M.GAMMA_PN)]
+    names.append((1, "interface"))
+    elements = [(2, tag, tri) for tri, tag in zip(m.triangles, m.tri_tags)]
+    elements += [(1, 2 + tag, e) for e, tag in zip(m.boundary_edges,
+                                                  m.boundary_tags)]
+    elements += [(1, 6, e) for e in m.interface_edges]
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+             "$PhysicalNames", str(len(names))]
+    lines += [f'{dim} {pid} "{name}"'
+              for pid, (dim, name) in enumerate(names, 1)]
+    lines += ["$EndPhysicalNames", "$Nodes", str(m.num_vertices)]
+    lines += [f"{i} {float(x)!r} {float(y)!r} 0"
+              for i, (x, y) in enumerate(m.vertices, 1)]
+    lines += ["$EndNodes", "$Elements", str(len(elements))]
+    lines += [f"{k} {etype} 2 {pid} 1 " + " ".join(str(v + 1) for v in nodes)
+              for k, (etype, pid, nodes) in enumerate(elements, 1)]
+    lines.append("$EndElements")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_mesh(a, b):
+    assert a.vertices.shape == b.vertices.shape
+    assert a.vertices.tobytes() == b.vertices.tobytes()  # bitwise
+    for name in ("triangles", "tri_tags", "boundary_edges", "boundary_tags",
+                 "interface_edges", "interface_normals"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@given(nx=st.integers(1, 4), ny=st.integers(1, 3), wavy=st.booleans(),
+       refined=st.booleans())
+def test_generated_meshes_survive_both_text_formats(wavy_map, nx, ny, wavy,
+                                                    refined):
+    m = M.build_rectangle_mesh(nx, 2 * ny, 1.0)
+    if wavy:
+        m = wavy_map(m)
+    if refined:
+        m = M.refine_uniform(m)
+    _assert_same_mesh(M.load_mesh(M.dump_mesh(m)), m)
+    _assert_same_mesh(M.parse_gmsh_subset(_msh_text(m)), m)

@@ -51,14 +51,14 @@ def solution(space, params):
 
 
 def _count_factors(monkeypatch):
-    """Count the factors built through ``solver._factor``, by context."""
+    """Count the factors built through ``fem._factor``, by context."""
     calls = Counter()
-    factor = slv._factor
+    factor = fem._factor
 
     def counting(A, context, order=None):
         calls[context.split(" (")[0].rstrip("0123456789 ")] += 1
         return factor(A, context, order)
-    monkeypatch.setattr(slv, "_factor", counting)
+    monkeypatch.setattr(fem, "_factor", counting)
     return calls
 
 
