@@ -18,9 +18,8 @@ from .solver import (NonConvergence, SolverConfig, project_zero_mean,
 
 __all__ = ["EnergyReport", "CompensationReport", "InfSupResult",
            "UniquenessReport", "dual_norm_fluid", "dual_norm_porous",
-           "uniqueness_number", "verify_energy_estimate",
-           "compensation_residual", "compute_inf_sup", "check_uniqueness",
-           "strain_factor"]
+           "verify_energy_estimate", "compensation_residual",
+           "compute_inf_sup", "check_uniqueness", "strain_factor"]
 
 
 def _riesz(lu, b):
@@ -66,20 +65,12 @@ def dual_norm_porous(space, params):
 
 
 def _uniqueness(params, gf, gp):
+    """Small-data functional nu^-2 ||g_f||_* + nu^-3/2 lambda_min^-1/2 ||g_p||_*
+    of the dual norms ``gf``, ``gp``; values small against one indicate the
+    convective perturbation is dominated by the dissipation, the regime with
+    a unique solution."""
     return (gf / params.nu ** 2
             + gp / (params.nu ** 1.5 * np.sqrt(params.lambda_min)))
-
-
-def uniqueness_number(space, params):
-    """Small-data functional nu^-2 ||g_f||_* + nu^-3/2 lambda_min^-1/2 ||g_p||_*
-    of the volume sources.
-
-    Values small against one indicate the convective perturbation is
-    dominated by the dissipation, the regime with a unique solution.
-    """
-    b = assembly.load_vector(space, params)
-    return _uniqueness(params, _fluid_dual(space, b),
-                       _porous_dual(space, params, b))
 
 
 class _Report:

@@ -319,11 +319,11 @@ def _strain_form(space, region=FLUID):
             *_vv_dofs(nodes))
 
 
-def strain_matrix(space, region=FLUID, coefficient=1.0, expanded=False):
-    """(D(u), D(v)) over one region, times a constant coefficient, on the
-    natural vector field of the region (fluid / porous companion velocity)."""
-    return coefficient * _matrix(space, _strain_form(space, region),
-                                 *_VECTOR[region], expanded)
+def strain_matrix(space, region=FLUID, expanded=False):
+    """(D(u), D(v)) over one region, on the natural vector field of the
+    region (fluid / porous companion velocity); scale it for a coefficient."""
+    return _matrix(space, _strain_form(space, region), *_VECTOR[region],
+                   expanded)
 
 
 @_per_space
@@ -408,10 +408,9 @@ def _bjs_form(space):
             *_vv_dofs(space.iface_edge_nodes))
 
 
-def bjs_matrix(space, coefficient=1.0, expanded=False):
-    """coefficient * (u . tau, v . tau) over the interface."""
-    return coefficient * _matrix(space, _bjs_form(space), "velocity",
-                                 "velocity", expanded)
+def bjs_matrix(space, expanded=False):
+    """(u . tau, v . tau) over the interface; scale it for a coefficient."""
+    return _matrix(space, _bjs_form(space), "velocity", "velocity", expanded)
 
 
 def _coupling_form(space):

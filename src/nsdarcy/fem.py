@@ -106,19 +106,26 @@ def _factor(A, context, order=None):
     (computed from A when not given).
     """
     A = csc_matrix(A)
-    # SuperLU can crash outright on rank-deficient inputs (e.g. unstable
-    # velocity/pressure pairings), so reject those before factorizing
-    from scipy.sparse.csgraph import structural_rank
-    if structural_rank(A) < A.shape[0]:
-        raise SingularLinearSystem(
-            f"{context}: structurally singular system "
-            "(rank-deficient discretization, e.g. an unstable element pair)")
-    if order is None and not _structural_diagonal(A).all():
+    full_diagonal = _structural_diagonal(A).all()
+    if order is None and not full_diagonal:
         order = saddle_order(A)
+    if order is not None:
+        A = A[order][:, order]
+    # SuperLU can crash outright on rank-deficient inputs (e.g. unstable
+    # velocity/pressure pairings), so reject those before factorizing.  A
+    # stored diagonal is a perfect matching already; the matching search
+    # takes milliseconds in the elimination order, but up to minutes in the
+    # natural order of a P1-P1 Jacobian
+    if not full_diagonal:
+        from scipy.sparse.csgraph import structural_rank
+        if structural_rank(A) < A.shape[0]:
+            raise SingularLinearSystem(
+                f"{context}: structurally singular system (rank-deficient "
+                "discretization, e.g. an unstable element pair)")
     try:
         if order is None:
             return splu(A, permc_spec="MMD_AT_PLUS_A", **_SUPERLU_OPTIONS)
-        return _OrderedFactor(splu(A[order][:, order], permc_spec="NATURAL",
+        return _OrderedFactor(splu(A, permc_spec="NATURAL",
                                    **_SUPERLU_OPTIONS), order)
     except RuntimeError as exc:
         raise SingularLinearSystem(f"{context}: {exc}") from exc
@@ -187,13 +194,10 @@ def _perm6(a, b):
     return [(c, a, b), (c, b, a), (a, c, b), (a, b, c), (b, c, a), (b, a, c)]
 
 
-# symmetric rules on the reference triangle; (weight, barycentric point),
-# weights normalized to sum to 1
+# symmetric rules on the reference triangle, the degrees the program reads
+# (6 for operators, 9 for loads and error norms); (weight, barycentric
+# point), weights normalized to sum to 1
 _TRIANGLE_RULES = {
-    1: [(1.0, (1 / 3, 1 / 3, 1 / 3))],
-    2: [(1 / 3, p) for p in _perm3(1 / 6)],
-    4: ([(0.223381589678011, p) for p in _perm3(0.445948490915965)]
-        + [(0.109951743655322, p) for p in _perm3(0.091576213509771)]),
     6: ([(0.050844906370207, p) for p in _perm3(0.063089014491502)]
         + [(0.116786275726379, p) for p in _perm3(0.249286745170910)]
         + [(0.082851075618374, p) for p in _perm6(0.310352451033785, 0.053145049844816)]),

@@ -110,10 +110,7 @@ class ManufacturedCase:
         the representable case, Dirichlet velocity data, so
         ``solve_coupled(space, case.params(mesh))`` solves another problem
         (``err_u_h1`` 5.77 for the representable case on 4x8, against
-        3.5e-12), and ``analysis.uniqueness_number`` of these params leaves
-        the interface loads out (3.52 for the smooth case on 4x8, against
-        5.34 from the solve's right-hand side).  Solve with
-        ``case.solve(space, params)``, or pass
+        3.5e-12).  Solve with ``case.solve(space, params)``, or pass
         ``dirichlet=case.dirichlet`` and
         ``extra_loads=case.interface_loads(space)``."""
         return assembly.ModelParams(mesh, nu=self.nu, K=self.K, G=self.G,
@@ -127,25 +124,18 @@ class ManufacturedCase:
 
     def solve(self, space, params, config=None):
         """Solve for the case on ``space`` with ``params`` (from
-        ``self.params``), its interface loads and Dirichlet data."""
+        ``self.params``), its interface loads and Dirichlet data.  A
+        ``config`` without convection is rejected: the sources hold
+        (u . grad) u, so it would solve another problem."""
         config = config or SolverConfig()
+        if not config.include_convection:
+            raise ValueError(f"the {self.name} case cannot be solved without "
+                             "convection: its sources hold (u . grad) u")
         if self.tol is not None and self.tol < config.tol:
-            config = SolverConfig(self.tol, config.max_iter, config.scheme,
-                                  config.include_convection)
+            config = SolverConfig(self.tol, config.max_iter, config.scheme)
         return solve_coupled(space, params, config,
                              dirichlet=self.dirichlet,
                              extra_loads=self.interface_loads(space))
-
-
-def _diagonal_permeability(name, K):
-    """K as a 2x2 matrix, which the ``name`` case accepts if diagonal."""
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 0:
-        K = K * np.eye(2)
-    if abs(K[0, 1]) > 0 or abs(K[1, 0]) > 0:
-        raise ValueError(f"{name} case requires diagonal permeability so the "
-                         "lateral no-flux condition stays exact")
-    return K
 
 
 def smooth_case(nu=1.0, amplitude=0.4, head_amplitude=0.15,
@@ -164,7 +154,12 @@ def smooth_case(nu=1.0, amplitude=0.4, head_amplitude=0.15,
     """
     A, B, C = amplitude, head_amplitude, pressure_amplitude
     pi = np.pi
-    K = _diagonal_permeability("smooth", K)
+    K = np.asarray(K, dtype=float)
+    if K.ndim == 0:
+        K = K * np.eye(2)
+    if abs(K[0, 1]) > 0 or abs(K[1, 0]) > 0:
+        raise ValueError("smooth case requires diagonal permeability so the "
+                         "lateral no-flux condition stays exact")
 
     def u(x, y):
         return (-2 * A * np.sin(pi * x) ** 2 * (2 - y),
@@ -202,13 +197,13 @@ def smooth_case(nu=1.0, amplitude=0.4, head_amplitude=0.15,
                             phi, grad_phi, hess_phi)
 
 
-def representable_case(nu=1.0, head_amplitude=1.0, K=1.0, G=1.0):
+def representable_case():
     """Quadratic divergence-free velocity, linear pressure and head: every
     field lies in the discrete spaces, so the solver must reproduce it to
     rounding.  The velocity trace on gamma_f is inhomogeneous Dirichlet data.
 
     Stream function x^2 (y - 1) + y^2 x, pressure x - 1/2 (mean-free), head
-    B y.
+    y, with fixed coefficients nu = 1, K = I and G = 1.
 
     The solve is tightened to ``tol`` = 1e-13 so that the errors stay below
     ``REPRODUCTION_TOL`` (1e-9, absolute).  The residual scale grows by
@@ -217,9 +212,6 @@ def representable_case(nu=1.0, head_amplitude=1.0, K=1.0, G=1.0):
     16x32 at errors up to 3.7e-8.  Newton passes 1e-13 on every level up
     to 64x128, with errors at most 2.1e-12.
     """
-    B = head_amplitude
-    K = _diagonal_permeability("representable", K)
-
     def u(x, y):
         return (x ** 2 + 2 * x * y, -2 * x * (y - 1) - y ** 2)
 
@@ -236,30 +228,30 @@ def representable_case(nu=1.0, head_amplitude=1.0, K=1.0, G=1.0):
         return (1.0, 0.0)
 
     def phi(x, y):
-        return B * y
+        return y
 
     def grad_phi(x, y):
-        return (0.0, B)
+        return (0.0, 1.0)
 
     def hess_phi(x, y):
         return ((0.0, 0.0), (0.0, 0.0))
 
-    return ManufacturedCase("representable", nu, K, G, u, grad_u, lap_u,
-                            p, grad_p, phi, grad_phi, hess_phi, dirichlet=u,
-                            tol=1e-13)
+    return ManufacturedCase("representable", 1.0, np.eye(2), 1.0, u, grad_u,
+                            lap_u, p, grad_p, phi, grad_phi, hess_phi,
+                            dirichlet=u, tol=1e-13)
 
 
 _CASES = {"smooth": smooth_case, "representable": representable_case}
 CASE_NAMES = tuple(sorted(_CASES))
 
 
-def get_case(name, **kwargs):
+def get_case(name):
     try:
         factory = _CASES[name]
     except KeyError:
         raise KeyError(f"unknown manufactured case {name!r}; "
                        f"available: {', '.join(CASE_NAMES)}") from None
-    return factory(**kwargs)
+    return factory()
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +360,7 @@ REPRODUCTION_TOL = 1e-9
 class StudyResult:
     """Rows of a refinement study plus observed convergence rates."""
 
-    def __init__(self, case_name, rows):
-        self.case_name = case_name
+    def __init__(self, rows):
         self.rows = rows
 
     def rates(self):
@@ -420,4 +411,4 @@ def convergence_study(case, num_levels=4, base=(4, 8), config=None,
     # one job per level, the finest (the largest) first
     rows = run_jobs([functools.partial(level, index)
                      for index in reversed(range(num_levels))])
-    return StudyResult(case.name, rows[::-1])
+    return StudyResult(rows[::-1])

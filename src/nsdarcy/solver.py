@@ -117,7 +117,7 @@ class CoupledState:
     ``b`` (the volume loads plus any extra loads) and the residual ``F``."""
 
     def __init__(self, u, p, phi, converged, iterations, residual, transcript,
-                 dirichlet=None, F=None, b=None):
+                 dirichlet, F, b):
         self.u = u
         self.p = p
         self.phi = phi

@@ -14,8 +14,7 @@ from nsdarcy import assembly as asm
 from nsdarcy import mms
 from nsdarcy import solver as slv
 from nsdarcy.analysis import (check_uniqueness, compensation_residual,
-                              compute_inf_sup, uniqueness_number,
-                              verify_energy_estimate)
+                              compute_inf_sup, verify_energy_estimate)
 from nsdarcy.fem import CoupledSpace
 from nsdarcy.mesh import build_rectangle_mesh, refine_uniform
 
@@ -203,8 +202,8 @@ def test_criterion_07_inf_sup():
 def test_criterion_08_uniqueness(base_space):
     space = base_space
     params = asm.ModelParams(space.mesh, nu=1.0, g_f=small_f, g_p=small_p)
-    premise = uniqueness_number(space, params)
     unique = check_uniqueness(space, params, seed=20260826)
+    premise = unique.uniqueness_number
     two_start_ok = (premise < 0.1 and unique.verdict == "unique"
                     and unique.relative_distance <= 1e-8)
 

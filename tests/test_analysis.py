@@ -453,8 +453,9 @@ class TestUniqueness:
         gf = ana.dual_norm_fluid(space, params)
         gp = ana.dual_norm_porous(space, params)
         expected = gf / 0.7 ** 2 + gp / (0.7 ** 1.5 * np.sqrt(2.0))
-        assert ana.uniqueness_number(space, params) == pytest.approx(
-            expected, rel=1e-14)
+        state = slv.solve_coupled(space, params)
+        rep = ana.verify_energy_estimate(space, params, state)
+        assert rep.uniqueness_number == pytest.approx(expected, rel=1e-14)
 
     def test_number_reads_the_interface_loads_of_the_solves(self, space):
         # the small-data premise is that of the right-hand side the solves

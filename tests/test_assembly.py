@@ -108,7 +108,7 @@ class TestStrain:
 
     def test_coefficient_scaling(self, space):
         A1 = asm.strain_matrix(space, FLUID)
-        A2 = asm.strain_matrix(space, FLUID, coefficient=2.0)
+        A2 = 2.0 * asm.strain_matrix(space, FLUID)
         assert abs(A2 - 2 * A1).max() < 1e-14
 
 
@@ -242,7 +242,7 @@ class TestInterface:
         rng = np.random.default_rng(12)
         for sp in (space, wavy_space):
             u = random_velocity(sp, rng)
-            M = asm.bjs_matrix(sp, coefficient=1.5, expanded=True)
+            M = 1.5 * asm.bjs_matrix(sp, expanded=True)
             assert u.ravel() @ (M @ u.ravel()) == pytest.approx(
                 asm.bjs_energy(sp, u, coefficient=1.5), rel=1e-12, abs=1e-13)
 
@@ -252,8 +252,8 @@ class TestInterface:
         assert asm.bjs_energy(space, u) == pytest.approx(1.0, abs=1e-13)
         assert asm.bjs_energy(space, u, coefficient=2.5) == pytest.approx(
             2.5, abs=1e-13)
-        M1 = asm.bjs_matrix(space, coefficient=1.0)
-        M2 = asm.bjs_matrix(space, coefficient=2.0)
+        M1 = 1.0 * asm.bjs_matrix(space)
+        M2 = 2.0 * asm.bjs_matrix(space)
         assert abs(M2 - 2 * M1).max() < 1e-14
 
     def test_normal_component_ignored_by_bjs(self, space):

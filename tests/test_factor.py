@@ -6,9 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from scipy.sparse import bmat, csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import splu
 
+from nsdarcy import analysis as ana
 from nsdarcy import assembly as asm
 from nsdarcy import mms
 from nsdarcy import solver as slv
@@ -129,6 +131,20 @@ def test_zero_diagonal_unknowns_follow_their_neighbours(matrices, kind):
         nb = P.indices[P.indptr[j]:P.indptr[j + 1]]
         nb = nb[has_diag[nb]]
         assert len(nb) > 0 and pos[j] > pos[nb].max()
+
+
+def test_a_stored_diagonal_skips_the_structural_check(monkeypatch):
+    rank, calls = scipy.sparse.csgraph.structural_rank, []
+
+    def recording(A):
+        calls.append(A.shape)
+        return rank(A)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "structural_rank", recording)
+    ana.strain_factor(CoupledSpace(build_rectangle_mesh(4, 8, 1.0)))
+    assert calls == []
+    _factor(np.array([[1.0, 1.0], [1.0, 0.0]]), "saddle")
+    assert calls == [(2, 2)]
 
 
 def test_coupled_fill_is_at_most_six_tenths_of_colamd():

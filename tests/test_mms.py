@@ -121,6 +121,17 @@ class TestConsistency:
         assert values[1] < values[0]
 
 
+class TestCaseSolve:
+    def test_solve_without_convection_is_rejected(self, case):
+        # the sources hold (u . grad) u, so without convection the case
+        # solves another problem (err_u_h1 1.28 for the representable case
+        # on 4x8)
+        space = CoupledSpace(build_rectangle_mesh(2, 4, 1.0))
+        with pytest.raises(ValueError, match=case.name):
+            case.solve(space, case.params(space.mesh),
+                       slv.SolverConfig(include_convection=False))
+
+
 class TestArrayEvaluation:
     FIELDS = ("u", "grad_u", "lap_u", "p", "grad_p", "phi", "grad_phi",
               "hess_phi")
@@ -209,7 +220,7 @@ class TestStudyResult:
         rows = [{"level": i, "h": 0.5 ** i, "err_u_h1": 4.0 ** -i,
                  "err_u_l2": 8.0 ** -i, "err_p_l2": 4.0 ** -i,
                  "err_phi_h1": 2.0 ** -i} for i in range(3)]
-        study = mms.StudyResult("synthetic", rows)
+        study = mms.StudyResult(rows)
         rates = study.rates()
         assert rates["rate_u_h1"] == [pytest.approx(2.0)] * 2
         assert rates["rate_u_l2"] == [pytest.approx(3.0)] * 2
@@ -220,7 +231,7 @@ class TestStudyResult:
                  "err_u_l2": 8.0 ** -i, "err_p_l2": 4.0 ** -i,
                  "err_phi_h1": 2.0 ** -i} for i in range(3)]
         path = tmp_path / "rates.csv"
-        text = mms.StudyResult("synthetic", rows).to_csv(path)
+        text = mms.StudyResult(rows).to_csv(path)
         assert path.read_text() == text
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0][:6] == ["level", "h", "err_u_h1", "err_u_l2",
@@ -233,7 +244,7 @@ class TestStudyResult:
         rows = [{"level": i, "h": 0.5 ** i, "err_u_h1": 4.0 ** -i,
                  "err_u_l2": 8.0 ** -i, "err_p_l2": 1e-9 * 4.0 ** -i,
                  "err_phi_h1": [1.0, 1e-9, 1e-12][i]} for i in range(3)]
-        study = mms.StudyResult("synthetic", rows)
+        study = mms.StudyResult(rows)
         rates = study.rates()
         assert rates["rate_u_h1"] == [pytest.approx(2.0)] * 2
         assert rates["rate_p_l2"] == [None, None]
@@ -258,13 +269,7 @@ class TestCaseRegistry:
         with pytest.raises(KeyError, match="representable"):
             mms.get_case("vortex")
 
-    def test_factory_kwargs_forwarded(self):
-        case = mms.get_case("smooth", nu=3.0)
-        assert case.nu == 3.0
-
     def test_offdiagonal_permeability_rejected(self):
         K = np.array([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(ValueError):
             mms.smooth_case(K=K)
-        with pytest.raises(ValueError):
-            mms.representable_case(K=K)

@@ -2,6 +2,7 @@
 correction step, the mean-pressure gauge, failure modes, and the porous
 companion solve."""
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -161,6 +162,18 @@ class TestNonlinearIteration:
         with pytest.raises(SingularLinearSystem):
             slv.solve_coupled(space, params)
 
+    def test_unstable_pair_is_rejected_in_seconds(self):
+        # the structural check runs in the elimination order; in the natural
+        # order of this P1-P1 Jacobian the matching took tens of seconds
+        mesh = build_rectangle_mesh(28, 56, 1.0)
+        space = CoupledSpace(mesh, velocity_degree=1)
+        params = asm.ModelParams(mesh, nu=1.0, g_f=forcing_f)
+        start = time.perf_counter()
+        with pytest.raises(SingularLinearSystem,
+                           match="structurally singular"):
+            slv.solve_coupled(space, params)
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("cells, amplitude, nu, picard_steps", [
         ((16, 32), 5.0, 0.1, 11),
         ((8, 16), 5.0, 0.1, 12),
@@ -231,8 +244,8 @@ def _direct_system(space, params, x=None, dirichlet=None, newton=False):
     F(x) (None when x is None)."""
     zero = np.zeros(space.num_velocity_dofs)
     u_dir = space.velocity_node_values(zero, dirichlet).ravel()
-    Auu = (asm.strain_matrix(space, expanded=True, coefficient=2 * params.nu)
-           + asm.bjs_matrix(space, coefficient=params.G, expanded=True))
+    Auu = (2 * params.nu * asm.strain_matrix(space, expanded=True)
+           + params.G * asm.bjs_matrix(space, expanded=True))
     Juu = Auu
     if x is not None:
         u, p, phi = space.split_state(x)
@@ -435,10 +448,9 @@ class TestMeanGauge:
                          second.pattern.indptr), shape=second.pattern.shape)
         B = asm.divergence_matrix(space, expanded=True)
         Cup = asm.interface_coupling_matrix(space, expanded=True)
-        direct = bmat([[asm.strain_matrix(space, expanded=True,
-                                          coefficient=2 * other.nu)
-                        + asm.bjs_matrix(space, coefficient=2.0,
-                                         expanded=True), -B.T, Cup],
+        direct = bmat([[2 * other.nu * asm.strain_matrix(space, expanded=True)
+                        + 2.0 * asm.bjs_matrix(space, expanded=True),
+                        -B.T, Cup],
                        [B, None, None],
                        [-Cup.T, None, asm.darcy_matrix(space, other,
                                                        expanded=True)]])
