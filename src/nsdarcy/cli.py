@@ -281,6 +281,9 @@ def _outdir(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg):
+    if cfg["case"]:
+        # as in mms: a case is posed on the built-in strip
+        _builtin_size(cfg["mesh"])
     mesh = resolve_mesh(cfg["mesh"])
     space = CoupledSpace(mesh, velocity_degree=cfg["velocity_degree"],
                          head_degree=cfg["head_degree"])

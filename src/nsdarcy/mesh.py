@@ -50,22 +50,6 @@ class UnmatchedInterfaceEdge(MeshError):
     """Tagged interface edges disagree with the fluid/porous adjacency."""
 
 
-def _unique_edges(triangles):
-    """Return (edges, tri_to_edge) with edges as sorted vertex pairs.
-
-    Edges are numbered in lexicographic order of their (min, max) vertex
-    pair, which makes the numbering independent of triangle order.
-    tri_to_edge[t, k] is the edge opposite local vertex k of triangle t.
-    """
-    t = np.asarray(triangles)
-    # edge k is opposite vertex k: (1,2), (2,0), (0,1)
-    raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-    raw = np.sort(raw, axis=1)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    tri_to_edge = inverse.reshape(3, len(t)).T
-    return edges, tri_to_edge
-
-
 def triangle_areas(vertices, triangles):
     p0 = vertices[triangles[:, 0]]
     a = vertices[triangles[:, 1]] - p0
@@ -90,8 +74,10 @@ class MixedMesh:
     interface edge, and the unit normal pointing out of the fluid subdomain
     are derived from the triangle tags and validated.  Validation keeps the
     one edge table of the mesh: ``edges`` (sorted vertex pairs in
-    lexicographic order) and ``tri_to_edge``; ``edge_ids`` looks vertex
-    pairs up in it.
+    lexicographic order) and ``tri_to_edge`` (``tri_to_edge[t, k]`` is the
+    edge opposite local vertex k of triangle t).  One integer key per
+    vertex pair (``_pair_keys``) numbers the edges, checks the boundary
+    roster and, through ``edge_ids``, looks vertex pairs up in the table.
     """
 
     def __init__(self, vertices, triangles, tri_tags, boundary_edges, boundary_tags):
@@ -109,6 +95,9 @@ class MixedMesh:
             raise MeshError("empty triangulation")
         if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
             raise MeshError("triangle vertex index out of range")
+        b = self.boundary_edges
+        if b.size and (b.min() < 0 or b.max() >= len(self.vertices)):
+            raise MeshError("boundary edge vertex index out of range")
         if len(self.tri_tags) != len(self.triangles):
             raise MeshError("one subdomain tag per triangle required")
         if len(self.boundary_tags) != len(self.boundary_edges):
@@ -129,11 +118,8 @@ class MixedMesh:
     @property
     def h(self):
         """Mesh size: longest edge over all triangles."""
-        t = self.triangles
-        v = self.vertices
-        lengths = [np.linalg.norm(v[t[:, i]] - v[t[:, j]], axis=1)
-                   for i, j in ((0, 1), (1, 2), (2, 0))]
-        return float(np.max(lengths))
+        sides = np.diff(self.vertices[self.edges], axis=1)
+        return float(np.linalg.norm(sides, axis=2).max())
 
     def fluid_triangles(self):
         return np.flatnonzero(self.tri_tags == FLUID)
@@ -184,31 +170,35 @@ class MixedMesh:
         if np.any(bad):
             raise MeshError("boundary edge with unknown tag")
 
-        # boundary roster must equal the set of single-neighbor edges
-        self.edges, self.tri_to_edge = _unique_edges(t)
-        self._edge_keys = self._pair_keys(self.edges)
-        counts = np.bincount(self.tri_to_edge.ravel(), minlength=len(self.edges))
+        # edge k of a triangle is opposite its vertex k: (1,2), (2,0), (0,1)
+        keys, inverse = np.unique(self._pair_keys(t[:, [1, 2, 2, 0, 0, 1]]),
+                                  return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, len(v)))
+        self.tri_to_edge = inverse.reshape(len(t), 3)
+        self._edge_keys = keys
+        counts = np.bincount(inverse, minlength=len(keys))
         if counts.max() > 2:
             raise MeshError("edge shared by more than two triangles")
 
-        single = set(map(tuple, self.edges[counts == 1].tolist()))
-        listed = set(map(tuple, np.sort(self.boundary_edges, axis=1).tolist()))
-        if len(listed) != len(self.boundary_edges):
+        # boundary roster must equal the set of single-neighbor edges
+        listed = self._pair_keys(self.boundary_edges)
+        roster = np.unique(listed)
+        if len(roster) != len(listed):
             raise MeshError("boundary edge listed more than once")
-        if single != listed:
-            missing = single - listed
-            extra = listed - single
-            raise MeshError(
-                f"boundary roster mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        single = keys[counts == 1]
+        if not np.array_equal(single, roster):
+            missing = self._pairs(np.setdiff1d(single, roster))
+            extra = self._pairs(np.setdiff1d(roster, single))
+            raise MeshError(f"boundary roster mismatch: missing {missing}, extra {extra}")
 
         # the lower and the higher triangle of each edge (the same one on
         # the boundary)
-        tri = np.argsort(self.tri_to_edge.ravel(), kind="stable") // 3
+        tri = np.argsort(inverse, kind="stable") // 3
         start = np.cumsum(counts) - counts
         neighbors = tri[start], tri[start + counts - 1]
 
         # boundary tags must sit on the matching subdomain
-        tri_tag = self.tri_tags[neighbors[0][self.edge_ids(self.boundary_edges)]]
+        tri_tag = self.tri_tags[neighbors[0][np.searchsorted(keys, listed)]]
         on_gamma_f = self.boundary_tags == GAMMA_F
         if np.any(on_gamma_f & (tri_tag != FLUID)):
             raise MeshError("gamma_f edge adjacent to a porous triangle")
@@ -222,10 +212,14 @@ class MixedMesh:
         return neighbors
 
     def _pair_keys(self, pairs):
-        """One integer per vertex pair, the same in either orientation and
-        increasing in the lexicographic order of (min, max)."""
+        """One int64 key per vertex pair, min * nv + max: the same either way
+        round, lexicographic in (min, max), one-to-one for indices in range."""
         p = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
         return p[:, 0] * self.num_vertices + p[:, 1]
+
+    def _pairs(self, keys):
+        """The vertex pairs of ``keys`` as a list of (min, max) tuples."""
+        return list(zip(*(k.tolist() for k in np.divmod(keys, self.num_vertices))))
 
     def edge_ids(self, pairs):
         """Edge id (row of ``edges``) of each vertex pair, either orientation."""
@@ -277,41 +271,27 @@ def build_rectangle_mesh(nx, ny, split_y):
     if not 1 <= jrow <= ny - 1:
         raise MeshError("split_y must be strictly inside the rectangle")
 
-    xs = dx * np.arange(nx + 1)
-    ys = dy * np.arange(ny + 1)
-    vx, vy = np.meshgrid(xs, ys)
+    vx, vy = np.meshgrid(dx * np.arange(nx + 1), dy * np.arange(ny + 1))
     vertices = np.column_stack([vx.ravel(), vy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # cells in row-major order, each split by the diagonal of its
+    # checkerboard parity into two counterclockwise triangles
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v00 = j * (nx + 1) + i
+    corners = np.column_stack([v00, v00 + 1, v00 + nx + 2, v00 + nx + 1])
+    split = np.where(((i + j) % 2 == 0)[:, None], [0, 1, 2, 0, 2, 3], [0, 1, 3, 1, 2, 3])
+    triangles = np.take_along_axis(corners, split, axis=1).reshape(-1, 3)
+    tags = np.repeat(np.where(j < jrow, POROUS, FLUID), 2)
 
-    triangles, tags = [], []
-    for j in range(ny):
-        tag = POROUS if j < jrow else FLUID
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                triangles += [(v00, v10, v11), (v00, v11, v01)]
-            else:
-                triangles += [(v00, v10, v01), (v10, v11, v01)]
-            tags += [tag, tag]
+    # bottom and top interleaved per column, then left and right per row
+    bottom = np.column_stack([np.arange(nx), np.arange(1, nx + 1)])
+    left = (nx + 1) * np.column_stack([np.arange(ny), np.arange(1, ny + 1)])
+    bedges = np.concatenate([np.stack([bottom, bottom + ny * (nx + 1)], axis=1),
+                             np.stack([left, left + nx], axis=1)])
+    btags = np.concatenate([np.tile([GAMMA_PD, GAMMA_F], nx),
+                            np.repeat(np.where(np.arange(ny) < jrow, GAMMA_PN, GAMMA_F), 2)])
 
-    bedges, btags = [], []
-    for i in range(nx):  # bottom, top
-        bedges.append((vid(i, 0), vid(i + 1, 0)))
-        btags.append(GAMMA_PD)
-        bedges.append((vid(i, ny), vid(i + 1, ny)))
-        btags.append(GAMMA_F)
-    for j in range(ny):  # left, right
-        side = GAMMA_PN if j < jrow else GAMMA_F
-        bedges.append((vid(0, j), vid(0, j + 1)))
-        btags.append(side)
-        bedges.append((vid(nx, j), vid(nx, j + 1)))
-        btags.append(side)
-
-    return MixedMesh(vertices, np.array(triangles), np.array(tags),
-                     np.array(bedges), np.array(btags))
+    return MixedMesh(vertices, triangles, tags, bedges.reshape(-1, 2), btags)
 
 
 def refine_uniform(mesh):
@@ -544,7 +524,7 @@ def parse_gmsh_subset(text):
             tri_tags.append(TRI_TAG_IDS[name])
         elif etype == _GMSH_LINE:
             if name == "interface":
-                tagged_iface.append(tuple(sorted(vertices_of(conn, 2, ln))))
+                tagged_iface.append(vertices_of(conn, 2, ln))
             elif name in EDGE_TAG_IDS:
                 bedges.append(vertices_of(conn, 2, ln))
                 btags.append(EDGE_TAG_IDS[name])
@@ -561,10 +541,11 @@ def parse_gmsh_subset(text):
                      np.array(bedges).reshape(-1, 2), np.array(btags))
 
     # interface lines are optional; those a file has must match exactly
-    derived = set(map(tuple, mesh.interface_edges.tolist()))
-    tagged = set(tagged_iface)
-    if tagged and tagged != derived:
+    tagged = np.unique(mesh._pair_keys(tagged_iface))
+    derived = mesh._pair_keys(mesh.interface_edges)
+    if tagged.size and not np.array_equal(tagged, derived):
         raise UnmatchedInterfaceEdge(
             f"interface lines disagree with subdomain adjacency: "
-            f"tagged-only {sorted(tagged - derived)}, derived-only {sorted(derived - tagged)}")
+            f"tagged-only {mesh._pairs(np.setdiff1d(tagged, derived))}, "
+            f"derived-only {mesh._pairs(np.setdiff1d(derived, tagged))}")
     return mesh

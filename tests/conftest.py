@@ -16,11 +16,19 @@ settings.register_profile("nsdarcy", derandomize=True, deadline=None,
 settings.load_profile("nsdarcy")
 
 
-def _wavy(mesh):
-    x, y = mesh.vertices.T
-    return MixedMesh(np.column_stack([x, y + 0.1 * np.sin(np.pi * x) * y * (2 - y)]),
-                     mesh.triangles, mesh.tri_tags, mesh.boundary_edges,
-                     mesh.boundary_tags)
+def _lifted(bump):
+    """The vertex map y -> y + bump(x) y (2 - y) of a mesh of the built-in
+    rectangle [0, 1] x [0, 2]: the outer boundary stays in place and the
+    interface y = 1 becomes the graph of 1 + bump(x)."""
+    def lift(mesh):
+        x, y = mesh.vertices.T
+        return MixedMesh(np.column_stack([x, y + bump(x) * y * (2 - y)]),
+                         mesh.triangles, mesh.tri_tags, mesh.boundary_edges,
+                         mesh.boundary_tags)
+    return lift
+
+
+_wavy = _lifted(lambda x: 0.1 * np.sin(np.pi * x))
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +38,17 @@ def wavy_map():
     place and the interface y = 1 becomes a sine arc, so every interface
     edge has its own normal (on the rectangle all normals are (0, -1))."""
     return _wavy
+
+
+@pytest.fixture(scope="session")
+def interface_maps():
+    """Conforming vertex maps of the built-in rectangle by the shape they
+    give the interface: a sine arc (``wavy_map``), an oblique line
+    (y -> y + 0.2 (x - 1/2) y (2 - y)) and a kink at x = 1/2
+    (y -> y + 0.2 (1/2 - |x - 1/2|) y (2 - y))."""
+    return {"wavy": _wavy,
+            "sheared": _lifted(lambda x: 0.2 * (x - 0.5)),
+            "polygonal": _lifted(lambda x: 0.2 * (0.5 - np.abs(x - 0.5)))}
 
 
 @pytest.fixture(scope="session")

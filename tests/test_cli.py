@@ -114,6 +114,19 @@ class TestSolve:
                    "--out", str(tmp_path / "run")) == EXIT_OK
         assert len(calls) == 1
 
+    def test_a_case_takes_a_builtin_mesh(self, tmp_path, capsys, wavy_map):
+        # the manufactured fields are posed on the strip [0, 1] x [0, 2]
+        # with the interface y = 1: on the wavy 8x16 mesh the smooth case
+        # solved another problem (err_u_h1 0.537 against 0.0804 unmapped)
+        path = tmp_path / "wavy.txt"
+        path.write_text(mesh_module.dump_mesh(
+            wavy_map(build_rectangle_mesh(8, 16, 1.0))))
+        out = tmp_path / "never"
+        assert run("solve", "--case", "smooth", "--mesh", str(path),
+                   "--out", str(out)) == EXIT_CONFIG
+        assert "no builtin:WxH mesh" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mesh", ["builtin:4x8", "builtin:16x32"])
     def test_case_balance_closes_with_its_interface_loads(self, tmp_path,
                                                           mesh):

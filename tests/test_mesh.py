@@ -14,7 +14,57 @@ def independent_edge_count(triangles):
     return len(edges)
 
 
+def rectangle_by_cells(nx, ny, split_y):
+    """Vertices, triangles, triangle tags, boundary edges and their tags of
+    the built-in rectangle, built point by point and cell by cell."""
+    dx, dy = 1.0 / nx, 2.0 / ny
+    jrow = int(round(split_y / dy))
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    vertices = [(dx * i, dy * j) for j in range(ny + 1) for i in range(nx + 1)]
+    triangles, tags = [], []
+    for j in range(ny):
+        tag = M.POROUS if j < jrow else M.FLUID
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            if (i + j) % 2 == 0:
+                triangles += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                triangles += [(v00, v10, v01), (v10, v11, v01)]
+            tags += [tag, tag]
+
+    bedges, btags = [], []
+    for i in range(nx):  # bottom, top
+        bedges.append((vid(i, 0), vid(i + 1, 0)))
+        btags.append(M.GAMMA_PD)
+        bedges.append((vid(i, ny), vid(i + 1, ny)))
+        btags.append(M.GAMMA_F)
+    for j in range(ny):  # left, right
+        side = M.GAMMA_PN if j < jrow else M.GAMMA_F
+        bedges.append((vid(0, j), vid(0, j + 1)))
+        btags.append(side)
+        bedges.append((vid(nx, j), vid(nx, j + 1)))
+        btags.append(side)
+    return tuple(map(np.array, (vertices, triangles, tags, bedges, btags)))
+
+
 class TestRectangleBuilder:
+    @pytest.mark.parametrize("nx, ny, split", [(1, 2, 1.0), (3, 6, 1.0),
+                                               (5, 10, 0.4), (7, 4, 1.0),
+                                               (48, 96, 1.0)])
+    def test_arrays_match_the_cell_loop(self, nx, ny, split):
+        m = M.build_rectangle_mesh(nx, ny, split)
+        built = (m.vertices, m.triangles, m.tri_tags, m.boundary_edges,
+                 m.boundary_tags)
+        for name, a, b in zip(("vertices", "triangles", "tri_tags",
+                               "boundary_edges", "boundary_tags"),
+                              built, rectangle_by_cells(nx, ny, split)):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
     def test_smallest_crossed_mesh(self):
         m = M.build_rectangle_mesh(1, 2, 1.0)
         assert m.num_triangles == 4
@@ -166,6 +216,26 @@ class TestConstructorInvariants:
         with pytest.raises(M.MeshError, match="roster"):
             M.MixedMesh(m.vertices, m.triangles, m.tri_tags,
                         m.boundary_edges[:-1], m.boundary_tags[:-1])
+
+    def test_boundary_roster_mismatch_prints_plain_integers(self):
+        m = M.build_rectangle_mesh(1, 2, 1.0)
+        bedges = m.boundary_edges.copy()
+        bedges[0] = (0, 5)
+        with pytest.raises(M.MeshError) as exc:
+            M.MixedMesh(m.vertices, m.triangles, m.tri_tags, bedges,
+                        m.boundary_tags)
+        assert str(exc.value) == ("boundary roster mismatch: missing "
+                                  "[(0, 1)], extra [(0, 5)]")
+
+    @pytest.mark.parametrize("record", ["0 1 gamma_pd", "1 3 gamma_pn"])
+    def test_boundary_vertex_out_of_range_rejected(self, record):
+        # with 6 vertices, the pair (0, 9) has the key 0 * 6 + 9 of the real
+        # edge (1, 3): unchecked, it would read as a repeat of (1, 3), or
+        # pass in place of it
+        bad = GOLDEN_DUMP.replace(record, "0 9 " + record.split()[-1])
+        with pytest.raises(M.MeshError,
+                           match="boundary edge vertex index out of range"):
+            M.load_mesh(bad)
 
     def test_gamma_f_on_porous_side_rejected(self):
         m = M.build_rectangle_mesh(1, 2, 1.0)
@@ -490,14 +560,47 @@ def _assert_same_mesh(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-@given(nx=st.integers(1, 4), ny=st.integers(1, 3), wavy=st.booleans(),
-       refined=st.booleans())
-def test_generated_meshes_survive_both_text_formats(wavy_map, nx, ny, wavy,
-                                                    refined):
+_INTERFACES = st.sampled_from(["flat", "wavy", "sheared", "polygonal"])
+
+
+def _generated(interface_maps, nx, ny, interface):
     m = M.build_rectangle_mesh(nx, 2 * ny, 1.0)
-    if wavy:
-        m = wavy_map(m)
+    return m if interface == "flat" else interface_maps[interface](m)
+
+
+@given(nx=st.integers(1, 4), ny=st.integers(1, 3), interface=_INTERFACES,
+       refined=st.booleans())
+def test_generated_meshes_survive_both_text_formats(interface_maps, nx, ny,
+                                                    interface, refined):
+    m = _generated(interface_maps, nx, ny, interface)
     if refined:
         m = M.refine_uniform(m)
     _assert_same_mesh(M.load_mesh(M.dump_mesh(m)), m)
     _assert_same_mesh(M.parse_gmsh_subset(_msh_text(m)), m)
+
+
+# -- the edge table -----------------------------------------------------------
+
+@given(nx=st.integers(1, 4), ny=st.integers(1, 3), interface=_INTERFACES,
+       data=st.data())
+def test_edge_table_is_lexicographic_whatever_the_triangle_order(
+        interface_maps, nx, ny, interface, data):
+    m = _generated(interface_maps, nx, ny, interface)
+    nt = m.num_triangles
+    order = np.array(data.draw(st.permutations(range(nt))))
+    turns = np.array(data.draw(st.lists(st.integers(0, 2), min_size=nt,
+                                        max_size=nt)))
+    rotated = m.triangles[order][np.arange(nt)[:, None],
+                                 (np.arange(3) + turns[:, None]) % 3]
+    p = M.MixedMesh(m.vertices, rotated, m.tri_tags[order],
+                    m.boundary_edges, m.boundary_tags)
+    assert np.array_equal(p.edges, m.edges)
+    sides = {tuple(sorted(pair)) for a, b, c in rotated.tolist()
+             for pair in ((a, b), (b, c), (c, a))}
+    assert p.edges.tolist() == [list(pair) for pair in sorted(sides)]
+    for k in range(3):
+        others = np.sort(np.delete(p.triangles, k, axis=1), axis=1)
+        assert np.array_equal(p.edges[p.tri_to_edge[:, k]], others)
+    ids = np.arange(len(p.edges))
+    assert np.array_equal(p.edge_ids(p.edges), ids)
+    assert np.array_equal(p.edge_ids(p.edges[:, ::-1]), ids)
