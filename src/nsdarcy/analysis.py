@@ -310,8 +310,7 @@ def _energy_norm(space, params, du, dphi):
                          + assembly.darcy_energy(space, phi_raw, params)))
 
 
-def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
-                     extra_loads=None):
+def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None):
     """Two-start uniqueness experiment.
 
     Solves once from the zero initial state and once from a seeded random
@@ -320,11 +319,10 @@ def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
     ``uniqueness_number * c_mult < 1``; the verdict is "unique" when it
     holds and the solutions agree within 1e-8 relative, "violated" when it
     holds but they differ, "inconclusive" when the condition fails.  The
-    uniqueness number is that of the right-hand side the solves used,
-    ``extra_loads`` included.
+    uniqueness number is that of the right-hand side the solves used.
     """
     config = config or SolverConfig()
-    s0 = solve_coupled(space, params, config, extra_loads=extra_loads)
+    s0 = solve_coupled(space, params, config)
     num = _uniqueness(params, _fluid_dual(space, s0.b),
                       _porous_dual(space, params, s0.b))
 
@@ -335,8 +333,7 @@ def check_uniqueness(space, params, c_mult=4.0, seed=0, config=None,
         space, space.velocity_node_values(u0), FLUID))
     if nrm > 0:
         u0 /= nrm
-    s1 = solve_coupled(space, params, config, initial_state=x0,
-                       extra_loads=extra_loads)
+    s1 = solve_coupled(space, params, config, initial_state=x0)
 
     dist = _energy_norm(space, params, s0.u - s1.u, s0.phi - s1.phi)
     size = max(_energy_norm(space, params, s0.u, s0.phi), 1e-30)

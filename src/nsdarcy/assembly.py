@@ -4,12 +4,11 @@ Each operator has a *form* ``(L, rows, cols)``: its local blocks and the
 dofs they scatter to in the *expanded* numbering, where every geometric
 node of the field's scalar space carries its degrees of freedom (two
 interleaved components for vector fields), free or not, at positions
-``width * node + component``.  Matrix builders sum a form into the
-expanded matrix, which makes inhomogeneous Dirichlet data a plain
-matrix-vector product, and by default restrict it to the free dofs, the
-``index`` of each field in ``CoupledSpace.fields`` (``expanded=True`` keeps
-the full matrix).  The coupled solver scatters the forms into one stored
-pattern per space instead.
+``width * node + component``.  The coupled solver scatters the forms into
+one stored pattern per space, which makes inhomogeneous Dirichlet data a
+plain matrix-vector product.  Matrix builders sum a form and return its
+restriction to the free dofs, the ``index`` of each field in
+``CoupledSpace.fields``.
 
 Per-node *raw value* arrays -- shape (num_nodes, 2) for vector fields,
 (num_nodes,) for scalars -- are the lingua franca of the functional
@@ -268,12 +267,6 @@ def _edge_data(space, quad_degree):
             space.iface_lengths[:, None] * rule.weights, points)
 
 
-def restrict(space, A, row_kind, col_kind):
-    """Restrict an expanded matrix to the free dofs of the given fields."""
-    A = A.tocsr()
-    return A[space.fields[row_kind].index][:, space.fields[col_kind].index]
-
-
 def _vector_dofs(nodes):
     """Expanded dofs (..., 2) of a vector field at the given nodes."""
     return 2 * nodes[..., None] + np.arange(2)
@@ -285,15 +278,15 @@ def _vv_dofs(nodes):
     return dofs[:, :, :, None, None], dofs[:, None, None]
 
 
-def _matrix(space, form, row_kind, col_kind, expanded):
+def _matrix(space, form, row_kind, col_kind):
     """Sum ``form`` (its index arrays broadcast to its blocks) into the
-    expanded matrix of two fields, or its restriction to their free dofs."""
+    expanded matrix of two fields and restrict it to their free dofs."""
     L, rows, cols = form
+    rf, cf = space.fields[row_kind], space.fields[col_kind]
     A = coo_matrix((L.ravel(), (np.broadcast_to(rows, L.shape).ravel(),
                                 np.broadcast_to(cols, L.shape).ravel())),
-                   shape=(space.fields[row_kind].expanded_size,
-                          space.fields[col_kind].expanded_size)).tocsr()
-    return A if expanded else restrict(space, A, row_kind, col_kind)
+                   shape=(rf.expanded_size, cf.expanded_size)).tocsr()
+    return A[rf.index][:, cf.index]
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +312,10 @@ def _strain_form(space, region=FLUID):
             *_vv_dofs(nodes))
 
 
-def strain_matrix(space, region=FLUID, expanded=False):
+def strain_matrix(space, region=FLUID):
     """(D(u), D(v)) over one region, on the natural vector field of the
     region (fluid / porous companion velocity); scale it for a coefficient."""
-    return _matrix(space, _strain_form(space, region), *_VECTOR[region],
-                   expanded)
+    return _matrix(space, _strain_form(space, region), *_VECTOR[region])
 
 
 @_per_space
@@ -341,9 +333,9 @@ def _darcy_form(space, params):
             nodes[:, :, None], nodes[:, None, :])
 
 
-def darcy_matrix(space, params, expanded=False):
+def darcy_matrix(space, params):
     """(K grad(phi), grad(psi)) over the porous region."""
-    return _matrix(space, _darcy_form(space, params), "head", "head", expanded)
+    return _matrix(space, _darcy_form(space, params), "head", "head")
 
 
 def _divergence_form(space, region=FLUID):
@@ -355,10 +347,9 @@ def _divergence_form(space, region=FLUID):
             _vector_dofs(nodes)[:, None])
 
 
-def divergence_matrix(space, region=FLUID, expanded=False):
+def divergence_matrix(space, region=FLUID):
     """(q, div u): P1 scalar rows against vector columns over one region."""
-    return _matrix(space, _divergence_form(space, region),
-                   *_DIVERGENCE[region], expanded)
+    return _matrix(space, _divergence_form(space, region), *_DIVERGENCE[region])
 
 
 def aux_divergence_matrix(space):
@@ -376,17 +367,17 @@ def _convection_form(space, wind, region=FLUID, skew=True):
     return _contract(det[:, None, None] * (wn @ invJT), T), *_vv_dofs(nodes)
 
 
-def convection_matrix(space, wind, region=FLUID, skew=True, expanded=False):
+def convection_matrix(space, wind, region=FLUID, skew=True):
     """((w . grad) u, v), plus the skew stabilization 1/2 (div w, u . v).
 
     ``wind`` is a raw per-node value array of shape (num_nodes, 2).
     """
     return _matrix(space, _convection_form(space, wind, region, skew),
-                   *_VECTOR[region], expanded)
+                   *_VECTOR[region])
 
 
-def _newton_form(space, wind, region=FLUID):
-    tris, _, det, invJT = _geometry(space, region)
+def _newton_form(space, wind):
+    tris, _, det, invJT = _geometry(space, FLUID)
     nodes = space.tri_nodes(space.velocity_degree)[tris]
     wn = np.asarray(wind)[nodes]
     # X[e, k, c, d, a] = det w_kc J^-T_da
@@ -395,10 +386,10 @@ def _newton_form(space, wind, region=FLUID):
             *_vv_dofs(nodes))
 
 
-def newton_convection_matrix(space, wind, region=FLUID, expanded=False):
-    """((u . grad) w, v) + 1/2 (div u, w . v): the extra Newton block."""
-    return _matrix(space, _newton_form(space, wind, region), *_VECTOR[region],
-                   expanded)
+def newton_convection_matrix(space, wind):
+    """((u . grad) w, v) + 1/2 (div u, w . v) over the fluid region: the
+    extra Newton block."""
+    return _matrix(space, _newton_form(space, wind), "velocity", "velocity")
 
 
 def _bjs_form(space):
@@ -408,9 +399,9 @@ def _bjs_form(space):
             *_vv_dofs(space.iface_edge_nodes))
 
 
-def bjs_matrix(space, expanded=False):
+def bjs_matrix(space):
     """(u . tau, v . tau) over the interface; scale it for a coefficient."""
-    return _matrix(space, _bjs_form(space), "velocity", "velocity", expanded)
+    return _matrix(space, _bjs_form(space), "velocity", "velocity")
 
 
 def _coupling_form(space):
@@ -420,23 +411,23 @@ def _coupling_form(space):
             space.iface_edge_head_nodes[:, None, None, :])
 
 
-def interface_coupling_matrix(space, expanded=False):
+def interface_coupling_matrix(space):
     """(phi, v . n_f) over the interface: velocity rows x head columns.
 
     The coupled system uses this block once as assembled and once as its
     exact transpose with a minus sign, which keeps the pairing
     algebraically skew-symmetric.
     """
-    return _matrix(space, _coupling_form(space), "velocity", "head", expanded)
+    return _matrix(space, _coupling_form(space), "velocity", "head")
 
 
-def pressure_mass_matrix(space, expanded=False):
+def pressure_mass_matrix(space):
     """(p, q) over the fluid region, P1 x P1."""
     tris, _, det, _ = _geometry(space, FLUID)
     rnodes = space.tri_nodes(1)[tris]
     return _matrix(space, (_contract(det[:, None], _reference(1).mass),
                            rnodes[:, :, None], rnodes[:, None, :]),
-                   "pressure", "pressure", expanded)
+                   "pressure", "pressure")
 
 
 def pressure_mean_vector(space):
@@ -451,11 +442,10 @@ def pressure_mean_vector(space):
 # load vectors
 # ---------------------------------------------------------------------------
 
-def _coupled_vector(space, fu, fh, fp=None):
-    """Coupled free-dof vector from expanded velocity rows (num_nodes, 2),
-    head rows and pressure rows (zero when not given)."""
-    if fp is None:
-        fp = np.zeros(space.mesh.num_vertices)
+def _coupled_vector(space, fu, fh):
+    """Coupled free-dof vector from expanded velocity rows (num_nodes, 2)
+    and head rows; the pressure rows are zero."""
+    fp = np.zeros(space.mesh.num_vertices)
     return np.concatenate([np.ravel(fu), fp, fh])[space.coupled_index]
 
 
@@ -487,7 +477,7 @@ def load_value(space, params, u_raw, phi_raw):
     return float(fu.ravel() @ np.ravel(u_raw) + fh @ np.asarray(phi_raw))
 
 
-def interface_residual_loads(space, r_mass=None, r_normal=None, r_tangential=None):
+def interface_residual_loads(space, r_mass, r_normal, r_tangential):
     """Consistency loads for manufactured solutions with nonzero interface
     residuals.
 
@@ -501,16 +491,13 @@ def interface_residual_loads(space, r_mass=None, r_normal=None, r_tangential=Non
     """
     sv, sh, W, X = _edge_data(space, EDGE_LOAD_DEGREE)
     vec = np.zeros(X.shape)
-    if r_normal is not None:
-        vec -= _evaluate(r_normal, X)[..., None] * space.iface_normals[:, None]
-    if r_tangential is not None:
-        vec -= _evaluate(r_tangential, X)[..., None] * space.iface_tangents[:, None]
+    vec -= _evaluate(r_normal, X)[..., None] * space.iface_normals[:, None]
+    vec -= _evaluate(r_tangential, X)[..., None] * space.iface_tangents[:, None]
     fu = np.zeros((space.num_nodes(space.velocity_degree), 2))
     np.add.at(fu, space.iface_edge_nodes, np.einsum('eq,eqc,qa->eac', W, vec, sv))
     fh = np.zeros(space.num_nodes(space.head_degree))
-    if r_mass is not None:
-        np.add.at(fh, space.iface_edge_head_nodes,
-                  -np.einsum('eq,eq,qa->ea', W, _evaluate(r_mass, X), sh))
+    np.add.at(fh, space.iface_edge_head_nodes,
+              -np.einsum('eq,eq,qa->ea', W, _evaluate(r_mass, X), sh))
     return _coupled_vector(space, fu, fh)
 
 
@@ -545,10 +532,11 @@ def darcy_energy(space, phi_raw, params):
     return float(np.einsum('eqi,eqi,eq->', gp @ params.K_elems, gp, W))
 
 
-def divergence_value(space, q_raw, u_raw, region=FLUID):
-    """Integral of q * div(u), q piecewise linear on vertices."""
-    nodes, _, g, W = _pointwise(space, region, space.velocity_degree)
-    rnodes, vals1, _ = _element_data(space, region, 1, OPERATOR_DEGREE)
+def divergence_value(space, q_raw, u_raw):
+    """Integral over the fluid region of q * div(u), q piecewise linear on
+    vertices."""
+    nodes, _, g, W = _pointwise(space, FLUID, space.velocity_degree)
+    rnodes, vals1, _ = _element_data(space, FLUID, 1, OPERATOR_DEGREE)
     qq = np.asarray(q_raw)[rnodes] @ vals1.T
     divu = np.einsum('elc,eqlc->eq', np.asarray(u_raw)[nodes], g)
     return float(np.einsum('eq,eq,eq->', qq, divu, W))

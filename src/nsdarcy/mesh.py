@@ -82,7 +82,8 @@ class MixedMesh:
 
     def __init__(self, vertices, triangles, tri_tags, boundary_edges, boundary_tags):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        # a copy: validation reorients clockwise rows in place
+        self.triangles = np.array(triangles, dtype=np.int64, order="C")
         self.tri_tags = np.ascontiguousarray(tri_tags, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64).reshape(-1, 2)
         self.boundary_tags = np.ascontiguousarray(boundary_tags, dtype=np.int64)
@@ -541,7 +542,10 @@ def parse_gmsh_subset(text):
                      np.array(bedges).reshape(-1, 2), np.array(btags))
 
     # interface lines are optional; those a file has must match exactly
-    tagged = np.unique(mesh._pair_keys(tagged_iface))
+    listed = mesh._pair_keys(tagged_iface)
+    tagged = np.unique(listed)
+    if len(tagged) != len(listed):
+        raise MeshError("interface line listed more than once")
     derived = mesh._pair_keys(mesh.interface_edges)
     if tagged.size and not np.array_equal(tagged, derived):
         raise UnmatchedInterfaceEdge(

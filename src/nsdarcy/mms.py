@@ -27,7 +27,7 @@ from .workers import run_jobs
 
 __all__ = ["ManufacturedCase", "smooth_case", "representable_case",
            "get_case", "CASE_NAMES", "convergence_study", "solution_errors",
-           "consistency_residual", "StudyResult"]
+           "StudyResult"]
 
 _N_F = np.array([0.0, -1.0])
 _TAU = np.array([1.0, 0.0])
@@ -291,64 +291,6 @@ def solution_errors(space, case, state):
         "err_p_l2": float(np.sqrt(np.einsum('eq,eq,eq->', dp, dp, W))),
         "err_phi_h1": float(np.sqrt(np.einsum('jeq,jeq,eq->', dphi, dphi, Wp))),
     }
-
-
-def consistency_residual(space, case):
-    """Relative discrete weak residual of the exact fields themselves.
-
-    Every form is integrated with the exact field callables (not their
-    interpolants) at load-degree quadrature, against all free discrete test
-    functions, including the derived sources and interface loads.  The
-    result reflects only derivation mistakes and quadrature error, so it
-    must be small on any mesh before convergence rates mean anything.
-
-    The skew stabilization is omitted: the cases are built divergence free,
-    where it vanishes identically.
-    """
-    params = case.params(space.mesh)
-    b = assembly.load_vector(space, params) + case.interface_loads(space)
-
-    vd = space.velocity_degree
-    nodes, vals, grads, W = assembly._pointwise(space, FLUID, vd,
-                                                _ERROR_DEGREE)
-    X = assembly._quad_points(space, FLUID, _ERROR_DEGREE)
-    U = _evaluate(case.u, X, (2,))
-    GU = _evaluate(case.grad_u, X, (2, 2))
-    P = _evaluate(case.p, X)
-    D = 0.5 * (GU + GU.swapaxes(0, 1))
-    conv = np.einsum('cjeq,jeq->ceq', GU, U)
-    loc = (-2 * case.nu * np.einsum('eq,cjeq,eqlj->elc', W, D, grads)
-           - np.einsum('eq,ceq,ql->elc', W, conv, vals)
-           + np.einsum('eq,eq,eqlc->elc', W, P, grads))
-    fu = np.zeros((space.num_nodes(vd), 2))
-    np.add.at(fu, nodes, loc)
-
-    pnodes, vals1, _ = assembly._element_data(space, FLUID, 1, _ERROR_DEGREE)
-    locp = -np.einsum('eq,eq,qr->er', W, GU[0, 0] + GU[1, 1], vals1)
-    fp = np.zeros(space.mesh.num_vertices)
-    np.add.at(fp, pnodes, locp)
-
-    hd = space.head_degree
-    nodes_h, _, grads_h, Wp = assembly._pointwise(space, POROUS, hd,
-                                                  _ERROR_DEGREE)
-    Xp = assembly._quad_points(space, POROUS, _ERROR_DEGREE)
-    KG = np.einsum('ij,jeq->eqi', case.K, _evaluate(case.grad_phi, Xp, (2,)))
-    loch = -np.einsum('eq,eqj,eqlj->el', Wp, KG, grads_h)
-    fh = np.zeros(space.num_nodes(hd))
-    np.add.at(fh, nodes_h, loch)
-    R = b + assembly._coupled_vector(space, fu, fh, fp)
-
-    # interface terms of the weak form, subtracted through the same edge
-    # quadrature the load path uses: -(phi, v.n) - G (u.tau, v.tau) on the
-    # momentum rows and +(u.n_f, psi) on the head rows
-    R += assembly.interface_residual_loads(
-        space,
-        r_mass=lambda x, y: -np.einsum('i...,i->...', _at(case.u, x, y, (2,)), _N_F),
-        r_normal=case.phi,
-        r_tangential=lambda x, y: case.G * np.einsum(
-            'i...,i->...', _at(case.u, x, y, (2,)), _TAU))
-
-    return float(np.linalg.norm(R) / max(np.linalg.norm(b), 1e-30))
 
 
 _ERROR_KEYS = ("err_u_h1", "err_u_l2", "err_p_l2", "err_phi_h1")

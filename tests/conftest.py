@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import coo_matrix
 
 from nsdarcy import assembly
 from nsdarcy.fem import CoupledSpace
@@ -29,6 +30,17 @@ def _lifted(bump):
 
 
 _wavy = _lifted(lambda x: 0.1 * np.sin(np.pi * x))
+
+
+def expanded(space, form, row_kind, col_kind):
+    """The expanded matrix of two fields (every node's dofs, free or not)
+    that an assembly form ``(L, rows, cols)`` sums to, as the coupled solver
+    scatters it; the matrix builders return its free-dof restriction."""
+    L, rows, cols = form
+    return coo_matrix((L.ravel(), (np.broadcast_to(rows, L.shape).ravel(),
+                                   np.broadcast_to(cols, L.shape).ravel())),
+                      shape=(space.fields[row_kind].expanded_size,
+                             space.fields[col_kind].expanded_size)).tocsr()
 
 
 @pytest.fixture(scope="session")

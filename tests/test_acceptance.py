@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import expanded
 from nsdarcy import assembly as asm
 from nsdarcy import mms
 from nsdarcy import solver as slv
@@ -93,7 +94,7 @@ def test_criterion_02_interface_antisymmetry(base_space):
     # the normal-coupling pair contributes u^T C phi - phi^T C^T u = 0 to
     # the system diagonal for any state
     space = base_space
-    Cup = asm.interface_coupling_matrix(space, expanded=True)
+    Cup = expanded(space, asm._coupling_form(space), "velocity", "head")
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(20):

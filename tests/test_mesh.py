@@ -173,6 +173,18 @@ class TestConstructorInvariants:
         r = M.MixedMesh(m.vertices, tris, m.tri_tags, m.boundary_edges, m.boundary_tags)
         assert np.all(M.triangle_areas(r.vertices, r.triangles) > 0)
 
+    def test_reorientation_leaves_the_callers_array_alone(self):
+        m = M.build_rectangle_mesh(1, 2, 1.0)
+        tris = m.triangles.copy()
+        tris[0] = tris[0][[0, 2, 1]]
+        given = tris.copy()
+        r = M.MixedMesh(m.vertices, tris, m.tri_tags, m.boundary_edges,
+                        m.boundary_tags)
+        assert r.triangles is not tris
+        assert np.array_equal(tris, given)
+        assert np.array_equal(r.triangles, m.triangles)
+        assert r.triangles.dtype == np.int64 and r.triangles.flags.c_contiguous
+
     def test_duplicate_vertices_rejected(self):
         m = M.build_rectangle_mesh(1, 2, 1.0)
         verts = m.vertices.copy()
@@ -453,6 +465,17 @@ class TestGmshReader:
         bad = GOLDEN_MSH.replace("7 1 2 5 1 1 3", "7 1 2 5 1 1 3\n12 1 2 4 1 1 3")
         with pytest.raises(M.MeshError, match="more than once"):
             M.parse_gmsh_subset(bad)
+
+    def test_interface_line_listed_twice_is_rejected(self, tmp_path, capsys):
+        # interface edge 3-4 listed again, the other way round
+        bad = (GOLDEN_MSH.replace("$Elements\n11\n", "$Elements\n12\n")
+               .replace("11 1 2 6 1 3 4", "11 1 2 6 1 3 4\n12 1 2 6 1 4 3"))
+        with pytest.raises(M.MeshError, match="interface line listed more"):
+            M.parse_gmsh_subset(bad)
+        path = tmp_path / "dup.msh"
+        path.write_text(bad)
+        assert main(["mesh-info", "--mesh", str(path)]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_triangles_must_have_three_vertices():

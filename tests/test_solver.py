@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import bmat, coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
+from conftest import expanded
 from nsdarcy import assembly as asm
 from nsdarcy import fem, mms
 from nsdarcy.cli import FORCINGS, _scaled
@@ -234,38 +235,44 @@ def _bordered_reference(space, A, rhs):
     return splu(bordered).solve(np.append(rhs, 0.0))[:n]
 
 
+VV = ("velocity", "velocity")
+
+
+def _expanded_blocks(space, params):
+    """The expanded divergence, interface coupling and Darcy matrices."""
+    return (expanded(space, asm._divergence_form(space), "pressure", "velocity"),
+            expanded(space, asm._coupling_form(space), "velocity", "head"),
+            expanded(space, asm._darcy_form(space, params), "head", "head"))
+
+
 def _direct_system(space, params, x=None, dirichlet=None, newton=False):
-    """Direct form of one step at x, built from the public assembly builders
-    (expanded, then restricted and stacked by ``bmat``): the free-dof
-    operator J with the wind of x frozen (Stokes-Darcy when x is None), with
-    ``newton`` plus the derivative of the convection in its wind; the loads
-    less the operator image of the Dirichlet values, whose mean-gauge
-    solution against the Picard J is the next iterate; and the residual
-    F(x) (None when x is None)."""
+    """Direct form of one step at x, built from the assembly forms (summed
+    into expanded matrices, then restricted and stacked by ``bmat``): the
+    free-dof operator J with the wind of x frozen (Stokes-Darcy when x is
+    None), with ``newton`` plus the derivative of the convection in its
+    wind; the loads less the operator image of the Dirichlet values, whose
+    mean-gauge solution against the Picard J is the next iterate; and the
+    residual F(x) (None when x is None)."""
     zero = np.zeros(space.num_velocity_dofs)
     u_dir = space.velocity_node_values(zero, dirichlet).ravel()
-    Auu = (2 * params.nu * asm.strain_matrix(space, expanded=True)
-           + params.G * asm.bjs_matrix(space, expanded=True))
+    Auu = (2 * params.nu * expanded(space, asm._strain_form(space), *VV)
+           + params.G * expanded(space, asm._bjs_form(space), *VV))
     Juu = Auu
     if x is not None:
         u, p, phi = space.split_state(x)
         wind = space.velocity_node_values(u, dirichlet)
-        Auu = Auu + asm.convection_matrix(space, wind, expanded=True)
+        Auu = Auu + expanded(space, asm._convection_form(space, wind), *VV)
         Juu = Auu
         if newton:
-            Juu = Auu + asm.newton_convection_matrix(space, wind,
-                                                     expanded=True)
-    B = asm.divergence_matrix(space, expanded=True)
-    Cup = asm.interface_coupling_matrix(space, expanded=True)
-    D = asm.darcy_matrix(space, params, expanded=True)
-    Bf = asm.restrict(space, B, "pressure", "velocity")
-    Cf = asm.restrict(space, Cup, "velocity", "head")
-    A = bmat([[asm.restrict(space, Juu, "velocity", "velocity"), -Bf.T, Cf],
-              [Bf, None, None],
-              [-Cf.T, None, asm.restrict(space, D, "head", "head")]],
-             format="csc")
+            Juu = Auu + expanded(space, asm._newton_form(space, wind), *VV)
+    B, Cup, D = _expanded_blocks(space, params)
     iu, ip, ih = (space.fields[kind].index
                   for kind in ("velocity", "pressure", "head"))
+    Bf, Cf = B[ip][:, iu], Cup[iu][:, ih]
+    A = bmat([[Juu[iu][:, iu], -Bf.T, Cf],
+              [Bf, None, None],
+              [-Cf.T, None, D[ih][:, ih]]],
+             format="csc")
     b = asm.load_vector(space, params)
     lifted = np.concatenate([(Auu @ u_dir)[iu], (B @ u_dir)[ip],
                              -(Cup.T @ u_dir)[ih]])
@@ -325,7 +332,7 @@ class TestCorrectionStep:
 
 class TestStoredPattern:
     """Each iterate's F(x) and Jacobian are data on the stored pattern of
-    the space, against the public builders."""
+    the space, against the assembly forms summed directly."""
 
     @pytest.mark.parametrize("mesh", ["space", "wavy_space", "p2_head"])
     @pytest.mark.parametrize("newton", [False, True], ids=["picard", "newton"])
@@ -371,7 +378,7 @@ class TestStoredPattern:
             monkeypatch.setattr(owner, name, counting)
 
         for module in (asm, slv, fem):
-            for name in ("coo_matrix", "bmat", "restrict"):
+            for name in ("coo_matrix", "bmat"):
                 if hasattr(module, name):
                     count(module, name)
         for matrix in (coo_matrix, csc_matrix, csr_matrix):
@@ -446,14 +453,12 @@ class TestMeanGauge:
             (first.pattern, first.maps, first.free, first.order)))
         A0 = csr_matrix((second.A0, second.pattern.indices,
                          second.pattern.indptr), shape=second.pattern.shape)
-        B = asm.divergence_matrix(space, expanded=True)
-        Cup = asm.interface_coupling_matrix(space, expanded=True)
-        direct = bmat([[2 * other.nu * asm.strain_matrix(space, expanded=True)
-                        + 2.0 * asm.bjs_matrix(space, expanded=True),
-                        -B.T, Cup],
+        B, Cup, D = _expanded_blocks(space, other)
+        S = expanded(space, asm._strain_form(space), *VV)
+        T = expanded(space, asm._bjs_form(space), *VV)
+        direct = bmat([[2 * other.nu * S + 2.0 * T, -B.T, Cup],
                        [B, None, None],
-                       [-Cup.T, None, asm.darcy_matrix(space, other,
-                                                       expanded=True)]])
+                       [-Cup.T, None, D]])
         gap = abs(A0 - direct).max()
         assert gap <= 1e-14 * abs(direct).max()
 

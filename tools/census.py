@@ -1,17 +1,22 @@
 """Census of the package source: its line count, its defaulted parameters
 (positional and keyword-only parameters of every ``def`` that have a
-default) and those that no call in the source sets.
+default), those that no call in the source sets, and the module-level
+functions and classes that no code in the source reads.
 
 A call sets a parameter by keyword, or by enough positional arguments to
 reach it (``self``/``cls`` are bound through an attribute or a class call);
 a call with ``*args`` or ``**kwargs`` sets all.  Calls match definitions by
-name, and a class call matches the class's ``__init__``.  Gates nothing.
+name, and a class call matches the class's ``__init__``.  A definition is
+read where its name is loaded (as a name or an attribute) or imported
+anywhere outside its own body; strings, such as ``__all__`` entries, are
+not reads.  ``tests/test_surface.py`` pins both lists.
 
 Usage, from the repository root: ``python3 tools/census.py [src/nsdarcy]``.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 files = sorted(Path(sys.argv[1] if len(sys.argv) > 1 else "src/nsdarcy").glob("*.py"))
@@ -48,8 +53,30 @@ for name, fn in defs:
                   and k not in {kw.arg for kw in call.keywords}}
     unset += [f"{name}({p})" for p in wanted]
 
+
+def reads(nodes):
+    """Every name that ``nodes`` load or import, once per occurrence."""
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+# a definition is unread when every read of its name is in its own body
+counts = Counter(reads(nodes))
+unread = [f"{path.stem}.{node.name}" for path, tree in zip(files, trees)
+          for node in tree.body
+          if isinstance(node, ast.FunctionDef | ast.ClassDef)
+          and counts[node.name] == Counter(reads(ast.walk(node)))[node.name]]
+
 print(f"lines: {sum(len(p.read_text().splitlines()) for p in files)}")
 print(f"defaulted parameters: {total}")
 print(f"defaulted parameters no call sets: {len(unset)}")
 for entry in sorted(unset):
+    print(f"  {entry}")
+print(f"definitions no code reads: {len(unread)}")
+for entry in sorted(unread):
     print(f"  {entry}")
