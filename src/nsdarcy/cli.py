@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, assembly, mms, solver
+from . import analysis, assembly, fem, mms, solver
 from .fem import CoupledSpace, InterpolationError, SingularLinearSystem, SpaceError
 from .mesh import (MeshError, build_rectangle_mesh, dump_mesh, load_gmsh_subset,
                    load_mesh, refinement_chain, FLUID, POROUS)
-from .vtk import write_legacy_vtk
-from .workers import WorkerLost, run_jobs
+from .vtk import legacy_vtk, write_legacy_vtk
+from .workers import Jobs, WorkerLost, run_jobs
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -291,37 +291,51 @@ def cmd_solve(cfg):
     config = _solver_config(cfg, case is not None or not cfg["no_convection"])
     if case is not None:
         params = case.params(mesh, sigma=cfg["sigma"])
-        state = case.solve(space, params, config)
+        solve = functools.partial(case.solve, space, params, config)
     else:
         g_f, g_p = FORCINGS[cfg["forcing"]]
         params = assembly.ModelParams(mesh, nu=cfg["nu"], K=cfg["K"],
                                       G=cfg["G"], sigma=cfg["sigma"],
                                       g_f=g_f, g_p=g_p)
-        state = solver.solve_coupled(space, params, config)
+        solve = functools.partial(solver.solve_coupled, space, params, config)
     c_mult = cfg["c_mult"]
 
-    # the checks read only the solved state, so they run as jobs, the
-    # companion (the largest) first; inline, its factors are freed before
-    # the energy report factors the strain matrix
+    # the checks are two-phase jobs (workers.Jobs): the first phase builds
+    # what belongs to the space, the second reads the solved state
     def companion():
-        comp = analysis.compensation_residual(space, params, state=state)
-        return {"e_aux": comp.energy_aux,
-                "compensation_residual": comp.residual}
+        system = [fem.lifting_system(space)]
+
+        def finish(state):
+            # handed over, the lifting's factor is freed once the lifting
+            # is solved, before the companion solve builds its own
+            lifting = fem.discrete_lifting(
+                space, state.u_raw(space)[space.interface_nodes], system.pop())
+            comp = analysis.compensation_residual(space, params, state=state,
+                                                  wind=lifting)
+            return {"e_aux": comp.energy_aux,
+                    "compensation_residual": comp.residual}
+        return finish
 
     def report():
-        part = analysis.verify_energy_estimate(space, params, state,
-                                               c_mult=c_mult).to_dict()
-        if space.num_pressure_dofs <= _INF_SUP_DOF_CAP:
-            part["beta"] = analysis.compute_inf_sup(space).beta
-        return part
+        analysis.strain_factor(space)
+        beta = ({"beta": analysis.compute_inf_sup(space).beta}
+                if space.num_pressure_dofs <= _INF_SUP_DOF_CAP else {})
+        return lambda state: {**analysis.verify_energy_estimate(
+            space, params, state, c_mult=c_mult).to_dict(), **beta}
 
     def errors():
-        return mms.solution_errors(space, case, state)
+        return functools.partial(mms.solution_errors, space, case)
 
     # the companion needs a solution trace that vanishes at the interface
     # endpoints, which Dirichlet data need not
-    energy_jobs = ([companion] if state.dirichlet is None else []) + [report]
-    parts = run_jobs(energy_jobs + ([errors] if case is not None else []))
+    energy_jobs = ([companion] if case is None or case.dirichlet is None
+                   else []) + [report]
+    # a worker forked here runs the first phases while this process solves
+    with Jobs(energy_jobs + ([errors] if case is not None else [])) as jobs:
+        state = solve()
+        jobs.send(state)
+        vtk_text = legacy_vtk(space, state) if cfg["vtk"] else None
+        parts = jobs.results()
     energy = {"e_aux": np.nan, "compensation_residual": np.nan,
               "beta": np.nan}
     for part in parts[:len(energy_jobs)]:
@@ -349,8 +363,8 @@ def cmd_solve(cfg):
     out = _outdir(cfg)
     report_path = os.path.join(out, "report.json")
     _write_json(report_path, payload)
-    if cfg["vtk"]:
-        write_legacy_vtk(os.path.join(out, "fields.vtk"), space, state)
+    if vtk_text is not None:
+        write_legacy_vtk(os.path.join(out, "fields.vtk"), vtk_text)
     print(f"wrote {report_path}")
     print(f"converged={state.converged} iterations={state.iterations} "
           f"residual={state.residual!r}")

@@ -147,24 +147,24 @@ def _check_solution(x, residual, rhs, context):
             "severely ill-conditioned system")
 
 
-def _linear_solve(A, rhs, context, order=None):
+def _linear_solve(A, rhs, context, order=None, lu=None):
     """Solve ``A x = rhs`` for a vector or for every column of a 2-D rhs,
-    with one factorization of A (in ``order``, see ``_factor``); returns x
-    (one row per column of rhs) and the factor."""
-    lu = _factor(A, context, order)
+    with ``lu``, or else one factorization of A (in ``order``, see
+    ``_factor``); returns x (one row per column of rhs) and the factor."""
+    lu = _factor(A, context, order) if lu is None else lu
     x = lu.solve(rhs)
     _check_solution(x, A @ x - rhs, rhs, context)
     return x.T, lu
 
 
-def _prescribed_solve(M, values, known, context):
+def _prescribed_solve(M, values, known, context, lu=None):
     """x with ``x[known] = values[known]`` whose other rows of ``M x``
-    vanish, by one checked solve of ``M[:, free][free]``; ``M`` is CSC, so
-    the column slices come first and build no row-major copy."""
+    vanish, by one checked solve of ``M[:, free][free]`` (by ``lu`` if
+    given); ``M`` is CSC, so the column slices build no row-major copy."""
     free = ~known
     x = np.array(values, dtype=float)
     rhs = -(M[:, known] @ x[known])[free]
-    x[free] = _linear_solve(M[:, free][free], rhs, context)[0]
+    x[free] = _linear_solve(M[:, free][free], rhs, context, lu=lu)[0]
     return x
 
 
@@ -568,7 +568,26 @@ def trace_node_array(space, trace):
     return arr
 
 
-def discrete_lifting(space, trace):
+_LIFTING = "lifting saddle system (the porous triangulation may be too coarse)"
+
+
+def lifting_system(space):
+    """(A, D, M, known, factor): the unit companion strain A, the porous
+    pairing D, the lifting's saddle matrix M of A and D without its pinned
+    row, the mask of its prescribed (interface) unknowns and the factor of
+    M without them.  They depend on the space only, and no space keeps
+    them: the factor must be freed before the companion's is built."""
+    from . import assembly
+
+    A = assembly._companion_strain(space)
+    D = assembly.aux_divergence_matrix(space)
+    M = bmat([[A, D[1:].T], [D[1:], None]], format="csc")
+    zero = np.zeros((len(space.interface_nodes), 2))
+    known = np.pad(space.aux_interface_values(zero)[1], (0, D.shape[0] - 1))
+    return A, D, M, known, _factor(M[:, ~known][~known], _LIFTING)
+
+
+def discrete_lifting(space, trace, system=None):
     """Extend interface velocity data into the porous companion space.
 
     Minimizes the squared strain seminorm subject to the weak-divergence
@@ -577,12 +596,10 @@ def discrete_lifting(space, trace):
     zero values on the outer porous boundary.  ``trace`` is a callable
     ``(x, y) -> (2,)`` or an array aligned with ``space.interface_nodes``;
     it must vanish at interface endpoints (nodes shared with the outer
-    porous boundary).  The saddle system of the companion strain matrix
-    and the pairing without its pinned row is solved with the interface
-    dofs prescribed, and its factor freed before the next is built.
+    porous boundary).  The saddle system of ``lifting_system`` (``system``,
+    or one built here and freed on return) is solved with the interface
+    dofs prescribed.
     """
-    from . import assembly
-
     vals = trace_node_array(space, trace)
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
     fixed = space.aux_node_dof[space.interface_nodes] < 0
@@ -592,15 +609,10 @@ def discrete_lifting(space, trace):
             f"interface data must vanish at interface endpoints "
             f"(max |v| = {worst:.3e})")
 
-    A = assembly._companion_strain(space)
-    D = assembly.aux_divergence_matrix(space)
-    g, on_iface = space.aux_interface_values(vals)
-    pad = (0, D.shape[0] - 1)  # the multipliers, unknown, after velocity
-    coeffs = _prescribed_solve(
-        bmat([[A, D[1:].T], [D[1:], None]], format="csc"),
-        np.pad(g, pad), np.pad(on_iface, pad),
-        "lifting saddle system (the porous triangulation may be too coarse)"
-    )[:len(g)]
+    A, D, M, known, lu = system or lifting_system(space)
+    g = space.aux_interface_values(vals)[0]
+    coeffs = _prescribed_solve(M, np.pad(g, (0, len(known) - len(g))), known,
+                               _LIFTING, lu)[:len(g)]
 
     pair = (D @ coeffs)[1:]
     constraint_residual = float(np.abs(pair).max(initial=0.0))

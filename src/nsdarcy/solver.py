@@ -52,9 +52,9 @@ from scipy.sparse import coo_matrix, csc_matrix, csr_array, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import assembly
-from .fem import (SingularLinearSystem, _check_solution, _evaluate,
-                  _linear_solve, _prescribed_solve, discrete_lifting,
-                  saddle_order, trace_node_array)
+from .fem import (LiftingResult, SingularLinearSystem, _check_solution,
+                  _evaluate, _linear_solve, _prescribed_solve,
+                  discrete_lifting, saddle_order, trace_node_array)
 from .mesh import FLUID, POROUS
 
 __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
@@ -448,8 +448,9 @@ def solve_auxiliary(space, params, state=None, trace=None, wind=None):
     lifting of the same trace.
 
     ``trace`` may be a callable or a per-interface-node array; it is
-    ignored when ``state`` is given.  ``wind`` may be a raw per-node value
-    array or a callable sampled at the companion nodes.
+    ignored when ``state`` is given.  ``wind`` may be the lifting of the
+    same trace, done beforehand, a raw per-node value array or a callable
+    sampled at the companion nodes.
     """
     if state is not None:
         trace_vals = space.velocity_node_values(
@@ -459,9 +460,10 @@ def solve_auxiliary(space, params, state=None, trace=None, wind=None):
     else:
         raise ValueError("either state or trace is required")
 
-    lifting = None
+    lifting = wind if isinstance(wind, LiftingResult) else None
     if wind is None:
         lifting = discrete_lifting(space, trace_vals)
+    if lifting is not None:
         wind_raw = space.node_values("aux", lifting.coeffs)
     elif callable(wind):
         wind_raw = _evaluate(wind, space.node_coords(space.velocity_degree), (2,)).T

@@ -71,8 +71,8 @@ def wavy_space():
 
 @pytest.fixture
 def inline_jobs(monkeypatch):
-    """``workers.run_jobs`` runs every job in the calling process, as on one
-    CPU: for tests that observe a command's work in-process."""
+    """``workers`` runs every job in the calling process, as on one CPU:
+    for tests that observe a command's work in-process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 

@@ -1,17 +1,22 @@
-"""Independent jobs in forked workers: ``workers.run_jobs`` returns what
-running the jobs inline returns, raises what they would raise, and leaves
-no process behind; the commands write the same bytes either way."""
+"""Independent jobs in forked workers: ``workers.Jobs`` and
+``workers.run_jobs`` return what running the jobs inline returns, raise
+what they would raise, and leave no process behind; the commands write the
+same bytes either way."""
 
 import functools
+import gc
 import os
 import signal
 import threading
+import time
+import weakref
 
 import pytest
 
-from nsdarcy import analysis, mms, workers
+from nsdarcy import analysis, fem, mms, solver, workers
 from nsdarcy.cli import EXIT_OK, EXIT_SOLVER, EXIT_VERIFICATION, main
 from nsdarcy.fem import SingularLinearSystem
+from nsdarcy.mesh import build_rectangle_mesh, dump_mesh
 from nsdarcy.solver import NonConvergence
 
 
@@ -102,6 +107,86 @@ class TestRunJobs:
         assert no_child_is_left()
 
 
+def _two_phase(tag, log):
+    """A two-phase job that appends each phase's tag, name and pid to the
+    file ``log``, and returns (tag, the pid of each phase, the value)."""
+    def first():
+        with open(log, "a") as fh:
+            fh.write(f"{tag} first {os.getpid()}\n")
+        first_pid = os.getpid()
+
+        def finish(value):
+            with open(log, "a") as fh:
+                fh.write(f"{tag} second {os.getpid()}\n")
+            return tag, first_pid, os.getpid(), value
+        return finish
+    return first
+
+
+class TestJobs:
+    def test_first_phases_run_in_a_worker_during_the_step(self, cpus,
+                                                          tmp_path):
+        forks = cpus(2)
+        log = tmp_path / "log"
+        with workers.Jobs([_two_phase(tag, log) for tag in "ab"]) as started:
+            # the step: wait until both first phases have run
+            for _ in range(1000):
+                if log.exists() and log.read_text().count("first") == 2:
+                    break
+                time.sleep(0.01)
+            assert "second" not in log.read_text()
+            started.send({"state": 1})
+            results = started.results()
+        assert len(forks) == 1
+        worker = results[0][1]
+        assert worker != os.getpid()
+        assert results == [(tag, worker, worker, {"state": 1})
+                           for tag in "ab"]
+        assert log.read_text().splitlines() == [
+            f"{tag} {phase} {worker}" for phase, tag in
+            [("first", "a"), ("first", "b"), ("second", "a"),
+             ("second", "b")]]
+        assert no_child_is_left()
+
+    def test_inline_each_job_runs_both_phases_after_the_step(self, cpus,
+                                                            tmp_path):
+        forks = cpus(1)
+        log = tmp_path / "log"
+        with workers.Jobs([_two_phase(tag, log) for tag in "ab"]) as started:
+            assert not log.exists()
+            started.send(7)
+            results = started.results()
+        home = os.getpid()
+        assert forks == []
+        assert results == [("a", home, home, 7), ("b", home, home, 7)]
+        assert log.read_text().splitlines() == [
+            f"a first {home}", f"a second {home}", f"b first {home}",
+            f"b second {home}"]
+
+    def test_a_first_phase_failure_is_raised_after_the_jobs_before_it(
+            self, cpus, tmp_path):
+        cpus(2)
+        log = tmp_path / "log"
+        jobs = [_two_phase("a", log),
+                functools.partial(_fail, KeyError, "first phase")]
+        with workers.Jobs(jobs) as started:
+            started.send(1)
+            with pytest.raises(KeyError, match="first phase"):
+                started.results()
+        # the worker ran the first job's second phase before reporting
+        assert [line.split()[:2] for line in log.read_text().splitlines()] \
+            == [["a", "first"], ["a", "second"]]
+        assert no_child_is_left()
+
+    def test_a_failing_step_kills_the_workers(self, cpus):
+        forks = cpus(3)
+        with pytest.raises(ZeroDivisionError):
+            with workers.Jobs([functools.partial(signal.pause)] * 2):
+                1 / 0
+        assert len(forks) == 2
+        assert no_child_is_left()
+
+
 # ---------------------------------------------------------------------------
 # the commands, inline and forked
 # ---------------------------------------------------------------------------
@@ -125,12 +210,17 @@ def _run(tmp_path, tag, argv, capsys):
     ["verify", "--levels", "3"],
     ["verify", "--mesh", "builtin:2x4", "--levels", "2", "--unstable-pair"],
     ["mms", "--case", "smooth"],
-    ["mms", "--case", "representable"]],
+    ["mms", "--case", "representable"],
+    ["solve", "--mesh", "{wavy}", "--vtk"]],
     ids=["solve", "solve-vtk", "solve-smooth", "solve-representable",
          "verify-1", "verify-3", "verify-unstable", "mms-smooth",
-         "mms-representable"])
+         "mms-representable", "solve-wavy-vtk"])
 def test_forked_outputs_are_byte_identical_to_inline(tmp_path, capsys, cpus,
-                                                     argv):
+                                                     interface_maps, argv):
+    wavy = tmp_path / "wavy.txt"
+    wavy.write_text(dump_mesh(interface_maps["wavy"](
+        build_rectangle_mesh(4, 8, 1.0))))
+    argv = [arg.format(wavy=wavy) for arg in argv]
     forks = cpus(1)
     inline = _run(tmp_path, "inline", argv, capsys)
     assert forks == []
@@ -219,3 +309,155 @@ def test_an_unexpected_error_leaves_no_child(tmp_path, cpus, monkeypatch):
         main(["solve", "--mesh", "builtin:2x4", "--out", str(tmp_path / "b")])
     assert no_child_is_left()
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+# ---------------------------------------------------------------------------
+# solve: the checks' first phases overlap the coupled solve
+# ---------------------------------------------------------------------------
+
+def _factor_doing(monkeypatch, action, log=None):
+    """Route every ``fem._factor`` call through ``action(context)`` and, with
+    ``log``, append the pid and the context (without its details) to that
+    file, in whichever process builds the factor."""
+    factor = fem._factor
+
+    def wrapped(A, context, order=None):
+        action(context)
+        if log is not None:
+            with open(log, "a") as fh:
+                brief = context.split(" (")[0].rstrip("0123456789 ")
+                fh.write(f"{os.getpid()} {brief}\n")
+        return factor(A, context, order)
+    for module in (fem, analysis):
+        monkeypatch.setattr(module, "_factor", wrapped)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_the_worker_builds_every_factor_but_the_solves(tmp_path, cpus,
+                                                       monkeypatch, count):
+    # one CPU: every factor at home, each read before the next is built;
+    # two: the worker forked before the solve builds the lifting and
+    # strain factors while this process solves, then the rest of the checks
+    log = tmp_path / "factors"
+    _factor_doing(monkeypatch, lambda context: None, log)
+    cpus(count)
+    assert main(["solve", "--mesh", "builtin:2x4",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    by_pid = {}
+    for line in log.read_text().splitlines():
+        pid, context = line.split(" ", 1)
+        by_pid.setdefault(int(pid), []).append(context)
+    home = by_pid.pop(os.getpid())
+    if count == 1:
+        assert by_pid == {}
+        assert home == ["coupled iteration", "lifting saddle system",
+                        "companion solve", "fluid strain", "Darcy matrix"]
+    else:
+        assert home == ["coupled iteration"]
+        assert list(by_pid.values()) == [[
+            "lifting saddle system", "fluid strain", "companion solve",
+            "Darcy matrix"]]
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_the_lifting_factor_is_freed_before_the_companion_factor(
+        tmp_path, cpus, monkeypatch, count):
+    # in whichever process runs the companion job, the factor handed over
+    # to the lifting is gone once the companion solve builds its own
+    lifting, log = [], tmp_path / "checked"
+    factor = fem._factor
+
+    def checking(A, context, order=None):
+        if context.startswith("companion"):
+            gc.collect()
+            assert [ref() for ref in lifting] == [None]
+            log.write_text(str(os.getpid()))
+        lu = factor(A, context, order)
+        if context.startswith("lifting"):
+            lifting.append(weakref.ref(lu))
+        return lu
+    for module in (fem, analysis):
+        monkeypatch.setattr(module, "_factor", checking)
+    cpus(count)
+    assert main(["solve", "--mesh", "builtin:2x4",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (int(log.read_text()) == os.getpid()) == (count == 1)
+    assert no_child_is_left()
+
+
+def _fail_in(prefix, exc_type):
+    """A ``_factor_doing`` action that raises for contexts from ``prefix``."""
+    def action(context):
+        if context.startswith(prefix):
+            raise exc_type(f"{prefix}: injected")
+    return action
+
+
+@pytest.mark.parametrize("where", ["solve", "fluid strain", "lifting"])
+def test_a_failure_before_or_during_the_solve_is_as_inline(
+        tmp_path, capsys, cpus, monkeypatch, where):
+    # the solve's own failure wins over a worker that is still alive; a
+    # first phase's failure is raised once the solve has returned
+    solved = []
+    if where == "solve":
+        monkeypatch.setattr(solver, "solve_coupled", lambda *a, **k: _fail(
+            NonConvergence, "solve: injected"))
+    else:
+        _factor_doing(monkeypatch, _fail_in(where, SingularLinearSystem))
+        solve = solver.solve_coupled
+
+        def solving(*args, **kwargs):
+            state = solve(*args, **kwargs)
+            solved.append(os.getpid())
+            return state
+        monkeypatch.setattr(solver, "solve_coupled", solving)
+    argv = ["solve", "--mesh", "builtin:2x4"]
+    cpus(1)
+    inline = _run(tmp_path, "inline", argv, capsys)
+    forks = cpus(2)
+    forked = _run(tmp_path, "forked", argv, capsys)
+    assert forks
+    assert inline[0] == EXIT_SOLVER
+    assert f"{where}: injected" in inline[2]
+    assert "Traceback" not in inline[2]
+    assert forked == inline
+    assert forked[3] == {}
+    assert solved == ([] if where == "solve" else [os.getpid()] * 2)
+    assert no_child_is_left()
+
+
+def test_an_early_worker_killed_in_its_first_phase_is_lost(
+        tmp_path, capsys, cpus, monkeypatch):
+    home = os.getpid()
+
+    def killed(context):
+        if context.startswith("lifting"):
+            assert os.getpid() != home, "the job ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+    _factor_doing(monkeypatch, killed)
+    cpus(2)
+    code, _, err, files = _run(
+        tmp_path, "run", ["solve", "--mesh", "builtin:2x4"], capsys)
+    assert code == EXIT_SOLVER
+    assert ("solver failure: job companion() ended without a result: its "
+            f"worker was killed by signal {int(signal.SIGKILL)}") in err
+    assert "Traceback" not in err
+    assert files == {}
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("where", ["solve", "fluid strain"])
+@pytest.mark.parametrize("count", [1, 2])
+def test_an_unexpected_error_escapes_solve_with_its_type(
+        tmp_path, cpus, monkeypatch, where, count):
+    if where == "solve":
+        monkeypatch.setattr(solver, "solve_coupled", lambda *a, **k: _fail(
+            ZeroDivisionError, "solve: injected"))
+    else:
+        _factor_doing(monkeypatch, _fail_in(where, ZeroDivisionError))
+    cpus(count)
+    with pytest.raises(ZeroDivisionError, match=f"{where}: injected"):
+        main(["solve", "--mesh", "builtin:2x4", "--out", str(tmp_path / "a")])
+    assert not (tmp_path / "a").exists()
+    assert no_child_is_left()
