@@ -154,8 +154,9 @@ def load_config(args):
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: "
+                              f"{exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         if not isinstance(data, dict):
@@ -220,7 +221,7 @@ def resolve_mesh(spec):
             return load_gmsh_subset(spec)
         with open(spec) as fh:
             return load_mesh(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read mesh {spec!r}: {exc}") from exc
     except MeshError as exc:
         raise ConfigError(f"bad mesh file {spec!r}: {exc}") from exc
@@ -266,14 +267,29 @@ def _mesh_summary(mesh):
     }
 
 
-def _outdir(cfg):
-    out = cfg["out"]
+def _write_outputs(out, files):
+    """Create the directory ``out`` and write ``files`` into it in order,
+    each ``(name, write, *args)`` by ``write(path, *args)``; return the
+    paths.  A directory or file that cannot be written is a ConfigError
+    naming it, raised once the files written before it are removed (a
+    failing run leaves no partial files)."""
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out!r}: "
                           f"{exc.strerror or exc}") from exc
-    return out
+    paths = []
+    for name, write, *args in files:
+        path = os.path.join(out, name)
+        try:
+            write(path, *args)
+        except OSError as exc:
+            for written in paths:
+                os.remove(written)
+            raise ConfigError(f"cannot write output file {path!r}: "
+                              f"{exc.strerror or exc}") from exc
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +376,10 @@ def cmd_solve(cfg):
     if case is not None:
         payload["errors"] = parts[-1]
 
-    out = _outdir(cfg)
-    report_path = os.path.join(out, "report.json")
-    _write_json(report_path, payload)
+    files = [("report.json", _write_json, payload)]
     if vtk_text is not None:
-        write_legacy_vtk(os.path.join(out, "fields.vtk"), vtk_text)
+        files.append(("fields.vtk", write_legacy_vtk, vtk_text))
+    report_path = _write_outputs(cfg["out"], files)[0]
     print(f"wrote {report_path}")
     print(f"converged={state.converged} iterations={state.iterations} "
           f"residual={state.residual!r}")
@@ -524,9 +539,8 @@ def cmd_verify(cfg):
               "passed": all(c["passed"] for c in checks
                             if c["passed"] is not None),
               "levels": levels, "checks": checks}
-    out = _outdir(cfg)
-    path = os.path.join(out, "verification.json")
-    _write_json(path, bundle)
+    path, = _write_outputs(cfg["out"],
+                           [("verification.json", _write_json, bundle)])
     print(f"wrote {path}")
     for check in checks:
         verdict = {True: "pass", False: "FAIL", None: "skipped"}[check["passed"]]
@@ -576,14 +590,11 @@ def cmd_mms(cfg):
                                     f"{row[key]:.3e} above "
                                     f"{mms.REPRODUCTION_TOL}")
 
-    out = _outdir(cfg)
-    csv_path = os.path.join(out, "rates.csv")
-    study.to_csv(csv_path)
     payload = {"command": "mms", "case": case_name, "levels": levels,
                "rows": study.rows, "final_rates": rates,
                "passed": not failures, "failures": failures}
-    json_path = os.path.join(out, "mms.json")
-    _write_json(json_path, payload)
+    csv_path, json_path = _write_outputs(cfg["out"], [
+        ("rates.csv", study.to_csv), ("mms.json", _write_json, payload)])
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     for row in study.rows:

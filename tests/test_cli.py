@@ -593,6 +593,40 @@ class TestConfigHandling:
         assert not (out / "report.json").exists()
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
+    # a directory takes the name of one output file: its write fails
+    # whatever the permission bits and the user
+    @pytest.mark.parametrize("argv, blocked", [
+        (["solve", "--mesh", "builtin:2x4"], "report.json"),
+        (["solve", "--mesh", "builtin:2x4", "--vtk"], "fields.vtk"),
+        (["verify", "--mesh", "builtin:2x4", "--levels", "1"],
+         "verification.json"),
+        (["mms", "--case", "representable", "--levels", "1"], "mms.json")],
+        ids=["solve", "solve-vtk", "verify", "mms"])
+    def test_an_output_that_cannot_be_written(self, tmp_path, capsys, argv,
+                                              blocked):
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert run(*argv, "--out", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert str(out / blocked) in captured.err
+        assert "Traceback" not in captured.err
+        assert "wrote" not in captured.out
+        # the files written before the failing one are removed
+        assert [p.name for p in out.iterdir()] == [blocked]
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--mesh", "mesh.txt"), ("--mesh", "mesh.msh"),
+        ("--config", "cfg.json")])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys, flag,
+                                              name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe")
+        assert run("mesh-info", flag, str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+        assert "utf-8" in err and "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("solve", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "never")) == EXIT_CONFIG

@@ -186,6 +186,113 @@ class TestJobs:
         assert len(forks) == 2
         assert no_child_is_left()
 
+    def test_a_failed_fork_leaves_its_share_to_the_caller(
+            self, cpus, monkeypatch, tmp_path):
+        # three CPUs, two workers: the second fork fails, so jobs b and d
+        # run in the caller after the step, as inline
+        cpus(3)
+        monkeypatch.setattr(os, "fork", _failing_fork(os.fork, 2))
+        log = tmp_path / "log"
+        jobs = [_two_phase(tag, log) for tag in "abcd"]
+        with workers.Jobs(jobs) as started:
+            _wait_for(log, "first", 2)
+            assert "b first" not in log.read_text()
+            started.send(5)
+            results = started.results()
+        home, worker = os.getpid(), results[0][1]
+        assert worker != home
+        assert results == [("a", worker, worker, 5), ("b", home, home, 5),
+                           ("c", worker, worker, 5), ("d", home, home, 5)]
+        assert no_child_is_left()
+
+    def test_a_worker_lost_before_the_value_is_sent(self, cpus):
+        cpus(2)
+        with workers.Jobs([_die]) as started:
+            # the worker has ended; it stays unreaped for results()
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            started.send(bytes(1 << 20))  # more than any pipe or socket buffer
+            with pytest.raises(workers.WorkerLost,
+                               match=r"job _die\(\) ended without a result: "
+                                     "its worker was killed by signal "
+                                     f"{int(signal.SIGKILL)}"):
+                started.results()
+        assert no_child_is_left()
+
+    @pytest.mark.parametrize("where", ["step", "results"])
+    def test_an_interrupt_leaves_no_child(self, cpus, where):
+        cpus(2)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                with workers.Jobs([lambda: lambda _: signal.pause()]) \
+                        as started:
+                    signal.setitimer(signal.ITIMER_REAL, 0.1)
+                    if where == "step":
+                        time.sleep(10)
+                    started.send(None)
+                    started.results()  # waits on the paused worker
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert no_child_is_left()
+
+
+def _wait_for(log, phase, count):
+    """Wait until the file ``log`` names ``phase`` ``count`` times."""
+    for _ in range(1000):
+        if log.exists() and log.read_text().count(phase) == count:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"{count} {phase} phases never ran")
+
+
+def _failing_fork(fork, failing):
+    """``fork``, except that its ``failing``-th call raises OSError."""
+    calls = []
+
+    def fork_or_fail():
+        calls.append(1)
+        if len(calls) == failing:
+            raise OSError("no process to spare")
+        return fork()
+    return fork_or_fail
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("path", ["success", "failing job", "failing step",
+                                  "lost worker", "failed fork"])
+def test_no_descriptor_is_left_behind(cpus, monkeypatch, path):
+    cpus(3)
+    if path == "failed fork":
+        monkeypatch.setattr(os, "fork", _failing_fork(os.fork, 1))
+    jobs = {"success": [os.getpid] * 4, "failed fork": [os.getpid] * 4,
+            "failing job": [os.getpid, functools.partial(_fail, KeyError, "")],
+            "lost worker": [os.getpid, _die]}
+    before = _open_descriptors()
+    if path == "failing step":
+        with pytest.raises(ZeroDivisionError):
+            with workers.Jobs([functools.partial(signal.pause)] * 2):
+                1 / 0
+    else:
+        try:
+            workers.run_jobs(jobs[path])
+        except (KeyError, workers.WorkerLost):
+            assert path in ("failing job", "lost worker")
+    assert _open_descriptors() == before
+    assert no_child_is_left()
+
 
 # ---------------------------------------------------------------------------
 # the commands, inline and forked

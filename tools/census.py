@@ -1,7 +1,7 @@
-"""Census of the package source: its line count, its defaulted parameters
-(positional and keyword-only parameters of every ``def`` that have a
-default), those that no call in the source sets, and the module-level
-functions and classes that no code in the source reads.
+"""Census of the package source: its line count, in all and per module,
+its defaulted parameters (positional and keyword-only parameters of every
+``def`` that have a default), those that no call in the source sets, and
+the module-level functions and classes that no code in the source reads.
 
 A call sets a parameter by keyword, or by enough positional arguments to
 reach it (``self``/``cls`` are bound through an attribute or a class call);
@@ -72,7 +72,11 @@ unread = [f"{path.stem}.{node.name}" for path, tree in zip(files, trees)
           if isinstance(node, ast.FunctionDef | ast.ClassDef)
           and counts[node.name] == Counter(reads(ast.walk(node)))[node.name]]
 
-print(f"lines: {sum(len(p.read_text().splitlines()) for p in files)}")
+lines = {path.name: len(path.read_text().splitlines()) for path in files}
+print(f"lines: {sum(lines.values())}")
+print("lines by module:")
+for name, count in lines.items():
+    print(f"  {name} {count}")
 print(f"defaulted parameters: {total}")
 print(f"defaulted parameters no call sets: {len(unset)}")
 for entry in sorted(unset):
