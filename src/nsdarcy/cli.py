@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 solver failure,
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .fem import CoupledSpace, InterpolationError, SingularLinearSystem, SpaceEr
 from .mesh import (MeshError, build_rectangle_mesh, dump_mesh, load_gmsh_subset,
                    load_mesh, refinement_chain, FLUID, POROUS)
 from .vtk import legacy_vtk, write_legacy_vtk
-from .workers import Jobs, WorkerLost, run_jobs
+from .workers import Jobs, WorkerLost
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -321,9 +322,10 @@ def cmd_solve(cfg):
     def companion():
         system = [fem.lifting_system(space)]
 
-        def finish(state):
+        def finish(values):
             # handed over, the lifting's factor is freed once the lifting
             # is solved, before the companion solve builds its own
+            state = next(values)
             lifting = fem.discrete_lifting(
                 space, state.u_raw(space)[space.interface_nodes], system.pop())
             comp = analysis.compensation_residual(space, params, state=state,
@@ -336,11 +338,11 @@ def cmd_solve(cfg):
         analysis.strain_factor(space)
         beta = ({"beta": analysis.compute_inf_sup(space).beta}
                 if space.num_pressure_dofs <= _INF_SUP_DOF_CAP else {})
-        return lambda state: {**analysis.verify_energy_estimate(
-            space, params, state, c_mult=c_mult).to_dict(), **beta}
+        return lambda values: {**analysis.verify_energy_estimate(
+            space, params, next(values), c_mult=c_mult).to_dict(), **beta}
 
     def errors():
-        return functools.partial(mms.solution_errors, space, case)
+        return lambda values: mms.solution_errors(space, case, next(values))
 
     # the companion needs a solution trace that vanishes at the interface
     # endpoints, which Dirichlet data need not
@@ -416,18 +418,21 @@ _ENERGY_SUITE = (("driven", 1.0, 1.0, "driven"),
 
 def cmd_verify(cfg):
     """Run the verification bundle over one mesh hierarchy: the base mesh is
-    refined ``levels - 1`` times, and each level's space, coupled layout
-    and strain factorization are built once, before the independent parts
-    run as jobs (``workers.run_jobs``): one per energy-suite dataset, the
-    driven one also running the compensation sweep; one for the inf-sup
-    constant of every level and the inf-sup sweep; one for the uniqueness
-    experiment.  Other per-space results (an inf-sup constant, a lifting)
-    are computed once within the process that needs them and shared by the
-    checks that process runs, not across the bundle.  Solves are memoized
-    per (level, nu, K, forcing) within a process, so the compensation
-    sweep reuses the driven dataset's solves at the default nu and K; the
-    companion problem runs in that sweep only.  The bundle checks the
-    Taylor-Hood pair with a P1 head only."""
+    refined ``levels - 1`` times and each level gets one space.  This
+    process solves every dataset, level by level, while one worker forked
+    before the first solve runs two jobs (``workers.Jobs``): the uniqueness
+    experiment, and the checks.  The checks' first phase builds what reads
+    no state: each level's strain factor, lifting system and inf-sup
+    constant, and the inf-sup sweep.  Their second phase runs the energy
+    report of each state as soon as it is solved and sent, and the
+    compensation sweep; the companion problem runs in that sweep only.
+    Each level solves each (nu, K, forcing) once, so the sweep reuses the
+    suite's solves at the configured nu and K, and solves the datasets of
+    one operator (nu, K) back to back: the later ones reuse the zero-start
+    factor of the first, which is freed at the level's end at the latest
+    (``solver.first_factors_shared``).  Inline the solves run first, then
+    the jobs in turn.  The bundle checks the Taylor-Hood pair with a P1
+    head only."""
     levels = cfg["levels"] or 3
     c_mult = cfg["c_mult"]
     nu, K, sigma, seed = cfg["nu"], cfg["K"], cfg["sigma"], cfg["seed"]
@@ -435,64 +440,74 @@ def cmd_verify(cfg):
     meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)
     spaces = [CoupledSpace(mesh) for mesh in meshes]
     config = _solver_config(cfg, not cfg["no_convection"])
-    solves = {}
 
-    def solved(level, nu, K, forcing):
-        key = (level, nu, repr(K), forcing)
-        if key not in solves:
-            space = spaces[level]
-            g_f, g_p = FORCINGS[forcing]
-            params = assembly.ModelParams(space.mesh, nu=nu, K=K,
-                                          sigma=sigma, g_f=g_f, g_p=g_p)
-            solves[key] = (space, params,
-                           solver.solve_coupled(space, params, config))
-        return solves[key]
+    def params(level, data_nu, data_K, forcing):
+        g_f, g_p = FORCINGS[forcing]
+        return assembly.ModelParams(meshes[level], nu=data_nu, K=data_K,
+                                    sigma=sigma, g_f=g_f, g_p=g_p)
 
-    def dataset(name, data_nu, data_K, forcing):
-        """The dataset's energy reports per level and, for the driven one,
-        the compensation residuals of the configured nu and K."""
-        reports = [analysis.verify_energy_estimate(
-                       *solved(level, data_nu, data_K, forcing),
-                       c_mult=c_mult) for level in range(levels)]
-        if name != "driven":
-            return reports, None
-        return reports, [analysis.compensation_residual(
-                             *solved(level, nu, K, "driven")).residual
-                         for level in range(levels)]
-
-    def inf_sup():
-        """beta on every level, and on the first three levels of the
-        checked pair (P1-P1 with --unstable-pair)."""
-        betas = [analysis.compute_inf_sup(space).beta for space in spaces]
-        sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
-                 if unstable else spaces[:3])
-        return betas, [analysis.compute_inf_sup(space).beta
-                       for space in sweep]
+    # each level solves each (nu, K, forcing) once, for the rows it serves
+    # (the memo), those of one operator (nu, K) back to back
+    def key(row):
+        return row[1], repr(row[2]), row[3]
+    rows = _ENERGY_SUITE + (("compensation", nu, K, "driven"),)
+    operators = [key(row)[:2] for row in rows]
+    memo = {}  # key -> (its first row, the names of the rows it serves)
+    for row in sorted(rows, key=lambda row: operators.index(key(row)[:2])):
+        memo.setdefault(key(row), (row, []))[1].append(row[0])
+    plan = [[(space, names, params(level, *row[1:]))
+             for row, names in memo.values()]
+            for level, space in enumerate(spaces)]
 
     def uniqueness():
         """Two starts on small data."""
-        g_f, g_p = FORCINGS["small"]
-        params = assembly.ModelParams(meshes[0], nu=nu, K=K, sigma=sigma,
-                                      g_f=g_f, g_p=g_p)
-        return analysis.check_uniqueness(spaces[0], params, c_mult=c_mult,
-                                         seed=seed, config=config)
+        report = analysis.check_uniqueness(
+            spaces[0], params(0, nu, K, "small"), c_mult=c_mult, seed=seed,
+            config=config)
+        return lambda values: report
 
-    # the suite's jobs all read each level's coupled layout and strain
-    # factor: built here, before the jobs fork, no worker builds them again
-    for space in spaces:
-        solver.coupled_layout(space, assembly.ModelParams(space.mesh, nu=nu,
-                                                          K=K))
-        analysis.strain_factor(space)
+    def checks():
+        """beta on every level and on the first three levels of the checked
+        pair (P1-P1 with --unstable-pair); then, for each solved state, its
+        energy reports and its compensation residual."""
+        systems = []
+        for space in spaces:
+            analysis.strain_factor(space)
+            systems.append(fem.lifting_system(space))
+        level_betas = [analysis.compute_inf_sup(space).beta
+                       for space in spaces]
+        sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
+                 if unstable else spaces[:3])
+        betas = [analysis.compute_inf_sup(space).beta for space in sweep]
 
-    # the driven dataset with its compensation sweep is the largest job
-    *outcomes, (level_betas, betas), unique = run_jobs(
-        [functools.partial(dataset, *row) for row in _ENERGY_SUITE]
-        + [inf_sup, uniqueness])
-    residuals = outcomes[0][1]
+        def finish(values):
+            suite = {row[0]: [] for row in _ENERGY_SUITE}
+            residuals = []
+            for (space, names, data), state in zip(
+                    itertools.chain(*plan), values):
+                for name in names:
+                    if name in suite:
+                        suite[name].append(analysis.verify_energy_estimate(
+                            space, data, state, c_mult=c_mult))
+                    else:  # the compensation sweep: the level's lifting
+                        # factor is freed once the lifting is solved, before
+                        # the companion solve builds its own
+                        trace = state.u_raw(space)[space.interface_nodes]
+                        lifting = fem.discrete_lifting(space, trace,
+                                                       systems.pop(0))
+                        residuals.append(analysis.compensation_residual(
+                            space, data, trace=trace, wind=lifting).residual)
+            return suite, residuals, level_betas, betas
+        return finish
+
+    with Jobs([uniqueness, checks]) as jobs:
+        for space, solves in zip(spaces, plan):
+            with solver.first_factors_shared(space):
+                for _, _, data in solves:
+                    jobs.send(solver.solve_coupled(space, data, config))
+        unique, (suite, residuals, level_betas, betas) = jobs.results()
 
     # a priori energy bound, balance equality, and pressure bound per dataset
-    suite = {row[0]: reports for row, (reports, _) in zip(_ENERGY_SUITE,
-                                                          outcomes)}
     every = [rep for reps in suite.values() for rep in reps]
     ratios = {name: [rep.bound_ratio for rep in reps]
               for name, reps in suite.items()}

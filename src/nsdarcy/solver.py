@@ -33,7 +33,11 @@ KRYLOV_MAX_ITER = 30 iterations in all.  A run that misses, or returns a
 non-finite x or one whose bordered residual fails the check of every
 direct solve, falls back to factoring the step's own J, which then
 preconditions the steps after it.  The factor lives only as long as the
-solve.
+solve, but for one case: within ``first_factors_shared`` the factor of a
+first step is kept for the next solve on the space, which reuses it if
+its first J is the same bit for bit.  From a zero start without
+Dirichlet data the first J is the operator at zero wind, which depends on
+the space, nu, K and G but not on the loads.
 
 Every factorization uses diagonal pivoting in a symmetric fill-reducing
 order.  Each space stores the pattern of the coupled operator once: the
@@ -47,6 +51,8 @@ rounding and the structural rank of the first Jacobian is that of every
 later one.
 """
 
+import contextlib
+
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_array, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -59,7 +65,7 @@ from .mesh import FLUID, POROUS
 
 __all__ = ["SolverConfig", "CoupledState", "AuxResult", "NonConvergence",
            "SingularLinearSystem", "solve_coupled", "solve_auxiliary",
-           "project_zero_mean", "coupled_layout"]
+           "project_zero_mean", "first_factors_shared"]
 
 # fixed iteration settings, see SolverConfig
 DAMPING_FACTOR = 0.7
@@ -194,14 +200,19 @@ def _coupled_layout(space, forms):
     return A, maps, free, saddle_order(free)
 
 
-def coupled_layout(space, params):
-    """``_coupled_layout`` of ``space``, built on first use and kept on the
-    space: the pattern does not depend on the data, so the forms of any
-    ``params`` on its mesh serve."""
-    if "coupled_layout" not in space._cache:
-        space._cache["coupled_layout"] = _coupled_layout(
-            space, _zero_wind_forms(space, params))
-    return space._cache["coupled_layout"]
+@contextlib.contextmanager
+def first_factors_shared(space):
+    """Within the block, a solve on ``space`` whose first Jacobian equals
+    that of the last first step factored there, bit for bit, reuses its
+    factor: solves from a zero start without Dirichlet data and with the
+    same nu, K and G, whatever their loads.  The one factor kept is dropped
+    before any other coupled factor of the space is built, and on leaving
+    the block."""
+    space._cache["first factor"] = []  # [] or [(first J data, its factor)]
+    try:
+        yield
+    finally:
+        del space._cache["first factor"]
 
 
 class _System:
@@ -213,8 +224,12 @@ class _System:
         self.params = params
         self.config = config
         forms = _zero_wind_forms(space, params)
-        self.pattern, self.maps, self.free, self.order = coupled_layout(
-            space, params)
+        # the pattern does not depend on the data: the forms of the first
+        # dataset on the space lay it out, and the space keeps it
+        if "coupled_layout" not in space._cache:
+            space._cache["coupled_layout"] = _coupled_layout(space, forms)
+        self.pattern, self.maps, self.free, self.order = space._cache[
+            "coupled_layout"]
         self.A0 = np.zeros(self.pattern.nnz)
         for (L, _, _), entry_map in zip(forms, self.maps):
             np.add.at(self.A0, entry_map, L.ravel())
@@ -281,7 +296,8 @@ class _System:
         """Solve the bordered system [[J, m], [m^T, 0]] [x, lam] = [rhs, 0]
         for x: by GMRES preconditioned by the factor of an earlier step of
         this system, or, for the first step and for a step whose GMRES
-        misses, by eliminating lam with the factor of J."""
+        misses, by eliminating lam with the factor of J (the shared one of
+        an equal first J, see ``first_factors_shared``)."""
         b = np.append(rhs, 0.0)
         if self.factor is not None:
             try:
@@ -290,9 +306,16 @@ class _System:
                 pass  # GMRES missed: factor this J instead
         m = np.zeros(J.shape[0])
         m[self.space.offset_p:self.space.offset_phi] = self.mean_vec
-        self.factor = None  # free the lagged factor before the new one
+        # free the lagged and the shared factor before a new one is built
+        first, self.factor = self.factor is None, None
+        shared = self.space._cache.get("first factor")
+        kept, lu = shared.pop() if shared else (None, None)
+        if not (first and kept is not None and np.array_equal(kept, J.data)):
+            lu = None
         (y, z), lu = _linear_solve(J, np.column_stack([rhs, m]), context,
-                                   self.order)
+                                   self.order, lu)
+        if first and shared is not None:
+            shared.append((J.data, lu))
         self.factor = _GaugeFactor(lu, m, z, context)
         x = self.factor.eliminate(y, 0.0)
         _check_solution(x, self.factor.bordered(J, x) - b, b, context)
@@ -404,6 +427,7 @@ def solve_coupled(space, params, config=None, dirichlet=None,
     data, F = sys.linearize(x)
     for it in range(1, config.max_iter + 1):
         J = sys.jacobian(data, x, newton=scheme == "newton")
+        del data  # not read while J is factored
         step = sys.gauge_and_solve(J, -F, f"coupled iteration {it}")
         x = x + alpha * step
         data, F = sys.linearize(x)

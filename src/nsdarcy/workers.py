@@ -1,21 +1,25 @@
 """Independent jobs run side by side in forked workers.
 
 A job has two phases: ``job()`` runs the first, which reads no state, and
-returns ``finish``; ``finish(value)`` runs the second on the value of the
-caller's own step.  ``with Jobs(jobs) as started`` forks, before the step,
-one worker per further CPU the process may use (``os.sched_getaffinity``)
-and deals them the jobs round-robin.  Each worker talks to the caller over
-one socket pair.  A worker runs its first phases in order, up to the first
-that raises, then, once ``started.send(value)`` has pickled the value to
-it, its second phases; it pickles each outcome back over the same channel
-and leaves by ``os._exit``.  ``started.results()`` reaps the workers and
-returns ``[job()(value) for job in jobs]``, or raises the exception of the
+returns ``finish``; ``finish(values)`` runs the second on an iterator over
+the values of the caller's own steps, in the order sent, each as soon as
+it arrives (a job that reads one value takes ``next(values)``).
+``with Jobs(jobs) as started`` forks, before the steps, one worker per
+further CPU the process may use (``os.sched_getaffinity``) and deals them
+the jobs round-robin.  Each worker talks to the caller over one socket
+pair, which a thread of the worker reads from the moment it is forked: so
+``started.send(value)``, which may be repeated, never waits for a first
+phase or a check.  A worker runs its first phases in order, up to the
+first that raises, then its second phases; it pickles each outcome back
+over the same channel and leaves by ``os._exit``.  ``started.results()``
+ends the values, reaps the workers and returns
+``[job()(iter(values)) for job in jobs]``, or raises the exception of the
 first job in list order that raised, as inline; a job whose worker ended
 without its result is a ``WorkerLost`` naming it.  Leaving the block by an
 exception kills and reaps the workers.  ``run_jobs`` runs its first job as
 the step and the rest with no first phase.
 
-Inline, each job runs both phases in turn after the step: when the
+Inline, each job runs both phases in turn after the steps: when the
 process may use one CPU, when ``os.fork`` or ``os.sched_getaffinity`` is
 missing, or when the process runs other Python threads, which a fork would
 copy in whatever state they are in.  (OpenBLAS stops its own thread pool
@@ -25,8 +29,10 @@ factor, is filled again in each process that needs it.
 """
 
 import functools
+import itertools
 import os
 import pickle
+import queue
 import signal
 import socket
 import threading
@@ -63,39 +69,59 @@ def _outcome(call, *args):
         return False, exc
 
 
+def _unpickled(channel):
+    """What the other end pickled into ``channel``, up to where it ends."""
+    with channel.makefile("rb") as fh:
+        while True:
+            try:
+                yield pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError, ConnectionError):
+                return  # the end, or cut short
+
+
+def _values(channel):
+    """The values sent to a worker, read on a thread as they arrive: each
+    call of the result replays them in order, waiting for the next."""
+    arrived, seen = queue.SimpleQueue(), []
+
+    def read():
+        for value in _unpickled(channel):
+            arrived.put((value,))
+        arrived.put(())  # the end
+
+    def replay():
+        for k in itertools.count():
+            if k == len(seen):
+                item = arrived.get()
+                if not item:
+                    arrived.put(item)  # the end, for the next phase too
+                    return
+                seen.append(*item)
+            yield seen[k]
+    threading.Thread(target=read, daemon=True).start()
+    return replay
+
+
 def _serve(jobs, share, channel):
-    """A worker's life: run its share's first phases, read the value from
-    ``channel`` and send back each second phase's outcome through it.
-    Never returns; any failure to report, an unpicklable result included,
-    exits 1."""
+    """A worker's life: read the values on a thread, run its share's first
+    phases, send each second phase's outcome back through ``channel``.
+    Never returns; a failure to report, say an unpicklable result, exits 1."""
     code = 1
     try:
+        values = _values(channel)
         prepared = []
         for i in share:
             prepared.append((i, _outcome(jobs[i])))
             if not prepared[-1][1][0]:
                 break
-        value = pickle.load(channel.makefile("rb"))
         for i, (ok, finish) in prepared:
-            outcome = _outcome(finish, value) if ok else (ok, finish)
+            outcome = _outcome(finish, values()) if ok else (ok, finish)
             channel.sendall(pickle.dumps((i, outcome)))
             if not outcome[0]:
                 break
         code = 0
     finally:
         os._exit(code)
-
-
-def _received(channel):
-    """The outcomes a worker sent, up to where its stream ends."""
-    outcomes = {}
-    with channel, channel.makefile("rb") as fh:
-        while True:
-            try:
-                i, outcome = pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError, ConnectionError):
-                return outcomes  # the end, or cut short
-            outcomes[i] = outcome
 
 
 def _ended(code):
@@ -108,7 +134,7 @@ class Jobs:
     caller's own step (see the module doc)."""
 
     def __init__(self, jobs):
-        self.jobs = jobs
+        self.jobs, self.values = jobs, []
         self.workers = {}  # pid -> (this end of its channel, its share)
         count = max(min(len(jobs), _usable_cpus() - 1), 0)
         self.local = [] if count else list(range(len(jobs)))
@@ -144,8 +170,9 @@ class Jobs:
             os.waitpid(pid, 0)
 
     def send(self, value):
-        """Hand ``value``, what the caller's step made, to the jobs."""
-        self.value, data = value, pickle.dumps(value)
+        """Hand ``value``, the next result of the caller's steps, on."""
+        self.values.append(value)
+        data = pickle.dumps(value)
         for channel, _ in self.workers.values():
             try:
                 channel.sendall(data)
@@ -153,16 +180,20 @@ class Jobs:
                 pass
 
     def results(self):
-        """``[job()(value) for job in jobs]``, or what it would raise."""
+        """``[job()(iter(values)) for job in jobs]``, or what it raises."""
+        for channel, _ in self.workers.values():
+            channel.shutdown(socket.SHUT_WR)  # no value follows
         outcomes = {}
         for i in self.local:
             ok, finish = _outcome(self.jobs[i])
-            outcomes[i] = _outcome(finish, self.value) if ok else (ok, finish)
+            outcomes[i] = (_outcome(finish, iter(self.values)) if ok
+                           else (ok, finish))
             if not outcomes[i][0]:
                 break
         exit_codes = {}  # job index -> exit code of the worker that held it
         for pid, (channel, share) in list(self.workers.items()):
-            outcomes.update(_received(channel))
+            with channel:
+                outcomes.update(_unpickled(channel))
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del self.workers[pid]
             exit_codes.update(dict.fromkeys(share, code))

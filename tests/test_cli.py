@@ -205,18 +205,28 @@ class TestVerify:
     def test_companion_runs_in_the_compensation_sweep_only(self, tmp_path,
                                                            monkeypatch):
         # one companion solve per level: the driven dataset at the
-        # configured nu and K, whose residual the compensation check reads
-        spaces = []
+        # configured nu and K, whose residual the compensation check reads;
+        # inline and forked, each process that runs one logs it with the
+        # size of its mesh
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            log = tmp_path / f"companions{cpus}"
 
-        def counting(space, *args, **kwargs):
-            spaces.append(space)
-            return solver.solve_auxiliary(space, *args, **kwargs)
-        monkeypatch.setattr(analysis, "solve_auxiliary", counting)
-        # this coarse base fails the inf-sup spread, which reads no companion
-        assert run("verify", "--mesh", "builtin:2x4", "--levels", "2",
-                   "--out", str(tmp_path / "run")) == EXIT_VERIFICATION
-        assert len(spaces) == 2
-        assert spaces[0] is not spaces[1]
+            def counting(space, *args, log=log, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {space.mesh.num_triangles}\n")
+                return solver.solve_auxiliary(space, *args, **kwargs)
+            monkeypatch.setattr(analysis, "solve_auxiliary", counting)
+            # this coarse base fails the inf-sup spread, which reads no
+            # companion
+            assert run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+                       "--out", str(tmp_path / f"run{cpus}")) \
+                == EXIT_VERIFICATION
+            sizes = [int(line.split()[1]) for line in
+                     log.read_text().splitlines()]
+            assert len(sizes) == 2
+            assert sizes[0] != sizes[1]
 
     def test_bundle_passes_on_stable_pair(self, tmp_path):
         # the inf-sup spread criterion is calibrated for meshes from 4x8 up;
@@ -349,19 +359,27 @@ class TestVerify:
 
     def test_strain_matrices_are_assembled_once_per_space(self, tmp_path,
                                                           monkeypatch):
-        calls = Counter()
+        # inline and forked, each process that assembles a strain matrix
+        # logs its region
         original = assembly.strain_matrix
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            log = tmp_path / f"strains{cpus}"
 
-        def counted(space, region, *args, **kwargs):
-            calls[region] += 1
-            return original(space, region, *args, **kwargs)
-        monkeypatch.setattr(assembly, "strain_matrix", counted)
-        run("verify", "--mesh", "builtin:2x4", "--levels", "2",
-            "--out", str(tmp_path / "run"))
-        # per level: the fluid strain shared by the coupled solves, the
-        # reports and the strain factorization; the porous strain shared by
-        # the liftings and the companion solves
-        assert calls == {FLUID: 2, POROUS: 2}
+            def counted(space, region, *args, log=log, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {region}\n")
+                return original(space, region, *args, **kwargs)
+            monkeypatch.setattr(assembly, "strain_matrix", counted)
+            run("verify", "--mesh", "builtin:2x4", "--levels", "2",
+                "--out", str(tmp_path / f"run{cpus}"))
+            calls = Counter(int(line.split()[1])
+                            for line in log.read_text().splitlines())
+            # per level: the fluid strain shared by the coupled solves, the
+            # reports and the strain factorization; the porous strain
+            # shared by the liftings and the companion solves
+            assert calls == {FLUID: 2, POROUS: 2}
 
     def test_compensation_sweep_solves_the_configured_dataset(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", nu=0.5, K=2.0)

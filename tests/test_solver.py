@@ -527,6 +527,73 @@ class TestLaggedFactor:
         self._same_iteration(state, solution)
 
 
+def _same_state(state, reference):
+    """Two solves that ran the same arithmetic: equal bit for bit."""
+    for name in ("u", "p", "phi", "F", "b"):
+        assert np.array_equal(getattr(state, name), getattr(reference, name))
+    assert state.transcript == reference.transcript
+
+
+class TestSharedFirstFactor:
+    """Within ``first_factors_shared``, a solve whose first Jacobian equals
+    the last first Jacobian factored reuses that factor, and the result is
+    the one of a solve of its own."""
+
+    def test_the_first_solve_of_a_space_builds_its_forms_once(
+            self, params, monkeypatch):
+        calls = []
+        forms = slv._zero_wind_forms
+
+        def counting(*args):
+            calls.append(1)
+            return forms(*args)
+        monkeypatch.setattr(slv, "_zero_wind_forms", counting)
+        space = CoupledSpace(params.mesh)  # no coupled layout yet
+        slv.solve_coupled(space, params)
+        assert len(calls) == 1  # the layout is built from the values' forms
+
+    def test_loads_on_one_operator_share_its_zero_start_factor(
+            self, params, monkeypatch):
+        space = CoupledSpace(params.mesh)
+        head = asm.ModelParams(space.mesh, nu=1.0, g_p=forcing_p)
+        viscous = asm.ModelParams(space.mesh, nu=0.5, K=2.0, g_f=forcing_f,
+                                  g_p=forcing_p)
+        alone = [slv.solve_coupled(space, data)
+                 for data in (params, head, viscous, head)]
+        calls = _count_factors(monkeypatch)
+        with slv.first_factors_shared(space):
+            shared = [slv.solve_coupled(space, data)
+                      for data in (params, head, viscous, head)]
+            # a random start has another first J: no factor is reused
+            x0 = 0.1 * np.random.default_rng(2).standard_normal(
+                space.num_total_dofs)
+            slv.solve_coupled(space, params, initial_state=x0)
+        assert "first factor" not in space._cache
+        # driven and head-driven share one factor; viscous breaks the run,
+        # so the last head-driven solve factors again
+        assert calls == {"coupled iteration": 4}
+        for state, reference in zip(shared, alone):
+            _same_state(state, reference)
+
+    def test_a_solve_on_a_shared_factor_that_misses_factors_its_own(
+            self, params, monkeypatch):
+        space = CoupledSpace(params.mesh)
+        head = asm.ModelParams(space.mesh, nu=1.0, g_p=forcing_p)
+        with monkeypatch.context() as short:
+            short.setattr(slv, "KRYLOV_MAX_ITER", 1)
+            alone = slv.solve_coupled(space, head)
+        calls = _count_factors(monkeypatch)
+        with slv.first_factors_shared(space):
+            slv.solve_coupled(space, params)
+            monkeypatch.setattr(slv, "KRYLOV_MAX_ITER", 1)
+            shared = slv.solve_coupled(space, head)
+        # the driven solve's one factor, then each head-driven step after
+        # the first, which reuses it, misses and factors its own J
+        assert shared.iterations > 1
+        assert calls == {"coupled iteration": shared.iterations}
+        _same_state(shared, alone)
+
+
 @pytest.fixture(scope="module")
 def aux(space, params, solution):
     return slv.solve_auxiliary(space, params, state=solution)

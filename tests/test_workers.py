@@ -5,6 +5,7 @@ same bytes either way."""
 
 import functools
 import gc
+import itertools
 import os
 import signal
 import threading
@@ -109,13 +110,15 @@ class TestRunJobs:
 
 def _two_phase(tag, log):
     """A two-phase job that appends each phase's tag, name and pid to the
-    file ``log``, and returns (tag, the pid of each phase, the value)."""
+    file ``log``, the second once it has the first value, and returns (tag,
+    the pid of each phase, that value)."""
     def first():
         with open(log, "a") as fh:
             fh.write(f"{tag} first {os.getpid()}\n")
         first_pid = os.getpid()
 
-        def finish(value):
+        def finish(values):
+            value = next(values)
             with open(log, "a") as fh:
                 fh.write(f"{tag} second {os.getpid()}\n")
             return tag, first_pid, os.getpid(), value
@@ -240,6 +243,104 @@ class TestJobs:
         assert no_child_is_left()
 
 
+def _reading(count=None):
+    """A job whose second phase returns the first ``count`` values sent,
+    or every value with ``count`` None."""
+    def first():
+        return lambda values: list(itertools.islice(values, count))
+    return first
+
+
+def _logging_reads(log):
+    """A job whose second phase appends "read" to the file ``log`` for each
+    value it reads, and returns the values."""
+    def first():
+        def finish(values):
+            seen = []
+            for value in values:
+                seen.append(value)
+                with open(log, "a") as fh:
+                    fh.write(f"read {value}\n")
+            return seen
+        return finish
+    return first
+
+
+def _waiting_for(marker):
+    """A job whose first phase waits up to 10 s for the file ``marker``;
+    its second phase returns the length of each value."""
+    def first():
+        for _ in range(1000):
+            if marker.exists():
+                return lambda values: [len(value) for value in values]
+            time.sleep(0.01)
+        raise TimeoutError("the marker was never made")
+    return first
+
+
+def _dying_after_one():
+    def finish(values):
+        next(values)
+        _die()
+    return finish
+
+
+class TestStreamedValues:
+    def test_no_send_waits_for_a_first_phase(self, cpus, tmp_path):
+        # the first phase ends only once every value is sent: 1.2 MB, more
+        # than a socket buffer holds unread
+        forks = cpus(2)
+        marker = tmp_path / "marker"
+        with workers.Jobs([_waiting_for(marker)]) as started:
+            for _ in range(4):
+                started.send(bytes(300_000))
+            marker.touch()
+            assert started.results() == [[300_000] * 4]
+        assert len(forks) == 1
+        assert no_child_is_left()
+
+    def test_second_phases_read_the_values_in_order(self, cpus):
+        # two workers: the first runs jobs 0 and 2, which both read every
+        # value, the second job 1, which reads the first only
+        values = [{"k": k} for k in range(4)] + [bytes(500_000), None]
+        jobs = [_reading(), _reading(1), _reading()]
+        results = {}
+        for count in (1, 3):
+            forks = cpus(count)
+            with workers.Jobs(jobs) as started:
+                for value in values:
+                    started.send(value)
+                results[count] = started.results()
+            assert len(forks) == count - 1
+        assert results[3] == results[1] == [values, values[:1], values]
+        assert no_child_is_left()
+
+    def test_a_second_phase_reads_each_value_as_it_arrives(self, cpus,
+                                                          tmp_path):
+        cpus(2)
+        log = tmp_path / "log"
+        with workers.Jobs([_logging_reads(log)]) as started:
+            for k in range(3):
+                started.send(k)
+                _wait_for(log, "read", k + 1)
+            assert started.results() == [[0, 1, 2]]
+        assert no_child_is_left()
+
+    def test_a_worker_killed_mid_stream_is_lost(self, cpus):
+        cpus(2)
+        with workers.Jobs([_dying_after_one]) as started:
+            started.send(1)
+            # the worker has ended; it stays unreaped for results()
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            started.send(bytes(1 << 20))
+            with pytest.raises(workers.WorkerLost,
+                               match=r"job _dying_after_one\(\) ended without "
+                                     "a result: its worker was killed by "
+                                     f"signal {int(signal.SIGKILL)}"):
+                started.results()
+        assert no_child_is_left()
+
+
 def _wait_for(log, phase, count):
     """Wait until the file ``log`` names ``phase`` ``count`` times."""
     for _ in range(1000):
@@ -272,7 +373,7 @@ def _open_descriptors():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 @pytest.mark.parametrize("path", ["success", "failing job", "failing step",
-                                  "lost worker", "failed fork"])
+                                  "lost worker", "failed fork", "streamed"])
 def test_no_descriptor_is_left_behind(cpus, monkeypatch, path):
     cpus(3)
     if path == "failed fork":
@@ -285,6 +386,11 @@ def test_no_descriptor_is_left_behind(cpus, monkeypatch, path):
         with pytest.raises(ZeroDivisionError):
             with workers.Jobs([functools.partial(signal.pause)] * 2):
                 1 / 0
+    elif path == "streamed":
+        with workers.Jobs([_reading()] * 3) as started:
+            for _ in range(3):
+                started.send(bytes(300_000))
+            assert started.results() == [[bytes(300_000)] * 3] * 3
     else:
         try:
             workers.run_jobs(jobs[path])
@@ -567,4 +673,74 @@ def test_an_unexpected_error_escapes_solve_with_its_type(
     with pytest.raises(ZeroDivisionError, match=f"{where}: injected"):
         main(["solve", "--mesh", "builtin:2x4", "--out", str(tmp_path / "a")])
     assert not (tmp_path / "a").exists()
+    assert no_child_is_left()
+
+
+# ---------------------------------------------------------------------------
+# verify: this process solves, one worker checks each state as it arrives
+# ---------------------------------------------------------------------------
+
+VERIFY_2X4 = ["verify", "--mesh", "builtin:2x4", "--levels", "2"]
+
+
+def test_verify_shares_the_zero_start_factor_of_one_operator(
+        tmp_path, cpus, monkeypatch):
+    # per level, the driven and head-driven datasets (nu = K = G = 1, zero
+    # start) share one factor and the viscous one has its own; then the
+    # two uniqueness starts factor theirs
+    contexts = []
+    _factor_doing(monkeypatch, contexts.append)
+    cpus(1)
+    assert main([*VERIFY_2X4, "--out", str(tmp_path / "out")]) \
+        == EXIT_VERIFICATION  # the coarse base fails the inf-sup spread
+    assert contexts.count("coupled iteration 1") == 6
+
+
+def test_verify_solves_at_home_and_checks_in_one_worker(tmp_path, cpus,
+                                                        monkeypatch):
+    # one CPU: every factor at home, the solves first; two: the worker
+    # builds every factor but the suite's solves, in the same order
+    log = tmp_path / "factors"
+    _factor_doing(monkeypatch, lambda context: None, log)
+    by_pid = {}
+    for count in (1, 2):
+        cpus(count)
+        assert main([*VERIFY_2X4, "--out", str(tmp_path / f"out{count}")]) \
+            == EXIT_VERIFICATION
+        by_pid[count] = {}
+        for line in log.read_text().splitlines():
+            pid, context = line.split(" ", 1)
+            by_pid[count].setdefault(int(pid), []).append(context)
+        log.unlink()
+    home = by_pid[2].pop(os.getpid())
+    assert home == ["coupled iteration"] * 4
+    worker, = by_pid[2].values()
+    assert worker[0] == "coupled iteration"  # uniqueness first
+    assert worker.count("coupled iteration") == 2
+    assert by_pid[1] == {os.getpid(): home + worker}
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_verify_never_holds_two_coupled_factors(tmp_path, cpus, monkeypatch,
+                                                count):
+    # in every process, each coupled factor is gone before the next is
+    # built: a shared one included
+    held = []
+    factor = fem._factor
+
+    def checking(A, context, order=None):
+        if context.startswith("coupled"):
+            gc.collect()
+            assert [ref() for ref in held if ref() is not None] == []
+        lu = factor(A, context, order)
+        if context.startswith("coupled"):
+            held.append(weakref.ref(lu))
+        return lu
+    for module in (fem, analysis):
+        monkeypatch.setattr(module, "_factor", checking)
+    cpus(count)
+    assert main([*VERIFY_2X4, "--out", str(tmp_path / "out")]) \
+        == EXIT_VERIFICATION
+    assert held
     assert no_child_is_left()

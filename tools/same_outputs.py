@@ -1,10 +1,11 @@
-"""Run eight fixed CLI commands in two source trees and compare what they
+"""Run ten fixed CLI commands in two source trees and compare what they
 leave: the output files byte for byte, stdout and stderr (with the output
 directory replaced by ``<out>``) and the exit codes.
 
 Each command runs as ``python3 -m nsdarcy.cli ... --out DIR`` with the
 tree's ``src`` on ``PYTHONPATH`` and one BLAS thread, one command at a
-time.  One line is printed per command; the exit status is 1 if any
+time.  ``{name}`` in a command is the path of a config file holding
+``CONFIGS[name]``.  One line is printed per command; the exit status is 1 if any
 command differs.  Gates nothing.
 
 Usage, from the repository root:
@@ -12,6 +13,7 @@ Usage, from the repository root:
 are source trees (CHANGE defaults to this repository).
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -28,7 +30,12 @@ COMMANDS = [
     "solve --case smooth --vtk",
     "verify --mesh builtin:2x4 --levels 2 --unstable-pair",
     "solve --mesh builtin:8x16 --no-convection",
+    # the compensation sweep reuses the viscous dataset's solves
+    "verify --levels 3 --config {viscous}",
+    "verify --mesh builtin:2x4 --levels 1",
 ]
+
+CONFIGS = {"viscous": {"nu": 0.5, "K": 2.0}}
 
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
@@ -65,8 +72,11 @@ def main(argv):
     scratch = Path(tempfile.mkdtemp(prefix="same_outputs_"))
     failed = False
     try:
+        configs = {name: scratch / f"{name}.json" for name in CONFIGS}
+        for name, path in configs.items():
+            path.write_text(json.dumps(CONFIGS[name]))
         for k, command in enumerate(COMMANDS):
-            runs = [run(tree, command, scratch / f"{side}{k}")
+            runs = [run(tree, command.format(**configs), scratch / f"{side}{k}")
                     for side, tree in zip(("parent", "change"), trees)]
             found = differences(*runs)
             failed |= bool(found)
