@@ -316,48 +316,46 @@ def cmd_solve(cfg):
                                       g_f=g_f, g_p=g_p)
         solve = functools.partial(solver.solve_coupled, space, params, config)
     c_mult = cfg["c_mult"]
-
-    # the checks are two-phase jobs (workers.Jobs): the first phase builds
-    # what belongs to the space, the second reads the solved state
-    def companion():
-        system = [fem.lifting_system(space)]
-
-        def finish(values):
-            # handed over, the lifting's factor is freed once the lifting
-            # is solved, before the companion solve builds its own
-            state = next(values)
-            lifting = fem.discrete_lifting(
-                space, state.u_raw(space)[space.interface_nodes], system.pop())
-            comp = analysis.compensation_residual(space, params, state=state,
-                                                  wind=lifting)
-            return {"e_aux": comp.energy_aux,
-                    "compensation_residual": comp.residual}
-        return finish
-
-    def report():
-        analysis.strain_factor(space)
-        beta = ({"beta": analysis.compute_inf_sup(space).beta}
-                if space.num_pressure_dofs <= _INF_SUP_DOF_CAP else {})
-        return lambda values: {**analysis.verify_energy_estimate(
-            space, params, next(values), c_mult=c_mult).to_dict(), **beta}
-
-    def errors():
-        return lambda values: mms.solution_errors(space, case, next(values))
-
     # the companion needs a solution trace that vanishes at the interface
     # endpoints, which Dirichlet data need not
-    energy_jobs = ([companion] if case is None or case.dirichlet is None
-                   else []) + [report]
-    # a worker forked here runs the first phases while this process solves
-    with Jobs(energy_jobs + ([errors] if case is not None else [])) as jobs:
+    companion = case is None or case.dirichlet is None
+    small = space.num_pressure_dofs <= _INF_SUP_DOF_CAP
+
+    def warm():
+        if companion:
+            fem.lifting_system(space)
+        analysis.strain_factor(space)
+        if small:
+            analysis.compute_inf_sup(space)
+
+    def check(values):
+        """The companion, beta (up to the cap), the energy report and under
+        a case the error norms, of the solved state."""
+        state = next(values)
+        energy = {"e_aux": np.nan, "compensation_residual": np.nan,
+                  "beta": np.nan}
+        if companion:
+            # the lifting's factor is freed once the lifting is solved,
+            # before the companion solve builds its own
+            lifting = fem.discrete_lifting(
+                space, state.u_raw(space)[space.interface_nodes])
+            comp = analysis.compensation_residual(space, params, state=state,
+                                                  wind=lifting)
+            energy.update(e_aux=comp.energy_aux,
+                          compensation_residual=comp.residual)
+        if small:
+            energy["beta"] = analysis.compute_inf_sup(space).beta
+        energy.update(analysis.verify_energy_estimate(
+            space, params, state, c_mult=c_mult).to_dict())
+        return energy, (None if case is None
+                        else mms.solution_errors(space, case, state))
+
+    # a worker forked here warms while this process solves
+    with Jobs(check, warm) as jobs:
         state = solve()
         jobs.send(state)
         vtk_text = legacy_vtk(space, state) if cfg["vtk"] else None
-        parts = jobs.results()
-    energy = {"e_aux": np.nan, "compensation_residual": np.nan,
-              "beta": np.nan}
-    for part in parts[:len(energy_jobs)]:
-        energy.update(part)
+        energy, errors = jobs.result()
 
     payload = {
         "command": "solve",
@@ -376,7 +374,7 @@ def cmd_solve(cfg):
         "energy": energy,
     }
     if case is not None:
-        payload["errors"] = parts[-1]
+        payload["errors"] = errors
 
     files = [("report.json", _write_json, payload)]
     if vtk_text is not None:
@@ -420,25 +418,28 @@ def cmd_verify(cfg):
     """Run the verification bundle over one mesh hierarchy: the base mesh is
     refined ``levels - 1`` times and each level gets one space.  This
     process solves every dataset, level by level, while one worker forked
-    before the first solve runs two jobs (``workers.Jobs``): the uniqueness
-    experiment, and the checks.  The checks' first phase builds what reads
-    no state: each level's strain factor, lifting system and inf-sup
-    constant, and the inf-sup sweep.  Their second phase runs the energy
-    report of each state as soon as it is solved and sent, and the
-    compensation sweep; the companion problem runs in that sweep only.
-    Each level solves each (nu, K, forcing) once, so the sweep reuses the
-    suite's solves at the configured nu and K, and solves the datasets of
-    one operator (nu, K) back to back: the later ones reuse the zero-start
-    factor of the first, which is freed at the level's end at the latest
-    (``solver.first_factors_shared``).  Inline the solves run first, then
-    the jobs in turn.  The bundle checks the Taylor-Hood pair with a P1
-    head only."""
+    before the first solve runs the check (``workers.Jobs``).  The worker
+    first warms: it builds each level's strain factor and lifting system,
+    and every inf-sup constant.  The check then runs the uniqueness
+    experiment, the energy reports of each state as soon as it is solved
+    and sent, and the compensation sweep; the companion problem runs in
+    that sweep only.  Each level solves each (nu, K, forcing) once, so the
+    sweep reuses the suite's solves at the configured nu and K, and solves
+    the datasets of one operator (nu, K) back to back: the later ones reuse
+    the zero-start factor of the first, which is freed at the level's end
+    at the latest (``solver.first_factors_shared``).  Inline the solves run
+    first, then the check, which builds each level's factors when its first
+    report needs them and the inf-sup constants last.  The bundle checks
+    the Taylor-Hood pair with a P1 head only."""
     levels = cfg["levels"] or 3
     c_mult = cfg["c_mult"]
     nu, K, sigma, seed = cfg["nu"], cfg["K"], cfg["sigma"], cfg["seed"]
     unstable = cfg["unstable_pair"]
     meshes = refinement_chain(resolve_mesh(cfg["mesh"]), levels)
     spaces = [CoupledSpace(mesh) for mesh in meshes]
+    # the inf-sup sweep: the first three levels of the checked pair
+    sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
+             if unstable else spaces[:3])
     config = _solver_config(cfg, not cfg["no_convection"])
 
     def params(level, data_nu, data_K, forcing):
@@ -459,53 +460,46 @@ def cmd_verify(cfg):
              for row, names in memo.values()]
             for level, space in enumerate(spaces)]
 
-    def uniqueness():
-        """Two starts on small data."""
-        report = analysis.check_uniqueness(
-            spaces[0], params(0, nu, K, "small"), c_mult=c_mult, seed=seed,
-            config=config)
-        return lambda values: report
-
-    def checks():
-        """beta on every level and on the first three levels of the checked
-        pair (P1-P1 with --unstable-pair); then, for each solved state, its
-        energy reports and its compensation residual."""
-        systems = []
+    def warm():
         for space in spaces:
             analysis.strain_factor(space)
-            systems.append(fem.lifting_system(space))
+            fem.lifting_system(space)
+        for space in spaces + sweep:
+            analysis.compute_inf_sup(space)
+
+    def check(values):
+        """Two starts on small data; for each solved state, its energy
+        reports and its compensation residual; then beta on every level
+        and over the sweep."""
+        unique = analysis.check_uniqueness(
+            spaces[0], params(0, nu, K, "small"), c_mult=c_mult, seed=seed,
+            config=config)
+        suite = {row[0]: [] for row in _ENERGY_SUITE}
+        residuals = []
+        for (space, names, data), state in zip(itertools.chain(*plan),
+                                               values):
+            for name in names:
+                if name in suite:
+                    suite[name].append(analysis.verify_energy_estimate(
+                        space, data, state, c_mult=c_mult))
+                else:  # the compensation sweep: the level's lifting factor
+                    # is freed once the lifting is solved, before the
+                    # companion solve builds its own
+                    trace = state.u_raw(space)[space.interface_nodes]
+                    lifting = fem.discrete_lifting(space, trace)
+                    residuals.append(analysis.compensation_residual(
+                        space, data, trace=trace, wind=lifting).residual)
         level_betas = [analysis.compute_inf_sup(space).beta
                        for space in spaces]
-        sweep = ([CoupledSpace(mesh, velocity_degree=1) for mesh in meshes[:3]]
-                 if unstable else spaces[:3])
         betas = [analysis.compute_inf_sup(space).beta for space in sweep]
+        return unique, suite, residuals, level_betas, betas
 
-        def finish(values):
-            suite = {row[0]: [] for row in _ENERGY_SUITE}
-            residuals = []
-            for (space, names, data), state in zip(
-                    itertools.chain(*plan), values):
-                for name in names:
-                    if name in suite:
-                        suite[name].append(analysis.verify_energy_estimate(
-                            space, data, state, c_mult=c_mult))
-                    else:  # the compensation sweep: the level's lifting
-                        # factor is freed once the lifting is solved, before
-                        # the companion solve builds its own
-                        trace = state.u_raw(space)[space.interface_nodes]
-                        lifting = fem.discrete_lifting(space, trace,
-                                                       systems.pop(0))
-                        residuals.append(analysis.compensation_residual(
-                            space, data, trace=trace, wind=lifting).residual)
-            return suite, residuals, level_betas, betas
-        return finish
-
-    with Jobs([uniqueness, checks]) as jobs:
+    with Jobs(check, warm) as jobs:
         for space, solves in zip(spaces, plan):
             with solver.first_factors_shared(space):
                 for _, _, data in solves:
                     jobs.send(solver.solve_coupled(space, data, config))
-        unique, (suite, residuals, level_betas, betas) = jobs.results()
+        unique, suite, residuals, level_betas, betas = jobs.result()
 
     # a priori energy bound, balance equality, and pressure bound per dataset
     every = [rep for reps in suite.values() for rep in reps]

@@ -572,11 +572,13 @@ _LIFTING = "lifting saddle system (the porous triangulation may be too coarse)"
 
 
 def lifting_system(space):
-    """(A, D, M, known, factor): the unit companion strain A, the porous
-    pairing D, the lifting's saddle matrix M of A and D without its pinned
-    row, the mask of its prescribed (interface) unknowns and the factor of
-    M without them.  They depend on the space only, and no space keeps
-    them: the factor must be freed before the companion's is built."""
+    """Build the lifting's saddle system into a one-shot slot of the space,
+    which its next ``discrete_lifting`` empties: (A, D, M, known, factor),
+    the unit companion strain A, the porous pairing D, the saddle matrix M
+    of A and D without its pinned row, the mask of its prescribed
+    (interface) unknowns and the factor of M without them.  They depend on
+    the space only; the factor is freed once the lifting is solved, before
+    the companion's is built."""
     from . import assembly
 
     A = assembly._companion_strain(space)
@@ -584,10 +586,11 @@ def lifting_system(space):
     M = bmat([[A, D[1:].T], [D[1:], None]], format="csc")
     zero = np.zeros((len(space.interface_nodes), 2))
     known = np.pad(space.aux_interface_values(zero)[1], (0, D.shape[0] - 1))
-    return A, D, M, known, _factor(M[:, ~known][~known], _LIFTING)
+    space._cache["lifting system"] = (
+        A, D, M, known, _factor(M[:, ~known][~known], _LIFTING))
 
 
-def discrete_lifting(space, trace, system=None):
+def discrete_lifting(space, trace):
     """Extend interface velocity data into the porous companion space.
 
     Minimizes the squared strain seminorm subject to the weak-divergence
@@ -596,9 +599,9 @@ def discrete_lifting(space, trace, system=None):
     zero values on the outer porous boundary.  ``trace`` is a callable
     ``(x, y) -> (2,)`` or an array aligned with ``space.interface_nodes``;
     it must vanish at interface endpoints (nodes shared with the outer
-    porous boundary).  The saddle system of ``lifting_system`` (``system``,
-    or one built here and freed on return) is solved with the interface
-    dofs prescribed.
+    porous boundary).  The saddle system of ``lifting_system``, taken from
+    the space's slot or built here when it is empty, and freed on return,
+    is solved with the interface dofs prescribed.
     """
     vals = trace_node_array(space, trace)
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
@@ -609,7 +612,9 @@ def discrete_lifting(space, trace, system=None):
             f"interface data must vanish at interface endpoints "
             f"(max |v| = {worst:.3e})")
 
-    A, D, M, known, lu = system or lifting_system(space)
+    if "lifting system" not in space._cache:
+        lifting_system(space)
+    A, D, M, known, lu = space._cache.pop("lifting system")
     g = space.aux_interface_values(vals)[0]
     coeffs = _prescribed_solve(M, np.pad(g, (0, len(known) - len(g))), known,
                                _LIFTING, lu)[:len(g)]

@@ -15,15 +15,13 @@ use constant diagonal permeability so the lateral no-flux condition holds
 exactly.
 """
 
-import functools
-
 import numpy as np
 
 from . import assembly
 from .fem import CoupledSpace, _evaluate
 from .mesh import FLUID, POROUS, build_rectangle_mesh, refinement_chain
 from .solver import SolverConfig, solve_coupled
-from .workers import run_jobs
+from .workers import Jobs
 
 __all__ = ["ManufacturedCase", "smooth_case", "representable_case",
            "get_case", "CASE_NAMES", "convergence_study", "solution_errors",
@@ -341,8 +339,10 @@ class StudyResult:
 
 def convergence_study(case, num_levels=4, base=(4, 8), config=None,
                       velocity_degree=2, head_degree=1):
-    """Solve the case on a refinement chain and collect the error norms;
-    each level is a job of ``workers.run_jobs``."""
+    """Solve the case on a refinement chain and collect the error norms.
+    This process solves the finest level (the largest) while the check of a
+    forked worker (``workers.Jobs``) solves the coarser ones, finest first;
+    inline, or with one level, they run in turn in this process."""
     chain = refinement_chain(build_rectangle_mesh(base[0], base[1], 1.0),
                              num_levels)
 
@@ -354,7 +354,11 @@ def convergence_study(case, num_levels=4, base=(4, 8), config=None,
         return {"level": index, "h": mesh.h, "iterations": state.iterations,
                 **solution_errors(space, case, state)}
 
-    # one job per level, the finest (the largest) first
-    rows = run_jobs([functools.partial(level, index)
-                     for index in reversed(range(num_levels))])
+    def coarser(values):
+        return [level(index) for index in reversed(range(num_levels - 1))]
+
+    if num_levels == 1:
+        return StudyResult([level(0)])
+    with Jobs(coarser) as jobs:
+        rows = [level(num_levels - 1)] + jobs.result()
     return StudyResult(rows[::-1])

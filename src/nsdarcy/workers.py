@@ -1,35 +1,30 @@
-"""Independent jobs run side by side in forked workers.
+"""A command's checks run beside its steps, in one forked worker.
 
-A job has two phases: ``job()`` runs the first, which reads no state, and
-returns ``finish``; ``finish(values)`` runs the second on an iterator over
-the values of the caller's own steps, in the order sent, each as soon as
-it arrives (a job that reads one value takes ``next(values)``).
-``with Jobs(jobs) as started`` forks, before the steps, one worker per
-further CPU the process may use (``os.sched_getaffinity``) and deals them
-the jobs round-robin.  Each worker talks to the caller over one socket
-pair, which a thread of the worker reads from the moment it is forked: so
-``started.send(value)``, which may be repeated, never waits for a first
-phase or a check.  A worker runs its first phases in order, up to the
-first that raises, then its second phases; it pickles each outcome back
-over the same channel and leaves by ``os._exit``.  ``started.results()``
-ends the values, reaps the workers and returns
-``[job()(iter(values)) for job in jobs]``, or raises the exception of the
-first job in list order that raised, as inline; a job whose worker ended
-without its result is a ``WorkerLost`` naming it.  Leaving the block by an
-exception kills and reaps the workers.  ``run_jobs`` runs its first job as
-the step and the rest with no first phase.
+A check is plain serial code: ``check(values)`` reads an iterator over the
+values of the caller's steps, in the order sent, and returns one result.
+``with Jobs(check, warm) as started`` forks one worker, before the steps,
+where the process may use more than one CPU (``os.sched_getaffinity``).
+The worker first runs ``warm()``, which only fills per-space caches that
+the check would fill itself, so an exception from it is dropped: the check
+meets the same failure again in its own order.  Then it runs the check on
+the values, each as soon as it arrives: a thread of the worker reads them
+from the moment it is forked, so ``started.send(value)``, which may be
+repeated, never waits for ``warm`` or the check.  The worker pickles the
+check's outcome back over the same socket pair and leaves by ``os._exit``.
+``started.result()`` ends the values, reaps the worker and returns
+``check(iter(values))``, or raises what it raised, as inline; a worker
+that ended without the outcome is a ``WorkerLost`` naming the check.
+Leaving the block by an exception kills and reaps the worker.
 
-Inline, each job runs both phases in turn after the steps: when the
-process may use one CPU, when ``os.fork`` or ``os.sched_getaffinity`` is
-missing, or when the process runs other Python threads, which a fork would
-copy in whatever state they are in.  (OpenBLAS stops its own thread pool
-at a fork and restarts it on the next call.)  A worker shares nothing with
-the caller after the fork: a cache a job fills, such as a space's strain
-factor, is filled again in each process that needs it.
+Inline, ``result()`` runs the check after the steps and ``warm`` never
+runs: when the process may use one CPU, when ``os.fork`` fails or it or
+``os.sched_getaffinity`` is missing, or when the process runs other Python
+threads, which a fork would copy in whatever state they are in.
+(OpenBLAS stops its own thread pool at a fork and restarts it on the next
+call.)  The worker shares nothing with the caller after the fork: a cache
+the check fills, such as a space's strain factor, is filled in the worker.
 """
 
-import functools
-import itertools
 import os
 import pickle
 import queue
@@ -37,11 +32,11 @@ import signal
 import socket
 import threading
 
-__all__ = ["Jobs", "run_jobs", "WorkerLost"]
+__all__ = ["Jobs", "WorkerLost"]
 
 
 class WorkerLost(Exception):
-    """A worker ended without sending the result of a job."""
+    """The worker ended without sending the outcome of its check."""
 
 
 def _usable_cpus():
@@ -51,14 +46,6 @@ def _usable_cpus():
             or threading.active_count() > 1):
         return 0
     return len(os.sched_getaffinity(0))
-
-
-def _name(job):
-    """A job's function and bound arguments, for messages."""
-    job = getattr(job, "__wrapped__", job)
-    func = getattr(job, "func", job)
-    args = ", ".join(map(repr, getattr(job, "args", ())))
-    return f"{func.__name__}({args})"
 
 
 def _outcome(call, *args):
@@ -80,45 +67,28 @@ def _unpickled(channel):
 
 
 def _values(channel):
-    """The values sent to a worker, read on a thread as they arrive: each
-    call of the result replays them in order, waiting for the next."""
-    arrived, seen = queue.SimpleQueue(), []
+    """The values sent to a worker, read on a thread as they arrive: one
+    pass over them in order, each waited for."""
+    arrived = queue.SimpleQueue()
 
     def read():
         for value in _unpickled(channel):
             arrived.put((value,))
         arrived.put(())  # the end
-
-    def replay():
-        for k in itertools.count():
-            if k == len(seen):
-                item = arrived.get()
-                if not item:
-                    arrived.put(item)  # the end, for the next phase too
-                    return
-                seen.append(*item)
-            yield seen[k]
     threading.Thread(target=read, daemon=True).start()
-    return replay
+    return (item[0] for item in iter(arrived.get, ()))
 
 
-def _serve(jobs, share, channel):
-    """A worker's life: read the values on a thread, run its share's first
-    phases, send each second phase's outcome back through ``channel``.
-    Never returns; a failure to report, say an unpicklable result, exits 1."""
+def _serve(check, warm, channel):
+    """A worker's life: read the values on a thread, warm, run the check,
+    send its outcome back through ``channel``.  Never returns; a failure to
+    report, say an unpicklable result, exits 1."""
     code = 1
     try:
         values = _values(channel)
-        prepared = []
-        for i in share:
-            prepared.append((i, _outcome(jobs[i])))
-            if not prepared[-1][1][0]:
-                break
-        for i, (ok, finish) in prepared:
-            outcome = _outcome(finish, values()) if ok else (ok, finish)
-            channel.sendall(pickle.dumps((i, outcome)))
-            if not outcome[0]:
-                break
+        if warm is not None:
+            _outcome(warm)  # dropped: the check meets it again
+        channel.sendall(pickle.dumps(_outcome(check, values)))
         code = 0
     finally:
         os._exit(code)
@@ -130,90 +100,58 @@ def _ended(code):
 
 
 class Jobs:
-    """Two-phase jobs, their first phases run in workers forked before the
-    caller's own step (see the module doc)."""
+    """A check, run in a worker forked before the caller's own steps (see
+    the module doc)."""
 
-    def __init__(self, jobs):
-        self.jobs, self.values = jobs, []
-        self.workers = {}  # pid -> (this end of its channel, its share)
-        count = max(min(len(jobs), _usable_cpus() - 1), 0)
-        self.local = [] if count else list(range(len(jobs)))
-        try:
-            for k in range(count):
-                self._fork(range(k, len(jobs), count))
-        except BaseException:
-            self.__exit__()
-            raise
-
-    def _fork(self, share):
-        channel, theirs = socket.socketpair()
+    def __init__(self, check, warm=None):
+        self.check, self.values, self.pid = check, [], None
+        if _usable_cpus() < 2:
+            return
+        self.channel, theirs = socket.socketpair()
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: the caller runs the share
-            channel.close()
+        except OSError:  # no process to spare: the check runs inline
+            self.channel.close()
             theirs.close()
-            self.local.extend(share)
             return
         if pid == 0:
-            channel.close()  # a caller that dies ends the worker's wait
-            _serve(self.jobs, share, theirs)
+            self.channel.close()  # a caller that dies ends the worker's wait
+            _serve(check, warm, theirs)
         theirs.close()
-        self.workers[pid] = (channel, share)
+        self.pid = pid
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        for pid, (channel, _) in self.workers.items():
-            channel.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if self.pid is not None:
+            self.channel.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
     def send(self, value):
         """Hand ``value``, the next result of the caller's steps, on."""
-        self.values.append(value)
-        data = pickle.dumps(value)
-        for channel, _ in self.workers.values():
-            try:
-                channel.sendall(data)
-            except ConnectionError:  # a lost worker: results() names its job
-                pass
+        if self.pid is None:
+            self.values.append(value)
+            return
+        try:
+            self.channel.sendall(pickle.dumps(value))
+        except ConnectionError:  # a lost worker: result() names the check
+            pass
 
-    def results(self):
-        """``[job()(iter(values)) for job in jobs]``, or what it raises."""
-        for channel, _ in self.workers.values():
-            channel.shutdown(socket.SHUT_WR)  # no value follows
-        outcomes = {}
-        for i in self.local:
-            ok, finish = _outcome(self.jobs[i])
-            outcomes[i] = (_outcome(finish, iter(self.values)) if ok
-                           else (ok, finish))
-            if not outcomes[i][0]:
-                break
-        exit_codes = {}  # job index -> exit code of the worker that held it
-        for pid, (channel, share) in list(self.workers.items()):
-            with channel:
-                outcomes.update(_unpickled(channel))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del self.workers[pid]
-            exit_codes.update(dict.fromkeys(share, code))
-        results = []
-        for i, job in enumerate(self.jobs):
-            if i not in outcomes:
-                raise WorkerLost(f"job {_name(job)} ended without a result: "
-                                 f"its worker {_ended(exit_codes[i])}")
-            ok, value = outcomes[i]
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-
-
-def run_jobs(jobs):
-    """``[job() for job in jobs]``, with every job after the first run in a
-    forked worker where more than one CPU is free (see the module doc)."""
-    deferred = [functools.wraps(job)(lambda job=job: lambda _: job())
-                for job in jobs[1:]]
-    with Jobs(deferred) as started:
-        started.send(None)
-        return [job() for job in jobs[:1]] + started.results()
+    def result(self):
+        """``check(iter(values))``, or what it raises."""
+        if self.pid is None:
+            return self.check(iter(self.values))
+        self.channel.shutdown(socket.SHUT_WR)  # no value follows
+        with self.channel:
+            outcome = next(_unpickled(self.channel), None)
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if outcome is None:
+            raise WorkerLost(f"{self.check.__name__}() ended without a "
+                             f"result: its worker {_ended(code)}")
+        ok, value = outcome
+        if not ok:
+            raise value
+        return value

@@ -71,8 +71,9 @@ def wavy_space():
 
 @pytest.fixture
 def inline_jobs(monkeypatch):
-    """``workers`` runs every job in the calling process, as on one CPU:
-    for tests that observe a command's work in-process."""
+    """``workers.Jobs`` forks no worker, as on one CPU: each command runs
+    its check in the calling process after its steps, for tests that
+    observe a command's work in-process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 

@@ -1,7 +1,7 @@
-"""Independent jobs in forked workers: ``workers.Jobs`` and
-``workers.run_jobs`` return what running the jobs inline returns, raise
-what they would raise, and leave no process behind; the commands write the
-same bytes either way."""
+"""A command's check in a forked worker: ``workers.Jobs`` forks at most one
+worker, returns what running the check inline returns, raises what it
+would raise, and leaves no process or descriptor behind; the commands
+write the same bytes either way."""
 
 import functools
 import gc
@@ -23,8 +23,8 @@ from nsdarcy.solver import NonConvergence
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the number of CPUs the process may use, as ``run_jobs`` sees it,
-    and count the workers it forks."""
+    """Set the number of CPUs the process may use, as ``workers.Jobs`` sees
+    it, and count the workers it forks."""
     forks = []
     fork = os.fork
 
@@ -51,24 +51,120 @@ def _fail(exc_type, message):
     raise exc_type(message)
 
 
-class TestRunJobs:
-    def test_results_in_job_order_with_the_first_job_at_home(self, cpus):
-        forks = cpus(3)
-        pids = workers.run_jobs([os.getpid] * 5)
-        # job 0 in the caller; jobs 1..4 dealt round-robin to two workers
-        assert len(forks) == 2
-        assert pids[0] == os.getpid()
-        assert pids[1] == pids[3] != pids[2] == pids[4]
-        assert os.getpid() not in pids[1:]
-        assert workers.run_jobs([functools.partial(pow, 2, k)
-                                 for k in range(6)]) == [1, 2, 4, 8, 16, 32]
+def _logging(tag, log):
+    """A warm that appends ``tag`` and its pid to the file ``log``."""
+    def warm():
+        with open(log, "a") as fh:
+            fh.write(f"{tag} {os.getpid()}\n")
+    return warm
+
+
+def _first_value(log):
+    """A check that logs "check" and its pid to the file ``log`` once it
+    has the first value, and returns (its pid, that value)."""
+    def check(values):
+        value = next(values)
+        _logging("check", log)()
+        return os.getpid(), value
+    return check
+
+
+class TestJobs:
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    def test_at_most_one_worker_is_forked(self, cpus, count):
+        forks = cpus(count)
+        with workers.Jobs(lambda values: (os.getpid(), list(values))) \
+                as started:
+            for value in "ab":
+                started.send(value)
+            pid, values = started.result()
+        assert len(forks) == (count > 1)
+        assert (pid == os.getpid()) == (count == 1)
+        assert values == ["a", "b"]
         assert no_child_is_left()
 
-    @pytest.mark.parametrize("count", [0, 1, 2])
-    def test_one_cpu_or_few_jobs_run_inline(self, cpus, count):
-        forks = cpus(1 if count == 2 else 4)
-        assert workers.run_jobs([os.getpid] * count) == [os.getpid()] * count
+    def test_first_phases_run_in_a_worker_during_the_step(self, cpus,
+                                                          tmp_path):
+        # warm, the worker's first phase, runs while the caller steps; the
+        # check goes on once the value is sent
+        forks = cpus(2)
+        log = tmp_path / "log"
+        with workers.Jobs(_first_value(log), _logging("warm", log)) \
+                as started:
+            _wait_for(log, "warm", 1)  # the step
+            assert "check" not in log.read_text()
+            started.send({"state": 1})
+            worker, value = started.result()
+        assert len(forks) == 1
+        assert worker != os.getpid()
+        assert value == {"state": 1}
+        assert log.read_text().splitlines() == [f"warm {worker}",
+                                                f"check {worker}"]
+        assert no_child_is_left()
+
+    def test_inline_the_check_runs_after_the_step_and_warm_never(
+            self, cpus, tmp_path):
+        forks = cpus(1)
+        log = tmp_path / "log"
+        with workers.Jobs(_first_value(log), _logging("warm", log)) \
+                as started:
+            started.send(7)
+            assert not log.exists()
+            result = started.result()
         assert forks == []
+        assert result == (os.getpid(), 7)
+        assert log.read_text().splitlines() == [f"check {os.getpid()}"]
+
+    @pytest.mark.parametrize("meets_it", [False, True],
+                             ids=["check-passes", "check-meets-it"])
+    def test_a_failing_warm_leaves_the_outcome_as_inline(self, cpus,
+                                                         meets_it):
+        # the worker drops warm's exception; a check that meets the same
+        # failure raises it in its own order, after reading the values
+        build = functools.partial(_fail, SingularLinearSystem, "injected")
+
+        def check(values):
+            read = list(values)
+            if meets_it:
+                build()
+            return read
+        outcomes = {}
+        for count in (1, 2):
+            forks = cpus(count)
+            with workers.Jobs(check, build) as started:
+                started.send(3)
+                try:
+                    outcomes[count] = started.result()
+                except SingularLinearSystem as exc:
+                    outcomes[count] = repr(exc)
+            assert len(forks) == count - 1
+        assert outcomes[2] == outcomes[1] == (
+            "SingularLinearSystem('injected')" if meets_it else [3])
+        assert no_child_is_left()
+
+    def test_a_failing_step_kills_the_workers(self, cpus):
+        forks = cpus(3)
+        with pytest.raises(ZeroDivisionError):
+            with workers.Jobs(lambda values: signal.pause()):
+                1 / 0
+        assert len(forks) == 1
+        assert no_child_is_left()
+
+    def test_a_failed_fork_leaves_its_share_to_the_caller(
+            self, cpus, monkeypatch, tmp_path):
+        # the fork fails: the check, all the worker would have run, runs
+        # in the caller after the step, as inline, and warm never runs
+        cpus(2)
+        monkeypatch.setattr(os, "fork", _failing_fork(os.fork, 1))
+        log = tmp_path / "log"
+        with workers.Jobs(_first_value(log), _logging("warm", log)) \
+                as started:
+            started.send(5)
+            assert not log.exists()
+            result = started.result()
+        assert result == (os.getpid(), 5)
+        assert log.read_text().splitlines() == [f"check {os.getpid()}"]
+        assert no_child_is_left()
 
     def test_a_process_with_other_threads_runs_inline(self, cpus):
         forks = cpus(2)
@@ -76,149 +172,34 @@ class TestRunJobs:
         thread = threading.Thread(target=release.wait, args=(10,))
         thread.start()
         try:
-            assert workers.run_jobs([os.getpid] * 3) == [os.getpid()] * 3
+            with workers.Jobs(lambda values: os.getpid()) as started:
+                assert started.result() == os.getpid()
         finally:
             release.set()
             thread.join(10)
         assert not thread.is_alive()
         assert forks == []
 
-    def test_the_first_failing_job_in_list_order_is_raised(self, cpus):
-        cpus(3)
-        jobs = [os.getpid, functools.partial(_fail, ValueError, "first"),
-                functools.partial(_fail, KeyError, "second")]
-        with pytest.raises(ValueError, match="first"):
-            workers.run_jobs(jobs)
-        assert no_child_is_left()
-
-    def test_a_failure_at_home_is_raised_and_the_workers_reaped(self, cpus):
-        cpus(2)
-        jobs = [functools.partial(_fail, SingularLinearSystem, "home"),
-                functools.partial(signal.pause)]
-        with pytest.raises(SingularLinearSystem, match="home"):
-            workers.run_jobs(jobs)
-        assert no_child_is_left()
-
     def test_a_result_that_does_not_pickle_loses_its_worker(self, cpus):
         cpus(2)
         with pytest.raises(workers.WorkerLost,
-                           match=r"job <lambda>\(\) ended without a result: "
+                           match=r"<lambda>\(\) ended without a result: "
                                  "its worker exited with status 1"):
-            workers.run_jobs([os.getpid, lambda: lambda: None])
-        assert no_child_is_left()
-
-
-def _two_phase(tag, log):
-    """A two-phase job that appends each phase's tag, name and pid to the
-    file ``log``, the second once it has the first value, and returns (tag,
-    the pid of each phase, that value)."""
-    def first():
-        with open(log, "a") as fh:
-            fh.write(f"{tag} first {os.getpid()}\n")
-        first_pid = os.getpid()
-
-        def finish(values):
-            value = next(values)
-            with open(log, "a") as fh:
-                fh.write(f"{tag} second {os.getpid()}\n")
-            return tag, first_pid, os.getpid(), value
-        return finish
-    return first
-
-
-class TestJobs:
-    def test_first_phases_run_in_a_worker_during_the_step(self, cpus,
-                                                          tmp_path):
-        forks = cpus(2)
-        log = tmp_path / "log"
-        with workers.Jobs([_two_phase(tag, log) for tag in "ab"]) as started:
-            # the step: wait until both first phases have run
-            for _ in range(1000):
-                if log.exists() and log.read_text().count("first") == 2:
-                    break
-                time.sleep(0.01)
-            assert "second" not in log.read_text()
-            started.send({"state": 1})
-            results = started.results()
-        assert len(forks) == 1
-        worker = results[0][1]
-        assert worker != os.getpid()
-        assert results == [(tag, worker, worker, {"state": 1})
-                           for tag in "ab"]
-        assert log.read_text().splitlines() == [
-            f"{tag} {phase} {worker}" for phase, tag in
-            [("first", "a"), ("first", "b"), ("second", "a"),
-             ("second", "b")]]
-        assert no_child_is_left()
-
-    def test_inline_each_job_runs_both_phases_after_the_step(self, cpus,
-                                                            tmp_path):
-        forks = cpus(1)
-        log = tmp_path / "log"
-        with workers.Jobs([_two_phase(tag, log) for tag in "ab"]) as started:
-            assert not log.exists()
-            started.send(7)
-            results = started.results()
-        home = os.getpid()
-        assert forks == []
-        assert results == [("a", home, home, 7), ("b", home, home, 7)]
-        assert log.read_text().splitlines() == [
-            f"a first {home}", f"a second {home}", f"b first {home}",
-            f"b second {home}"]
-
-    def test_a_first_phase_failure_is_raised_after_the_jobs_before_it(
-            self, cpus, tmp_path):
-        cpus(2)
-        log = tmp_path / "log"
-        jobs = [_two_phase("a", log),
-                functools.partial(_fail, KeyError, "first phase")]
-        with workers.Jobs(jobs) as started:
-            started.send(1)
-            with pytest.raises(KeyError, match="first phase"):
-                started.results()
-        # the worker ran the first job's second phase before reporting
-        assert [line.split()[:2] for line in log.read_text().splitlines()] \
-            == [["a", "first"], ["a", "second"]]
-        assert no_child_is_left()
-
-    def test_a_failing_step_kills_the_workers(self, cpus):
-        forks = cpus(3)
-        with pytest.raises(ZeroDivisionError):
-            with workers.Jobs([functools.partial(signal.pause)] * 2):
-                1 / 0
-        assert len(forks) == 2
-        assert no_child_is_left()
-
-    def test_a_failed_fork_leaves_its_share_to_the_caller(
-            self, cpus, monkeypatch, tmp_path):
-        # three CPUs, two workers: the second fork fails, so jobs b and d
-        # run in the caller after the step, as inline
-        cpus(3)
-        monkeypatch.setattr(os, "fork", _failing_fork(os.fork, 2))
-        log = tmp_path / "log"
-        jobs = [_two_phase(tag, log) for tag in "abcd"]
-        with workers.Jobs(jobs) as started:
-            _wait_for(log, "first", 2)
-            assert "b first" not in log.read_text()
-            started.send(5)
-            results = started.results()
-        home, worker = os.getpid(), results[0][1]
-        assert worker != home
-        assert results == [("a", worker, worker, 5), ("b", home, home, 5),
-                           ("c", worker, worker, 5), ("d", home, home, 5)]
+            with workers.Jobs(lambda values: lambda: None) as started:
+                started.result()
         assert no_child_is_left()
 
     def test_a_worker_lost_before_the_value_is_sent(self, cpus):
         cpus(2)
-        with workers.Jobs([_die]) as started:
-            # the worker has ended; it stays unreaped for results()
+        with workers.Jobs(_die) as started:
+            # the worker has ended; it stays unreaped for result()
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
             started.send(bytes(1 << 20))  # more than any pipe or socket buffer
             with pytest.raises(workers.WorkerLost,
-                               match=r"job _die\(\) ended without a result: "
+                               match=r"_die\(\) ended without a result: "
                                      "its worker was killed by signal "
                                      f"{int(signal.SIGKILL)}"):
-                started.results()
+                started.result()
         assert no_child_is_left()
 
     @pytest.mark.parametrize("where", ["step", "results"])
@@ -230,114 +211,119 @@ class TestJobs:
         previous = signal.signal(signal.SIGALRM, interrupt)
         try:
             with pytest.raises(KeyboardInterrupt):
-                with workers.Jobs([lambda: lambda _: signal.pause()]) \
-                        as started:
+                with workers.Jobs(lambda values: signal.pause()) as started:
                     signal.setitimer(signal.ITIMER_REAL, 0.1)
                     if where == "step":
                         time.sleep(10)
                     started.send(None)
-                    started.results()  # waits on the paused worker
+                    started.result()  # waits on the paused worker
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert no_child_is_left()
 
 
-def _reading(count=None):
-    """A job whose second phase returns the first ``count`` values sent,
-    or every value with ``count`` None."""
-    def first():
-        return lambda values: list(itertools.islice(values, count))
-    return first
-
-
 def _logging_reads(log):
-    """A job whose second phase appends "read" to the file ``log`` for each
-    value it reads, and returns the values."""
-    def first():
-        def finish(values):
-            seen = []
-            for value in values:
-                seen.append(value)
-                with open(log, "a") as fh:
-                    fh.write(f"read {value}\n")
-            return seen
-        return finish
-    return first
+    """A check that appends "read" to the file ``log`` for each value it
+    reads, and returns the values."""
+    def check(values):
+        seen = []
+        for value in values:
+            seen.append(value)
+            with open(log, "a") as fh:
+                fh.write(f"read {value}\n")
+        return seen
+    return check
 
 
-def _waiting_for(marker):
-    """A job whose first phase waits up to 10 s for the file ``marker``;
-    its second phase returns the length of each value."""
-    def first():
-        for _ in range(1000):
-            if marker.exists():
-                return lambda values: [len(value) for value in values]
-            time.sleep(0.01)
-        raise TimeoutError("the marker was never made")
-    return first
-
-
-def _dying_after_one():
-    def finish(values):
-        next(values)
-        _die()
-    return finish
+def _dying_after_one(values):
+    next(values)
+    _die()
 
 
 class TestStreamedValues:
+    """The values reach the check, the worker's second phase after warm,
+    one by one as they are sent."""
+
     def test_no_send_waits_for_a_first_phase(self, cpus, tmp_path):
-        # the first phase ends only once every value is sent: 1.2 MB, more
-        # than a socket buffer holds unread
+        # warm ends only once every value is sent: 1.2 MB, more than a
+        # socket buffer holds unread
         forks = cpus(2)
         marker = tmp_path / "marker"
-        with workers.Jobs([_waiting_for(marker)]) as started:
+        found = []
+
+        def warm():
+            for _ in range(1000):
+                if marker.exists():
+                    found.append(True)
+                    return
+                time.sleep(0.01)
+        with workers.Jobs(lambda values: (found, [len(v) for v in values]),
+                          warm) as started:
             for _ in range(4):
                 started.send(bytes(300_000))
             marker.touch()
-            assert started.results() == [[300_000] * 4]
+            assert started.result() == ([True], [300_000] * 4)
         assert len(forks) == 1
         assert no_child_is_left()
 
     def test_second_phases_read_the_values_in_order(self, cpus):
-        # two workers: the first runs jobs 0 and 2, which both read every
-        # value, the second job 1, which reads the first only
+        # a check that reads every value, and one that reads the first only
+        # while the rest are still sent
         values = [{"k": k} for k in range(4)] + [bytes(500_000), None]
-        jobs = [_reading(), _reading(1), _reading()]
         results = {}
         for count in (1, 3):
             forks = cpus(count)
-            with workers.Jobs(jobs) as started:
-                for value in values:
-                    started.send(value)
-                results[count] = started.results()
-            assert len(forks) == count - 1
-        assert results[3] == results[1] == [values, values[:1], values]
+            results[count] = []
+            for reads in (None, 1):
+                with workers.Jobs(lambda values, reads=reads: list(
+                        itertools.islice(values, reads))) as started:
+                    for value in values:
+                        started.send(value)
+                    results[count].append(started.result())
+            assert len(forks) == 2 * (count > 1)
+        assert results[3] == results[1] == [values, values[:1]]
         assert no_child_is_left()
 
     def test_a_second_phase_reads_each_value_as_it_arrives(self, cpus,
                                                           tmp_path):
         cpus(2)
         log = tmp_path / "log"
-        with workers.Jobs([_logging_reads(log)]) as started:
+        with workers.Jobs(_logging_reads(log)) as started:
             for k in range(3):
                 started.send(k)
                 _wait_for(log, "read", k + 1)
-            assert started.results() == [[0, 1, 2]]
+            assert started.result() == [0, 1, 2]
         assert no_child_is_left()
 
     def test_a_worker_killed_mid_stream_is_lost(self, cpus):
         cpus(2)
-        with workers.Jobs([_dying_after_one]) as started:
+        with workers.Jobs(_dying_after_one) as started:
             started.send(1)
-            # the worker has ended; it stays unreaped for results()
+            # the worker has ended; it stays unreaped for result()
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
             started.send(bytes(1 << 20))
             with pytest.raises(workers.WorkerLost,
-                               match=r"job _dying_after_one\(\) ended without "
+                               match=r"_dying_after_one\(\) ended without "
                                      "a result: its worker was killed by "
                                      f"signal {int(signal.SIGKILL)}"):
-                started.results()
+                started.result()
+        assert no_child_is_left()
+
+
+class TestRunJobs:
+    """Work at home, the caller's step, fails while its worker runs."""
+
+    def test_a_failure_at_home_is_raised_and_the_workers_reaped(
+            self, cpus, tmp_path):
+        # the worker has read the first value and waits for the next
+        cpus(2)
+        log = tmp_path / "log"
+        with pytest.raises(SingularLinearSystem, match="home"):
+            with workers.Jobs(_logging_reads(log)) as started:
+                started.send(0)
+                _wait_for(log, "read", 1)
+                _fail(SingularLinearSystem, "home")
         assert no_child_is_left()
 
 
@@ -362,7 +348,7 @@ def _failing_fork(fork, failing):
     return fork_or_fail
 
 
-def _die():
+def _die(*values):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -373,31 +359,34 @@ def _open_descriptors():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 @pytest.mark.parametrize("path", ["success", "failing job", "failing step",
-                                  "lost worker", "failed fork", "streamed"])
+                                  "lost worker", "failed fork", "streamed",
+                                  "failing warm"])
 def test_no_descriptor_is_left_behind(cpus, monkeypatch, path):
     cpus(3)
     if path == "failed fork":
         monkeypatch.setattr(os, "fork", _failing_fork(os.fork, 1))
-    jobs = {"success": [os.getpid] * 4, "failed fork": [os.getpid] * 4,
-            "failing job": [os.getpid, functools.partial(_fail, KeyError, "")],
-            "lost worker": [os.getpid, _die]}
+    value = bytes(300_000) if path == "streamed" else 1
+    check = {"failing job": lambda values: _fail(KeyError, ""),
+             "lost worker": _die}.get(path, list)
+    warm = (functools.partial(_fail, KeyError, "")
+            if path == "failing warm" else None)
     before = _open_descriptors()
     if path == "failing step":
         with pytest.raises(ZeroDivisionError):
-            with workers.Jobs([functools.partial(signal.pause)] * 2):
+            with workers.Jobs(lambda values: signal.pause()):
                 1 / 0
-    elif path == "streamed":
-        with workers.Jobs([_reading()] * 3) as started:
-            for _ in range(3):
-                started.send(bytes(300_000))
-            assert started.results() == [[bytes(300_000)] * 3] * 3
     else:
         try:
-            workers.run_jobs(jobs[path])
+            with workers.Jobs(check, warm) as started:
+                for _ in range(3):
+                    started.send(value)
+                assert started.result() == [value] * 3
         except (KeyError, workers.WorkerLost):
             assert path in ("failing job", "lost worker")
     assert _open_descriptors() == before
     assert no_child_is_left()
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +401,27 @@ def _run(tmp_path, tag, argv, capsys):
              if out.exists() else {})
     return (code, captured.out.replace(str(out), "OUT"),
             captured.err.replace(str(out), "OUT"), files)
+
+
+VERIFY_2X4 = ["verify", "--mesh", "builtin:2x4", "--levels", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mesh", "builtin:2x4"],
+    ["solve", "--case", "smooth"],
+    VERIFY_2X4,
+    ["mms", "--case", "representable", "--levels", "3"]],
+    ids=["solve", "solve-smooth", "verify", "mms"])
+def test_each_command_forks_one_worker(tmp_path, capsys, cpus, argv):
+    # however many CPUs the process may use, one worker runs the check,
+    # and the run writes what an inline run writes
+    cpus(1)
+    inline = _run(tmp_path, "inline", argv, capsys)
+    for count in (2, 3, 8):
+        forks = cpus(count)
+        assert _run(tmp_path, f"forked{count}", argv, capsys) == inline
+        assert len(forks) == 1
+    assert no_child_is_left()
 
 
 @pytest.mark.parametrize("argv", [
@@ -490,7 +500,7 @@ def test_a_killed_worker_is_a_quiet_solver_failure(tmp_path, capsys, cpus,
     home = os.getpid()
 
     def killed(*args, **kwargs):
-        assert os.getpid() != home, "the job ran in the test process"
+        assert os.getpid() != home, "the check ran in the test process"
         os.kill(os.getpid(), signal.SIGKILL)
     monkeypatch.setattr(analysis, "check_uniqueness", killed)
     cpus(2)
@@ -498,7 +508,7 @@ def test_a_killed_worker_is_a_quiet_solver_failure(tmp_path, capsys, cpus,
         tmp_path, "run", ["verify", "--mesh", "builtin:2x4", "--levels", "1"],
         capsys)
     assert code == EXIT_SOLVER
-    assert ("solver failure: job uniqueness() ended without a result: its "
+    assert ("solver failure: check() ended without a result: its "
             f"worker was killed by signal {int(signal.SIGKILL)}") in err
     assert "Traceback" not in err
     assert files == {}
@@ -525,7 +535,7 @@ def test_an_unexpected_error_leaves_no_child(tmp_path, cpus, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# solve: the checks' first phases overlap the coupled solve
+# solve: the worker warms while the coupled solve runs
 # ---------------------------------------------------------------------------
 
 def _factor_doing(monkeypatch, action, log=None):
@@ -611,7 +621,8 @@ def _fail_in(prefix, exc_type):
 def test_a_failure_before_or_during_the_solve_is_as_inline(
         tmp_path, capsys, cpus, monkeypatch, where):
     # the solve's own failure wins over a worker that is still alive; a
-    # first phase's failure is raised once the solve has returned
+    # failure while warming is met again by the check, and raised once the
+    # solve has returned
     solved = []
     if where == "solve":
         monkeypatch.setattr(solver, "solve_coupled", lambda *a, **k: _fail(
@@ -646,14 +657,14 @@ def test_an_early_worker_killed_in_its_first_phase_is_lost(
 
     def killed(context):
         if context.startswith("lifting"):
-            assert os.getpid() != home, "the job ran in the test process"
+            assert os.getpid() != home, "warm ran in the test process"
             os.kill(os.getpid(), signal.SIGKILL)
     _factor_doing(monkeypatch, killed)
     cpus(2)
     code, _, err, files = _run(
         tmp_path, "run", ["solve", "--mesh", "builtin:2x4"], capsys)
     assert code == EXIT_SOLVER
-    assert ("solver failure: job companion() ended without a result: its "
+    assert ("solver failure: check() ended without a result: its "
             f"worker was killed by signal {int(signal.SIGKILL)}") in err
     assert "Traceback" not in err
     assert files == {}
@@ -680,8 +691,6 @@ def test_an_unexpected_error_escapes_solve_with_its_type(
 # verify: this process solves, one worker checks each state as it arrives
 # ---------------------------------------------------------------------------
 
-VERIFY_2X4 = ["verify", "--mesh", "builtin:2x4", "--levels", "2"]
-
 
 def test_verify_shares_the_zero_start_factor_of_one_operator(
         tmp_path, cpus, monkeypatch):
@@ -698,8 +707,12 @@ def test_verify_shares_the_zero_start_factor_of_one_operator(
 
 def test_verify_solves_at_home_and_checks_in_one_worker(tmp_path, cpus,
                                                         monkeypatch):
-    # one CPU: every factor at home, the solves first; two: the worker
-    # builds every factor but the suite's solves, in the same order
+    # one CPU: every factor at home, the suite's four solves first, then
+    # the check: uniqueness (two starts, whose uniqueness number builds the
+    # level-0 strain and Darcy factors), each level's reports and
+    # compensation, building the level's factors as they are read; two
+    # CPUs: home builds the suite's solves only, and the worker warms (each
+    # level's strain and lifting factors), then runs the same check
     log = tmp_path / "factors"
     _factor_doing(monkeypatch, lambda context: None, log)
     by_pid = {}
@@ -712,12 +725,20 @@ def test_verify_solves_at_home_and_checks_in_one_worker(tmp_path, cpus,
             pid, context = line.split(" ", 1)
             by_pid[count].setdefault(int(pid), []).append(context)
         log.unlink()
-    home = by_pid[2].pop(os.getpid())
-    assert home == ["coupled iteration"] * 4
+    suite = ["coupled iteration"] * 4
+    uniqueness = ["coupled iteration", "fluid strain", "Darcy matrix",
+                  "coupled iteration"]
+    reports = ["Darcy matrix", "lifting saddle system", "companion solve",
+               "Darcy matrix", "Darcy matrix"]
+    assert by_pid[1] == {os.getpid(): suite + uniqueness + reports
+                         + ["fluid strain"] + reports}
+    assert by_pid[2].pop(os.getpid()) == suite
     worker, = by_pid[2].values()
-    assert worker[0] == "coupled iteration"  # uniqueness first
-    assert worker.count("coupled iteration") == 2
-    assert by_pid[1] == {os.getpid(): home + worker}
+    assert worker == (["fluid strain", "lifting saddle system"] * 2
+                      + ["coupled iteration", "Darcy matrix",
+                         "coupled iteration"]
+                      + ["Darcy matrix", "companion solve", "Darcy matrix",
+                         "Darcy matrix"] * 2)
     assert no_child_is_left()
 
 

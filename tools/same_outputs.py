@@ -4,9 +4,11 @@ directory replaced by ``<out>``) and the exit codes.
 
 Each command runs as ``python3 -m nsdarcy.cli ... --out DIR`` with the
 tree's ``src`` on ``PYTHONPATH`` and one BLAS thread, one command at a
-time.  ``{name}`` in a command is the path of a config file holding
-``CONFIGS[name]``.  One line is printed per command; the exit status is 1 if any
-command differs.  Gates nothing.
+time, twice: on the CPUs this process may use, where the command forks a
+worker, and pinned to one CPU, where it runs its checks inline.  ``{name}``
+in a command is the path of a config file holding ``CONFIGS[name]``.  One
+line is printed per command and CPU setting; the exit status is 1 if any
+run differs.  Gates nothing.
 
 Usage, from the repository root:
 ``python3 tools/same_outputs.py PARENT [CHANGE]``, where PARENT and CHANGE
@@ -41,12 +43,18 @@ ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
 
-def run(tree, command, out):
-    """(exit code, stdout, stderr, {relative path: bytes}) of ``command``."""
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(tree, command, out, pinned):
+    """(exit code, stdout, stderr, {relative path: bytes}) of ``command``,
+    on one CPU if ``pinned``."""
     env = dict(os.environ, **ONE_THREAD, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "nsdarcy.cli", *command.split(),
                            "--out", str(out)], cwd=tree, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          preexec_fn=_one_cpu if pinned else None)
     files = {str(path.relative_to(out)): path.read_bytes()
              for path in sorted(out.rglob("*")) if path.is_file()}
     return (proc.returncode, proc.stdout.replace(str(out), "<out>"),
@@ -76,13 +84,15 @@ def main(argv):
         for name, path in configs.items():
             path.write_text(json.dumps(CONFIGS[name]))
         for k, command in enumerate(COMMANDS):
-            runs = [run(tree, command.format(**configs), scratch / f"{side}{k}")
-                    for side, tree in zip(("parent", "change"), trees)]
-            found = differences(*runs)
-            failed |= bool(found)
-            status = f"DIFFERENT ({', '.join(found)})" if found else "same"
-            print(f"{status}: exit {runs[0][0]}, {len(runs[0][3])} files: "
-                  f"{command}", flush=True)
+            for pinned in (False, True):
+                runs = [run(tree, command.format(**configs),
+                            scratch / f"{side}{k}{'p' * pinned}", pinned)
+                        for side, tree in zip(("parent", "change"), trees)]
+                found = differences(*runs)
+                failed |= bool(found)
+                status = f"DIFFERENT ({', '.join(found)})" if found else "same"
+                print(f"{status}: exit {runs[0][0]}, {len(runs[0][3])} files: "
+                      f"{command}{' (one CPU)' * pinned}", flush=True)
     finally:
         shutil.rmtree(scratch)
     return 1 if failed else 0
